@@ -110,16 +110,18 @@ def _read_json(path: str):
         return json.load(handle)
 
 
-def _mock_gateway_from_file(path: str) -> LlmGateway:
+def _mock_gateway_from_file(path: str, transcript: Transcript) -> LlmGateway:
     chat = MockChatBackend.from_script_file(path)
-    return LlmGateway(chat, MockEmbeddingBackend(), Transcript(None))
+    return LlmGateway(chat, MockEmbeddingBackend(), transcript)
 
 
 def _gateway(args, config: dict) -> LlmGateway:
     """Scripted backend when --mock is given, HTTP from config/env otherwise."""
     mock = getattr(args, "mock", None)
+    transcript = Transcript(getattr(args, "transcript", None))
     if mock:
-        return _mock_gateway_from_file(mock if isinstance(mock, str) else mock[0])
+        return _mock_gateway_from_file(mock if isinstance(mock, str) else mock[0],
+                                       transcript)
     llm = config.get("llm", {})
     chat = HttpChatBackend(
         endpoint=llm.get("endpoint"),
@@ -135,7 +137,7 @@ def _gateway(args, config: dict) -> LlmGateway:
         )
     except KdrError:
         embedder = None  # chat-only setups stay usable
-    return LlmGateway(chat, embedder, Transcript(getattr(args, "transcript", None)))
+    return LlmGateway(chat, embedder, transcript)
 
 
 def _load_kb(kb_path: str, ontology_path: str | None):
@@ -159,6 +161,7 @@ def _object_record(obj: ks.KnowledgeObject) -> dict:
 
 def cmd_organize(args) -> int:
     config = pl.load_config(args.config)
+    workers = pl.workers_from(config)
     gateway = _gateway(args, config)
     task = pl.ResearchTask(args.topic, "organize",
                            corpus_path=args.corpus, kb_path=args.kb)
@@ -185,7 +188,7 @@ def cmd_organize(args) -> int:
             return 1
 
     _, _, manifest = pl.run_organization(task, proposal, gateway,
-                                         run_dir=args.run_dir)
+                                         run_dir=args.run_dir, workers=workers)
     _emit(manifest, args.pretty)
     return 0
 
@@ -195,6 +198,7 @@ def cmd_organize(args) -> int:
 
 def cmd_research(args) -> int:
     config = pl.load_config(args.config)
+    workers = pl.workers_from(config)
     gateway = _gateway(args, config)
     graph, store = _load_kb(args.kb, args.ontology)
     task = pl.ResearchTask(args.task, "research",
@@ -215,6 +219,7 @@ def cmd_research(args) -> int:
         cfg=pl.cycle_config_from(config),
         max_rounds=int(limits.get("max_rounds", 3)),
         search_hits=int(limits.get("search_hits", 3)),
+        workers=workers,
     )
     _emit({
         "report": str(Path(args.out) / "report.md"),
@@ -311,7 +316,8 @@ def cmd_eval_kbqa(args) -> int:
 def cmd_eval_report(args) -> int:
     config = pl.load_config(args.config)
     if args.mock:
-        gateways = [_mock_gateway_from_file(path) for path in args.mock]
+        transcript = Transcript(args.transcript)  # one seq count across judges
+        gateways = [_mock_gateway_from_file(path, transcript) for path in args.mock]
     else:
         gateways = [_gateway(args, config)]
     report = Path(args.report).read_text(encoding="utf-8")
@@ -373,6 +379,8 @@ def _add_common(p: argparse.ArgumentParser, mock_append: bool = False) -> None:
         p.add_argument("--mock", metavar="SCRIPT.json",
                        help="scripted model responses instead of a live backend")
     p.add_argument("--config", help="config file (overrides KDR_CONFIG)")
+    p.add_argument("--transcript", metavar="PATH",
+                   help="append every model exchange to this JSONL file")
     p.add_argument("--pretty", action="store_true",
                    help="indent the JSON output")
 

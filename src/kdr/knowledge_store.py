@@ -266,6 +266,10 @@ class KnowledgeStore:
         """
         resolved = 0
         with self._lock:
+            by_name: dict[str, list[tuple[str, str]]] = {}
+            for obj in self.objects.values():
+                by_name.setdefault(normalize_name(obj.display_name), []).append(
+                    (obj.id, obj.concept))
             for obj in self.objects.values():
                 specs = _attr_specs(self.graph, obj.concept)
                 for attr, values in obj.slots.items():
@@ -276,24 +280,22 @@ class KnowledgeStore:
                     for sv in values:
                         if not isinstance(sv.value, str):
                             continue
-                        hit = self._find_by_name(sv.value, target)
+                        hit = self._find_by_name(sv.value, target, by_name)
                         if hit is not None:
                             sv.value = Ref(hit)
                             resolved += 1
             self._index = None
         return resolved
 
-    def _find_by_name(self, name: str, target_concept: str) -> str | None:
-        wanted = normalize_name(name)
-        hits = []
-        for obj in self.objects.values():
-            if normalize_name(obj.display_name) != wanted:
-                continue
-            q = obj.concept
-            if q == target_concept or self.graph.is_descendant(q, target_concept) or \
-                    target_concept in self.graph.equivalence_class(q):
-                hits.append(obj.id)
-        return sorted(hits)[0] if hits else None
+    def _find_by_name(self, name: str, target_concept: str,
+                      by_name: dict[str, list[tuple[str, str]]]) -> str | None:
+        """Smallest id among same-name objects of the target concept, a
+        descendant, or an equivalent; by_name maps normalized names to
+        (id, concept) pairs."""
+        hits = [obj_id for obj_id, q in by_name.get(normalize_name(name), ())
+                if q == target_concept or self.graph.is_descendant(q, target_concept)
+                or target_concept in self.graph.equivalence_class(q)]
+        return min(hits) if hits else None
 
     # -- queries --------------------------------------------------------------------
 

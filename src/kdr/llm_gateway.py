@@ -10,6 +10,7 @@ and every test is reproducible.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -47,11 +48,19 @@ class GenerationConfig:
 
 
 class Transcript:
-    """Append-only JSONL log of every model exchange, including retries."""
+    """Append-only JSONL log of every model exchange, including retries.
+
+    Rows of concurrent calls interleave; the gateway stamps each call's
+    rows with one ``seq`` number from next_seq so they can be paired.
+    """
 
     def __init__(self, path: str | None):
         self.path = path
         self._lock = threading.Lock()
+        self._seq = itertools.count(1)
+
+    def next_seq(self) -> int:
+        return next(self._seq)
 
     def record(self, kind: str, payload: dict) -> None:
         if not self.path:
@@ -97,12 +106,15 @@ class MockChatBackend(ChatBackend):
     Rules are checked in order against the concatenated prompt text; the
     first hit answers from its response queue (the last entry repeats once
     the queue runs dry). With no hit the default response is returned.
+    Queues are consumed in call order; one lock keeps concurrent callers
+    from losing or repeating a queued reply.
     """
 
     def __init__(self, rules: list[MockRule] | None = None, default_response: str = ""):
         self.rules = rules or []
         self.default_response = default_response
         self.calls: list[str] = []
+        self._lock = threading.Lock()
 
     @classmethod
     def from_script(cls, document: dict) -> "MockChatBackend":
@@ -132,10 +144,11 @@ class MockChatBackend(ChatBackend):
 
     def complete(self, messages: list[ChatMessage], config: GenerationConfig) -> str:
         prompt = "\n".join(m.content for m in messages)
-        self.calls.append(prompt)
-        for rule in self.rules:
-            if rule.matches(prompt):
-                return rule.next_response()
+        with self._lock:
+            self.calls.append(prompt)
+            for rule in self.rules:
+                if rule.matches(prompt):
+                    return rule.next_response()
         return self.default_response
 
 
@@ -315,7 +328,9 @@ class LlmGateway:
         total = sum(len(m.content) for m in messages)
         if self.max_prompt_chars is not None and total > self.max_prompt_chars:
             raise ContextTooLong(f"prompt is {total} chars, limit {self.max_prompt_chars}")
+        seq = self.transcript.next_seq()
         self.transcript.record("request", {
+            "seq": seq,
             "tag": tag,
             "messages": [{"role": m.role, "content": m.content} for m in messages],
             "temperature": config.temperature,
@@ -323,9 +338,9 @@ class LlmGateway:
         try:
             response = self.chat_backend.complete(messages, config)
         except Exception as exc:
-            self.transcript.record("error", {"tag": tag, "error": str(exc)})
+            self.transcript.record("error", {"seq": seq, "tag": tag, "error": str(exc)})
             raise
-        self.transcript.record("response", {"tag": tag, "content": response})
+        self.transcript.record("response", {"seq": seq, "tag": tag, "content": response})
         return response
 
     def ask(self, prompt: str, system: str | None = None, tag: str = "") -> str:
@@ -339,7 +354,7 @@ class LlmGateway:
         if self.embedder is None:
             raise BackendUnavailable("no embedding backend configured")
         vectors = self.embedder.embed(texts)
-        self.transcript.record("embed", {"count": len(texts)})
+        self.transcript.record("embed", {"seq": self.transcript.next_seq(), "count": len(texts)})
         return vectors
 
 

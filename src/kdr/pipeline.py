@@ -42,6 +42,7 @@ log = logging.getLogger(__name__)
 
 CONFIG_KEYS = {"llm", "embed", "search", "limits", "defaults"}
 ENV_CONFIG = "KDR_CONFIG"
+DEFAULT_WORKERS = 8
 
 
 @dataclass
@@ -207,6 +208,25 @@ def split_passages(text: str, max_words: int = 400) -> list[str]:
     return passages
 
 
+def ordered_map(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items], overlapped on a bounded thread pool.
+
+    Results come back in item order whatever order the calls finish in. With
+    workers <= 1 or at most one item it is a plain loop. If a call raises,
+    calls not yet started are cancelled and the first error in item order
+    propagates once the running ones finish.
+    """
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # lazy: `import kdr.cli` stays lean
+
+    pool = ThreadPoolExecutor(max_workers=min(workers, len(items)))
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 # -- organization phase --------------------------------------------------------------
 
 
@@ -254,11 +274,14 @@ def run_organization(
     base_graph: onto.OntologyGraph | None = None,
     store: KnowledgeStore | None = None,
     run_dir: str | None = None,
+    workers: int = DEFAULT_WORKERS,
 ) -> tuple[onto.OntologyGraph, KnowledgeStore, dict]:
     """Sweep the corpus through extraction into a fresh or existing store.
 
     Per-document failures land in the manifest's error ledger; the run keeps
-    going. The store and its ontology are saved next to task.kb_path.
+    going. The store and its ontology are saved next to task.kb_path. Up to
+    `workers` extraction jobs (one per passage and namespace) overlap; their
+    results are ingested in corpus order, so the store does not depend on it.
     """
     if proposal.status not in ("approved", "edited"):
         raise ValueError(f"ontology proposal is {proposal.status}; review it first")
@@ -282,31 +305,38 @@ def run_organization(
     }
 
     passage_count = 0
-    extracted = 0
     timestamp = 0.0
+    jobs = []  # (document, passage index, namespace, request, timestamp)
     for doc_name, text in docs:
         for pi, passage in enumerate(split_passages(text)):
             passage_count += 1
             timestamp += 1.0
             for ns in namespaces:
-                if not inventory[ns]:
-                    continue
-                request = ExtractionRequest(
-                    passage, ns, mode="closed", allowed_types=inventory[ns],
-                    source_id=f"{doc_name}#p{pi}")
-                report = ExtractionReport()
-                try:
-                    objects = extract(request, graph, gateway,
-                                      timestamp=timestamp, report=report)
-                except KdrError as exc:
-                    ledger.append({"document": doc_name, "passage": pi,
-                                   "namespace": ns, "error": str(exc)})
-                    continue
-                if not objects and report.reason:
-                    ledger.append({"document": doc_name, "passage": pi,
-                                   "namespace": ns, "error": report.reason})
-                extracted += len(objects)
-                store.ingest_all(objects)
+                if inventory[ns]:
+                    jobs.append((doc_name, pi, ns, ExtractionRequest(
+                        passage, ns, mode="closed", allowed_types=inventory[ns],
+                        source_id=f"{doc_name}#p{pi}"), timestamp))
+
+    def run_job(job):
+        _, _, _, request, stamp = job
+        report = ExtractionReport()
+        try:
+            return extract(request, graph, gateway, timestamp=stamp, report=report), report, None
+        except KdrError as exc:
+            return [], report, exc
+
+    extracted = 0
+    for (doc_name, pi, ns, _, _), (objects, report, error) in zip(
+            jobs, ordered_map(run_job, jobs, workers)):
+        if error is not None:
+            ledger.append({"document": doc_name, "passage": pi,
+                           "namespace": ns, "error": str(error)})
+            continue
+        if not objects and report.reason:
+            ledger.append({"document": doc_name, "passage": pi,
+                           "namespace": ns, "error": report.reason})
+        extracted += len(objects)
+        store.ingest_all(objects)
     resolved = store.settle()
 
     manifest = {
@@ -376,12 +406,15 @@ def run_research(
     max_rounds: int = 3,
     search_hits: int = 3,
     generated_at: str | None = None,
+    workers: int = DEFAULT_WORKERS,
 ) -> ReportDocument:
     """Plan, run per-section cycles, merge, revise, and assemble the report.
 
     Only a plan parse failure aborts the run; a failed computation cycle
     downgrades its section to the text-cycle content plus an inline caveat.
     Finished sections are cached in the run directory keyed by plan hash.
+    Up to `workers` sections run at once, each in its own directory; they are
+    assembled in plan order, and the final revision pass stays serial.
     """
     cfg = cfg or rs.CycleConfig()
     run = Path(run_dir) if run_dir else Path("runs") / time.strftime("%Y%m%d-%H%M%S")
@@ -392,22 +425,15 @@ def run_research(
     (run / "plan.txt").write_text(plan_text, encoding="utf-8")
     plans = rs.parse_decomposition(plan_text)
 
-    sections: list[Section] = []
-    all_sources: list[tuple[str, str]] = []
-    seen_urls: set[str] = set()
-    for n, plan in enumerate(plans, start=1):
+    def run_section(numbered: tuple[int, rs.CyclePlan]) -> tuple[Section, list]:
+        n, plan = numbered
         section_dir = run / "sections" / str(n)
         section_dir.mkdir(parents=True, exist_ok=True)
         digest = _section_hash(plan)
         cached = _load_section_cache(section_dir / "result.json", digest)
         if cached is not None:
-            sections.append(Section(cached["title"], cached["body"],
-                                    cached["artifacts"]))
-            for title, url in cached["sources"]:
-                if url not in seen_urls:
-                    seen_urls.add(url)
-                    all_sources.append((title, url))
-            continue
+            return (Section(cached["title"], cached["body"], cached["artifacts"]),
+                    cached["sources"])
 
         computed: list[str] = []
         caveats: list[str] = []
@@ -466,11 +492,6 @@ def run_research(
         if caveats:
             body = (body + "\n\n" if body else "") + "\n\n".join(caveats)
 
-        for title, url in section_sources:
-            if url not in seen_urls:
-                seen_urls.add(url)
-                all_sources.append((title, url))
-        sections.append(Section(plan.section_title, body, artifacts))
         (section_dir / "result.json").write_text(json.dumps({
             "hash": digest,
             "title": plan.section_title,
@@ -478,6 +499,18 @@ def run_research(
             "artifacts": artifacts,
             "sources": section_sources,
         }, indent=2, ensure_ascii=False), encoding="utf-8")
+        return Section(plan.section_title, body, artifacts), section_sources
+
+    sections: list[Section] = []
+    all_sources: list[tuple[str, str]] = []
+    seen_urls: set[str] = set()
+    for section, section_sources in ordered_map(
+            run_section, list(enumerate(plans, start=1)), workers):
+        sections.append(section)
+        for title, url in section_sources:
+            if url not in seen_urls:
+                seen_urls.add(url)
+                all_sources.append((title, url))
 
     revised = rs.revise_report([s.body for s in sections], gateway)
     for section, new_body in zip(sections, revised):
@@ -575,8 +608,16 @@ def load_config(path: str | None = None) -> dict:
 def cycle_config_from(config: dict) -> rs.CycleConfig:
     limits = config.get("limits", {})
     allowed = {"max_iterations", "hops", "wall_seconds", "output_bytes", "search_limit"}
-    unknown = set(limits) - allowed - {"max_rounds", "search_hits"}
+    unknown = set(limits) - allowed - {"max_rounds", "search_hits", "workers"}
     if unknown:
         raise SchemaViolation(f"unknown limit keys: {sorted(unknown)}")
     kwargs = {k: limits[k] for k in allowed if k in limits}
     return rs.CycleConfig(**kwargs)
+
+
+def workers_from(config: dict) -> int:
+    """limits.workers: how many extraction jobs or report sections overlap."""
+    workers = config.get("limits", {}).get("workers", DEFAULT_WORKERS)
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise SchemaViolation(f"limits.workers must be an integer >= 1, got {workers!r}")
+    return workers

@@ -414,6 +414,36 @@ def test_bad_config_is_user_error(capsys, tmp_path):
     assert "config" in err
 
 
+def test_organize_transcript_pairs_each_model_call(capsys, tmp_path):
+    transcript = tmp_path / "t.jsonl"
+    rc, out, err = run(capsys, "organize", "--topic", "Early computing",
+                       "--corpus", str(FIXTURES / "corpus"),
+                       "--kb", str(tmp_path / "kb.jsonl"), "--auto-approve",
+                       "--mock", E2E_MOCK, "--transcript", str(transcript))
+    assert rc == 0, err
+    rows = [json.loads(line) for line in transcript.read_text().splitlines()]
+    by_seq: dict[int, list[str]] = {}
+    for row in rows:
+        by_seq.setdefault(row["seq"], []).append(row["kind"])
+    # one proposal, then importing and instantiation for each of two passages
+    assert len(by_seq) == 1 + 2 * 2
+    assert all(sorted(kinds) == ["request", "response"] for kinds in by_seq.values())
+    tags = [r["tag"] for r in rows if r["kind"] == "request"]
+    assert sorted(tags) == ["importing", "importing", "instantiation", "instantiation",
+                            "propose"]
+
+
+def test_workers_below_one_is_user_error(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"limits": {"workers": 0}}))
+    rc, _, err = run(capsys, "organize", "--topic", "Early computing",
+                     "--corpus", str(FIXTURES / "corpus"),
+                     "--kb", str(tmp_path / "kb.jsonl"), "--auto-approve",
+                     "--mock", E2E_MOCK, "--config", str(config))
+    assert rc == 1
+    assert "workers" in err
+
+
 def test_no_backend_configured_is_runtime_error(capsys, tmp_path, monkeypatch):
     for var in ("KDR_LLM_ENDPOINT", "KDR_LLM_API_KEY", "KDR_LLM_MODEL"):
         monkeypatch.delenv(var, raising=False)

@@ -213,6 +213,33 @@ def test_settle_resolves_display_name_references(graph, store):
     assert store.settle() == 0
 
 
+def test_settle_tie_break_and_equivalence_only_match():
+    g = research_graph()
+    g = add_concept(g, Concept("Scientist", "NER", "entity", "Person", "A researcher."))
+    g = add_concept(g, Concept("Agent", "NER", "entity", "Entity", "Acts for others."))
+    g = add_concept(g, Concept("Human", "NER", "entity", "Entity", "A human being.",
+                               equivalents=["Agent"]))
+    g = add_concept(g, Concept("Lab", "NER", "entity", "Entity", "A laboratory.",
+                               attributes=[AttributeSpec("head", "Human")]))
+    store = ks.KnowledgeStore(g)
+    # "Ada" exists as a Person and as a Scientist (a descendant of Person):
+    # both qualify, and the smaller id wins
+    as_person = person(g, "Ada")
+    as_scientist = ks.make_object(g, "NER.Scientist", "ada", {}, [("s1", 1.0)])
+    student = person(g, "Student", advisor="Ada")
+    # "Bob" is stored under NER.Agent, the canonical label of the Agent/Human
+    # class; Lab.head wants a Human, which only equivalence connects to Agent
+    bob = ks.make_object(g, "NER.Human", "Bob", {}, [("s1", 1.0)])
+    assert bob.concept == "NER.Agent"
+    lab = ks.make_object(g, "NER.Lab", "Lab One", {"head": "Bob"}, [("s1", 1.0)])
+    store.ingest_all([student, as_scientist, lab, as_person, bob])
+
+    assert store.settle() == 2
+    assert as_person.id != as_scientist.id
+    assert store.get(student.id).scalar("advisor") == ks.Ref(min(as_person.id, as_scientist.id))
+    assert store.get(lab.id).scalar("head") == ks.Ref(bob.id)
+
+
 def test_render_declaration_minimal(graph):
     obj = ks.make_object(graph, "NER.Person", "Ada", {}, [("s", 1.0)])
     code = ks.render_declaration_code([obj], graph)

@@ -1,6 +1,8 @@
 """Gateway behavior: scripted mocks, retries, transcripts, size guard."""
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from kdr.llm_gateway import (
     LlmGateway,
     MockChatBackend,
     MockEmbeddingBackend,
+    MockRule,
     Transcript,
     mock_gateway,
 )
@@ -117,6 +120,46 @@ def test_transcript_records_request_response_and_retries(tmp_path):
     assert kinds == ["request", "response", "embed"]
     assert rows[0]["tag"] == "unit"
     assert rows[1]["content"] == "pong"
+
+
+def test_transcript_pairs_rows_of_one_call_by_seq(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    gateway = LlmGateway(MockChatBackend(default_response="pong"), MockEmbeddingBackend(),
+                         Transcript(str(path)))
+    gateway.ask("one", tag="a")
+    gateway.ask("two", tag="b")
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(r["kind"], r["seq"], r["tag"]) for r in rows] == [
+        ("request", 1, "a"), ("response", 1, "a"),
+        ("request", 2, "b"), ("response", 2, "b")]
+
+
+class _SlowQueue(list):
+    """Yields the GIL between reading a rule's cursor and advancing it."""
+
+    def __getitem__(self, index):
+        time.sleep(0.001)
+        return super().__getitem__(index)
+
+
+def test_mock_queue_hands_each_concurrent_caller_its_own_reply():
+    n = 16
+    backend = MockChatBackend([MockRule("q", _SlowQueue(f"reply {i}" for i in range(n)))])
+    barrier = threading.Barrier(n, timeout=10)
+    replies = []
+
+    def call():
+        barrier.wait()
+        replies.append(backend.complete([ChatMessage("user", "q")], GenerationConfig()))
+
+    threads = [threading.Thread(target=call) for _ in range(n)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert sorted(replies) == sorted(f"reply {i}" for i in range(n))
+    assert len(backend.calls) == n
 
 
 def test_prompt_size_guard():

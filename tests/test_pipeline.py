@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -11,12 +14,20 @@ from kdr import knowledge_store as ks
 from kdr import ontology as onto
 from kdr import pipeline as pl
 from kdr.errors import (
+    BackendUnavailable,
     DanglingArtifact,
     SchemaViolation,
     UnbalancedTags,
     UnparseableProposal,
 )
-from kdr.llm_gateway import MockChatBackend, mock_gateway
+from kdr.llm_gateway import (
+    ChatBackend,
+    LlmGateway,
+    MockChatBackend,
+    MockEmbeddingBackend,
+    Transcript,
+    mock_gateway,
+)
 from kdr.websearch import FixtureSearchBackend
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -25,7 +36,6 @@ TOPIC = "Ada Lovelace and the Analytical Engine"
 
 def e2e_gateway():
     script = json.loads((FIXTURES / "e2e_mock.json").read_text())
-    from kdr.llm_gateway import LlmGateway, MockEmbeddingBackend, Transcript
     return LlmGateway(MockChatBackend.from_script(script),
                       MockEmbeddingBackend(), Transcript(None))
 
@@ -253,6 +263,86 @@ def test_run_organization_empty_corpus(tmp_path):
     assert len(store.objects) == 0
 
 
+def test_run_organization_files_do_not_depend_on_workers(tmp_path):
+    proposal = approved_proposal(e2e_gateway(), tmp_path)
+    outputs = []
+    for workers in (1, 8):
+        out = tmp_path / f"w{workers}"
+        out.mkdir()
+        task = pl.ResearchTask(TOPIC, "organize", corpus_path=str(FIXTURES / "corpus"),
+                               kb_path=str(out / "kb.jsonl"))
+        pl.run_organization(task, proposal, e2e_gateway(), run_dir=str(out / "run"),
+                            workers=workers)
+        outputs.append([(out / name).read_bytes() for name in (
+            "kb.jsonl", "kb.jsonl.ontology.json", "run/manifest.json")])
+    assert outputs[0] == outputs[1]
+
+
+class _PassageBackend(ChatBackend):
+    """Answers extraction prompts from the passage's number. Earlier passages
+    answer later, so overlapped calls finish out of corpus order; passage 4's
+    call fails and passage 7 imports nothing."""
+
+    def complete(self, messages, config):
+        prompt = messages[-1].content
+        n = int(re.search(r"Person (\d+) was born", prompt).group(1))
+        time.sleep((12 - n) * 0.002)
+        if n == 4:
+            raise BackendUnavailable("passage 4 unreachable")
+        if n == 7:
+            return "nothing to import"
+        if "Please import" in prompt:
+            return "From NS Import Person"
+        return f'```python\nresults = [Person(name="Person {n}", birth_year={1800 + n})]\n```'
+
+
+def test_run_organization_ledger_order_does_not_depend_on_workers(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for n in range(1, 13):
+        (corpus / f"d{n:02d}.txt").write_text(f"Person {n} was born in {1800 + n}.")
+    document = {"namespaces": {"NS": [
+        {"name": "Person", "kind": "entity", "parent": "Entity",
+         "attributes": [{"name": "birth_year", "type": "number"}]}]}}
+    proposal = pl.ProposedOntology(document, status="approved")
+    manifests = []
+    for workers in (1, 8):
+        task = pl.ResearchTask("t", "organize", corpus_path=str(corpus),
+                               kb_path=str(tmp_path / f"kb{workers}.jsonl"))
+        gateway = LlmGateway(_PassageBackend(), MockEmbeddingBackend(), Transcript(None))
+        _, store, manifest = pl.run_organization(task, proposal, gateway, workers=workers)
+        manifests.append(manifest)
+    assert manifests[0] == manifests[1]
+    assert [e["document"] for e in manifests[0]["errors"]] == ["d04.txt", "d07.txt"]
+    assert "passage 4 unreachable" in manifests[1]["errors"][0]["error"]
+    assert manifests[1]["stored_objects"] == 10
+    assert (tmp_path / "kb1.jsonl").read_bytes() == (tmp_path / "kb8.jsonl").read_bytes()
+
+
+def test_ordered_map_keeps_item_order():
+    def slow_square(n):
+        time.sleep((5 - n) * 0.005)  # later items finish first
+        return n * n, threading.current_thread()
+
+    pooled = pl.ordered_map(slow_square, list(range(5)), workers=8)
+    assert [v for v, _ in pooled] == [0, 1, 4, 9, 16]
+    assert any(t is not threading.current_thread() for _, t in pooled)
+    serial = pl.ordered_map(slow_square, list(range(5)), workers=1)
+    assert [v for v, _ in serial] == [0, 1, 4, 9, 16]
+    assert all(t is threading.current_thread() for _, t in serial)
+
+
+def test_ordered_map_raises_the_first_error_in_item_order():
+    def fail_on_odd(n):
+        time.sleep((5 - n) * 0.005)
+        if n % 2:
+            raise ValueError(f"item {n}")
+        return n
+
+    with pytest.raises(ValueError, match="item 1"):
+        pl.ordered_map(fail_on_odd, list(range(5)), workers=4)
+
+
 def test_merge_proposal_aligns_root_parented_concepts(tmp_path):
     base_doc = {"namespaces": {"A": [
         {"name": "Creature", "kind": "entity", "parent": "Entity",
@@ -332,6 +422,22 @@ def test_run_research_is_byte_stable_across_runs(tmp_path):
                         generated_at="2026-01-01T00:00:00Z")
         reports.append((tmp_path / name / "report.md").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_run_research_output_does_not_depend_on_workers(tmp_path):
+    graph, store = organized(tmp_path)
+    backend = FixtureSearchBackend(str(FIXTURES / "webcorpus"))
+    outputs = []
+    for workers in (1, 8):
+        run_dir = tmp_path / f"w{workers}"
+        pl.run_research(research_task(tmp_path), graph, store, e2e_gateway(),
+                        search_backend=backend, run_dir=str(run_dir),
+                        generated_at="2026-01-01T00:00:00Z", workers=workers)
+        results = sorted((run_dir / "sections").glob("*/result.json"))
+        outputs.append([(run_dir / "report.md").read_text()] + [
+            p.read_text().replace(str(run_dir), "<run>") for p in results])
+    assert len(outputs[0]) == 3  # the report and two sections
+    assert outputs[0] == outputs[1]
 
 
 def test_run_research_reuses_cached_sections(tmp_path):
@@ -451,6 +557,16 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"limits": {"walls": 1}}))
     with pytest.raises(SchemaViolation):
         pl.cycle_config_from(pl.load_config(str(path)))
+
+
+def test_limits_workers_is_a_known_key_and_must_be_positive():
+    config = {"limits": {"workers": 3, "max_iterations": 2}}
+    assert pl.cycle_config_from(config).max_iterations == 2
+    assert pl.workers_from(config) == 3
+    assert pl.workers_from({}) == pl.DEFAULT_WORKERS
+    for bad in (0, -2, 1.5, True, "4"):
+        with pytest.raises(SchemaViolation):
+            pl.workers_from({"limits": {"workers": bad}})
 
 
 def test_load_config_missing_env_means_defaults(monkeypatch):
