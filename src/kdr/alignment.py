@@ -9,6 +9,8 @@ relation per candidate; the verdicts decide where the new concept attaches.
 from __future__ import annotations
 
 import logging
+import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,22 +45,78 @@ def embedding_text(name: str, description: str) -> str:
     return f"{name}: {description}"
 
 
-def embed_ontology(graph: onto.OntologyGraph, backend: EmbeddingBackend) -> dict[str, np.ndarray]:
-    """One vector per concept, keyed by qualified name."""
-    keys = list(graph.concepts)
+class EmbeddingIndex(Mapping):
+    """Concept vectors as the rows of one matrix, with their row norms.
+
+    Reads as a mapping from qualified name to vector; retrieve_candidates
+    scores a query against every row in one reduction.
+    """
+
+    def __init__(self, names: list[str], matrix: np.ndarray):
+        self.names = names
+        self.matrix = matrix
+        # reduced row by row, so equal rows get bit-equal norms and tie exactly
+        self.norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+        self.row_of = {name: i for i, name in enumerate(names)}
+
+    @classmethod
+    def from_vectors(cls, vectors: Mapping[str, np.ndarray]) -> "EmbeddingIndex":
+        names = list(vectors)
+        return cls(names, np.stack([vectors[q] for q in names]) if names else np.empty((0, 0)))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.matrix[self.row_of[name]]
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def cosines(self, query_vector: np.ndarray) -> np.ndarray:
+        """Cosine of every row with the query; 0.0 where a norm is zero."""
+        # einsum reduces each row on its own; a BLAS `matrix @ q` blocks rows
+        # and can score equal rows differently, which breaks exact ties
+        scores = np.einsum("ij,j->i", self.matrix, query_vector)
+        denom = self.norms * float(np.linalg.norm(query_vector))
+        zero = denom == 0.0
+        denom[zero] = 1.0
+        scores /= denom
+        scores[zero] = 0.0
+        return scores
+
+
+def embed_ontology(
+    graph: onto.OntologyGraph,
+    backend: EmbeddingBackend,
+    memo: dict[str, np.ndarray] | None = None,
+) -> EmbeddingIndex:
+    """One vector per concept, keyed by qualified name.
+
+    `memo` maps embedding texts to vectors across calls: only texts it lacks
+    go to the backend, so a graph grown by one concept embeds one text.
+    """
+    names = list(graph.concepts)
     texts = []
-    for q in keys:
+    for q in names:
         c = graph.concepts[q]
         if not c.description:
             log.warning("concept %s has an empty description; embedding name only", q)
         texts.append(embedding_text(c.name, c.description))
-    if not keys:
-        return {}
-    vectors = backend.embed(texts)
-    return {q: vectors[i] for i, q in enumerate(keys)}
+    if not names:
+        return EmbeddingIndex.from_vectors({})
+    memo = {} if memo is None else memo
+    missing = list(dict.fromkeys(t for t in texts if t not in memo))
+    if missing:
+        fresh = backend.embed(missing)
+        memo.update(zip(missing, fresh))
+        if missing == texts:  # all new and distinct: the backend's array is the matrix
+            return EmbeddingIndex(names, fresh)
+    return EmbeddingIndex(names, np.stack([memo[t] for t in texts]))
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Reference cosine of two vectors; retrieval tests rank against it."""
     denom = float(np.linalg.norm(a) * np.linalg.norm(b))
     if denom == 0.0:
         return 0.0
@@ -67,23 +125,37 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 def retrieve_candidates(
     query: onto.Concept,
-    index: dict[str, np.ndarray],
+    index: Mapping[str, np.ndarray],
     k: int = DEFAULT_K,
     backend: EmbeddingBackend | None = None,
     query_vector: np.ndarray | None = None,
 ) -> CandidateSet:
-    """Exact top-k by cosine; ties break lexicographically; the query itself is skipped."""
+    """Exact top-k by cosine; ties break lexicographically; the query itself is skipped.
+
+    `index` is a name -> vector mapping; an EmbeddingIndex is used as is,
+    anything else is stacked first.
+    """
     if query_vector is None:
         if backend is None:
             raise ValueError("need a backend or a precomputed query vector")
         query_vector = backend.embed([embedding_text(query.name, query.description)])[0]
-    scored = []
-    for name, vector in index.items():
-        if name == query.qualified:
-            continue
-        scored.append((name, _cosine(query_vector, vector)))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return CandidateSet(query.qualified, scored[:k])
+    if not isinstance(index, EmbeddingIndex):
+        index = EmbeddingIndex.from_vectors(index)
+    if not index:
+        return CandidateSet(query.qualified, [])
+    scores = index.cosines(query_vector)
+    own = index.row_of.get(query.qualified)
+    rows = range(len(scores))
+    if 0 < k < len(scores) - (own is not None):
+        if own is not None:
+            scores[own] = -np.inf  # below every cosine, so the k-th best is another row
+        # every row scoring at least the k-th best, so ties at the k-th place
+        # are settled by name below
+        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+        rows = np.flatnonzero(scores >= kth).tolist()
+    ranked = sorted((i for i in rows if i != own), key=lambda i: (-scores[i], index.names[i]))
+    return CandidateSet(query.qualified,
+                        [(index.names[i], float(scores[i])) for i in ranked[:k]])
 
 
 def classify_relations(
@@ -143,16 +215,17 @@ class AlignmentOutcome:
     note: str = ""
 
 
-def expand_ontology(
+def place_concept(
     query: onto.Concept,
     verdicts: list[RelationVerdict],
     graph: onto.OntologyGraph,
-) -> AlignmentOutcome:
-    """Attach the query concept using the verdicts.
+) -> tuple[str, str | None, str]:
+    """(parent, equivalent_to, note) for the query, without growing the graph.
 
     Equivalence beats parenthood: the highest-cosine equivalent candidate
     donates its parent and an equivalence edge. Otherwise the highest-cosine
     parent_of_query candidate becomes the parent. Otherwise the kind root.
+    Raises whatever inserting the query under that parent would raise.
     """
     root = onto.ENTITY_ROOT if query.kind == "entity" else onto.EVENT_ROOT
     equivalent_to: str | None = None
@@ -170,16 +243,27 @@ def expand_ontology(
         parent = root
         note = "no informative verdicts; attached under the kind root"
 
-    candidate = replace(query, parent=parent, equivalents=[])
     try:
-        new_graph = onto.add_concept(graph, candidate)
+        onto.check_concept(graph, replace(query, parent=parent, equivalents=[]))
     except CycleDetected:
         note = f"attaching under {parent} would close a cycle; fell back to {root}"
         log.warning("%s: %s", query.name, note)
         parent = root
         equivalent_to = None
-        new_graph = onto.add_concept(graph, replace(query, parent=parent, equivalents=[]))
+        onto.check_concept(graph, replace(query, parent=parent, equivalents=[]))
+    # The equivalence edge needs no check of its own: the candidate is a stored
+    # concept of its parent's kind, which the check above matched to the query.
+    return parent, equivalent_to, note
 
+
+def expand_ontology(
+    query: onto.Concept,
+    verdicts: list[RelationVerdict],
+    graph: onto.OntologyGraph,
+) -> AlignmentOutcome:
+    """Attach the query concept where place_concept puts it."""
+    parent, equivalent_to, note = place_concept(query, verdicts, graph)
+    new_graph = onto.add_concept(graph, replace(query, parent=parent, equivalents=[]))
     if equivalent_to is not None:
         new_graph = new_graph.with_equivalence(query.qualified, equivalent_to)
     return AlignmentOutcome(new_graph, parent, equivalent_to, verdicts, note)
@@ -189,7 +273,7 @@ def align_concept(
     query: onto.Concept,
     graph: onto.OntologyGraph,
     gateway: LlmGateway,
-    index: dict[str, np.ndarray] | None = None,
+    index: Mapping[str, np.ndarray] | None = None,
     k: int = DEFAULT_K,
 ) -> AlignmentOutcome:
     """Full two-stage pass for one new concept."""
@@ -205,14 +289,29 @@ def align_concept(
 
 
 def make_llm_aligner(gateway: LlmGateway, k: int = DEFAULT_K):
-    """Aligner closure for the taxonomy harness; caches embeddings per graph."""
-    cache: dict[int, dict[str, np.ndarray]] = {}
+    """Aligner closure (Concept, OntologyGraph) -> qualified parent name.
+
+    It keeps the index of the last graph it was given, held and compared by
+    identity, plus a memo of embedded texts, so a graph grown by one concept
+    embeds one text. It returns the parent align_concept would pick without
+    building the grown graph, and is safe to call from several threads.
+    """
+    lock = threading.Lock()
+    memo: dict[str, np.ndarray] = {}
+    cached_graph: onto.OntologyGraph | None = None
+    cached_index: EmbeddingIndex | None = None
 
     def aligner(query: onto.Concept, graph: onto.OntologyGraph) -> str:
-        key = id(graph)
-        if key not in cache:
-            cache[key] = embed_ontology(graph, gateway.embedder)
-        outcome = align_concept(query, graph, gateway, index=cache[key], k=k)
-        return outcome.parent
+        nonlocal cached_graph, cached_index
+        with lock:
+            if cached_graph is not graph:
+                cached_index = embed_ontology(graph, gateway.embedder, memo)
+                cached_graph = graph
+            index = cached_index
+        verdicts = []
+        if index:
+            cands = retrieve_candidates(query, index, k, backend=gateway.embedder)
+            verdicts = classify_relations(query, cands, graph, gateway)
+        return place_concept(query, verdicts, graph)[0]
 
     return aligner

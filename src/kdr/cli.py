@@ -281,9 +281,11 @@ def cmd_extract(args) -> int:
 
 def cmd_eval_taxonomy(args) -> int:
     config = pl.load_config(args.config)
+    workers = pl.workers_from(config)
     gateway = _gateway(args, config)
     dataset = _read_json(args.dataset)
-    result = ek.eval_taxonomy(dataset, al.make_llm_aligner(gateway, k=args.k))
+    result = ek.eval_taxonomy(dataset, al.make_llm_aligner(gateway, k=args.k),
+                              workers=workers)
     _emit({
         "accuracy": result.accuracy,
         "mean_wu_palmer": result.mean_wu_palmer,

@@ -22,6 +22,7 @@ from .errors import (
     SubgraphLoadFailure,
 )
 from .knowledge_store import KnowledgeStore
+from .pipeline import DEFAULT_WORKERS, ordered_map
 from .reasoning import CycleConfig, run_computation_cycle
 
 log = logging.getLogger(__name__)
@@ -104,21 +105,31 @@ def build_taxonomy_graph(dataset: dict) -> tuple[onto.OntologyGraph, dict[str, s
     return graph, gold
 
 
-def eval_taxonomy(dataset: dict, aligner, graph_builder=build_taxonomy_graph) -> TaxonomyEvalResult:
+def eval_taxonomy(
+    dataset: dict,
+    aligner,
+    graph_builder=build_taxonomy_graph,
+    workers: int = DEFAULT_WORKERS,
+) -> TaxonomyEvalResult:
     """Insert each held-out leaf with the aligner; score against gold parents.
 
     The aligner is any callable (Concept, OntologyGraph) -> qualified parent
     name; the leaf is presented with its dataset definition as description.
+    Up to `workers` leaves are placed at once, all against the same training
+    graph, so a custom aligner must be safe to call concurrently when
+    workers > 1. Scores are taken in leaf order; the first error in leaf
+    order propagates.
     """
     graph, gold = graph_builder(dataset)
     definitions = {row["name"]: row.get("definition", "") for row in dataset["concepts"]}
+    leaves = dataset["test_leaves"]
+    queries = [onto.Concept(taxonomy_concept_name(leaf), TAXONOMY_NAMESPACE,
+                            "entity", "Entity", definitions.get(leaf, "")) for leaf in leaves]
+    predictions = ordered_map(lambda query: aligner(query, graph), queries, workers)
     per_query = []
     correct = 0
     wup_total = 0.0
-    for leaf in dataset["test_leaves"]:
-        query = onto.Concept(taxonomy_concept_name(leaf), TAXONOMY_NAMESPACE,
-                             "entity", "Entity", definitions.get(leaf, ""))
-        predicted = aligner(query, graph)
+    for leaf, predicted in zip(leaves, predictions):
         expected = gold[leaf]
         wup = onto.wu_palmer(graph, predicted, expected)
         if predicted == expected:

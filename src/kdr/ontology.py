@@ -265,8 +265,11 @@ def empty_graph() -> OntologyGraph:
     return OntologyGraph()
 
 
-def add_concept(graph: OntologyGraph, c: Concept) -> OntologyGraph:
-    """Insert a concept, returning a new graph; the input graph is untouched."""
+def check_concept(graph: OntologyGraph, c: Concept) -> tuple[str, list[str]]:
+    """Every check add_concept makes, without inserting.
+
+    Returns the qualified parent and the qualified equivalents.
+    """
     _validate_concept_fields(c)
     q = c.qualified
     if q in graph.concepts:
@@ -313,7 +316,13 @@ def add_concept(graph: OntologyGraph, c: Concept) -> OntologyGraph:
         if graph.kind_of(other_q) != c.kind:
             raise KindMismatch(f"{c.name} and {other_q} have different kinds")
         resolved_equivalents.append(other_q)
+    return parent_q, resolved_equivalents
 
+
+def add_concept(graph: OntologyGraph, c: Concept) -> OntologyGraph:
+    """Insert a concept, returning a new graph; the input graph is untouched."""
+    parent_q, resolved_equivalents = check_concept(graph, c)
+    q = c.qualified
     g = graph._clone()
     g.concepts[q] = c
     g.parents[q] = parent_q

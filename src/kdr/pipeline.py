@@ -285,6 +285,11 @@ def run_organization(
     """
     if proposal.status not in ("approved", "edited"):
         raise ValueError(f"ontology proposal is {proposal.status}; review it first")
+    if task.kb_path:  # before any model call, so an unwritable location fails fast
+        try:
+            Path(task.kb_path).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"cannot create KB directory for {task.kb_path!r}: {exc}") from exc
     if base_graph is None or all(q in onto.ROOTS for q in base_graph.concepts):
         graph = onto.graph_from_document(proposal.document)
         notes: list[str] = []
@@ -616,7 +621,7 @@ def cycle_config_from(config: dict) -> rs.CycleConfig:
 
 
 def workers_from(config: dict) -> int:
-    """limits.workers: how many extraction jobs or report sections overlap."""
+    """limits.workers: how many extraction jobs, report sections or taxonomy leaves overlap."""
     workers = config.get("limits", {}).get("workers", DEFAULT_WORKERS)
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise SchemaViolation(f"limits.workers must be an integer >= 1, got {workers!r}")

@@ -268,6 +268,15 @@ def _truncate(data: bytes | None, cap: int) -> str:
     return data[:cap].decode("utf-8", "replace") + "\n[output truncated]"
 
 
+def _mask_workdir(data: bytes, root: Path) -> bytes:
+    """Write the workdir as "." so output, and the feedback prompts built from
+    it, do not depend on where the run directory sits."""
+    # longest first: one form can contain the other
+    for prefix in sorted({str(root.resolve()), str(root)}, key=len, reverse=True):
+        data = data.replace(prefix.encode(), b".")
+    return data
+
+
 def _with_guard(script: str) -> str:
     if script.startswith("from __future__"):
         head, _, rest = script.partition("\n")
@@ -284,10 +293,11 @@ def execute_script(
     """Run the script in an isolated interpreter subprocess.
 
     The child gets a network-disabling shim, runs with the workdir as its
-    working directory, and is killed at the wall-clock limit. New files under
-    the workdir are cataloged with a kind guess.
+    working directory, and is killed at the wall-clock limit. The workdir's
+    path reads as "." in its output. New files under the workdir are
+    cataloged with a kind guess.
     """
-    root = Path(workdir)
+    root = Path(workdir).absolute()  # the child runs inside it, so relative paths would break
     root.mkdir(parents=True, exist_ok=True)
     script_path = root / "script.py"
     script_path.write_text(_with_guard(script), encoding="utf-8")
@@ -313,8 +323,8 @@ def execute_script(
         produced.append((rel, _guess_kind(rel)))
     return ExecutionResult(
         exit_status=status,
-        stdout=_truncate(stdout, output_bytes),
-        stderr=_truncate(stderr, output_bytes),
+        stdout=_truncate(_mask_workdir(stdout, root), output_bytes),
+        stderr=_truncate(_mask_workdir(stderr, root), output_bytes),
         produced_files=produced,
     )
 

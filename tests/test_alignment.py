@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from kdr import alignment as al
 from kdr import ontology
-from kdr.llm_gateway import MockEmbeddingBackend, mock_gateway
+from kdr.errors import DuplicateName, KindMismatch
+from kdr.llm_gateway import (
+    LlmGateway,
+    MockChatBackend,
+    MockEmbeddingBackend,
+    Transcript,
+    mock_gateway,
+)
 from kdr.ontology import AttributeSpec, Concept, add_concept, empty_graph
 
 
@@ -199,3 +206,85 @@ def test_make_llm_aligner_returns_parent_name():
     }]})
     aligner = al.make_llm_aligner(gw, k=2)
     assert aligner(Concept("Poet", "tax", "entity", "Entity", "Writes poems."), g) == "tax.Person"
+
+
+@given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=60),
+       st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_retrieve_matches_cosine_ranking_on_duplicated_vectors(n, k, distinct, seed):
+    rng = np.random.default_rng(seed)
+    pool = [rng.standard_normal(16) for _ in range(distinct)] + [np.zeros(16)]
+    index = {f"ns.C{i:04d}": pool[rng.integers(len(pool))] for i in range(n)}
+    qv = pool[rng.integers(len(pool))]
+    query = Concept("C0000", "ns", "entity", "Entity")  # its own row is skipped
+    got = al.retrieve_candidates(query, index, k=k, query_vector=qv)
+    brute = sorted(((name, al._cosine(qv, v)) for name, v in index.items()
+                    if name != "ns.C0000"), key=lambda p: (-p[1], p[0]))[:k]
+    assert [name for name, _ in got.candidates] == [name for name, _ in brute]
+    for (_, a), (_, b) in zip(got.candidates, brute):
+        assert abs(a - b) <= 1e-12
+
+
+class CountingEmbedder(MockEmbeddingBackend):
+    def __init__(self):
+        super().__init__(dim=16)
+        self.texts = []
+
+    def embed(self, texts):
+        self.texts.extend(texts)
+        return super().embed(texts)
+
+
+def counting_gateway(response="Person: parent_of_query"):
+    return LlmGateway(MockChatBackend(default_response=response), CountingEmbedder(),
+                      Transcript(None))
+
+
+def test_aligner_embeds_only_the_concept_a_grown_graph_adds():
+    gw = counting_gateway()
+    aligner = al.make_llm_aligner(gw, k=2)
+    g = base_graph()
+    poet = Concept("Poet", "tax", "entity", "Entity", "Writes poems.")
+    assert aligner(poet, g) == "tax.Person"
+    assert len(gw.embedder.texts) == 3 + 1  # the ontology, then the query
+    grown = add_concept(g, Concept("Singer", "tax", "entity", "Person", "Sings."))
+    gw.embedder.texts.clear()
+    assert aligner(poet, grown) == "tax.Person"
+    assert gw.embedder.texts == [al.embedding_text("Singer", "Sings."),
+                                 al.embedding_text("Poet", "Writes poems.")]
+
+
+def test_aligner_gives_each_graph_its_own_candidates():
+    gw = counting_gateway()
+    aligner = al.make_llm_aligner(gw, k=1)
+    query = Concept("Poet", "tax", "entity", "Entity", "Writes poems.")
+    for i in range(50):  # a freed graph's id is soon handed to a new one
+        graph = add_concept(empty_graph(), Concept(f"Thing{i}", "tax", "entity", "Entity",
+                                                   f"Thing number {i}."))
+        aligner(query, graph)
+        assert f"class Thing{i}(Entity)" in gw.chat_backend.calls[-1]
+        del graph
+    other = base_graph()
+    aligner(query, other)
+    assert "class Thing" not in gw.chat_backend.calls[-1]
+
+
+def test_aligner_matches_align_concept_without_growing_the_graph():
+    g = base_graph()
+    script = {"rules": [{"match": "state its relation",
+                         "responses": ["Author: equivalent\nPerson: parent_of_query"]}]}
+    query = Concept("Writer", "tax", "entity", "Entity", "Writes.")
+    outcome = al.align_concept(query, g, mock_gateway(script), k=3)
+    aligner = al.make_llm_aligner(mock_gateway(script), k=3)
+    assert aligner(query, g) == outcome.parent == "tax.Person"
+    assert "tax.Writer" not in g.concepts
+
+
+def test_aligner_keeps_expand_errors():
+    g = base_graph()
+    gw = mock_gateway(default_response="Person: parent_of_query")
+    aligner = al.make_llm_aligner(gw, k=3)
+    with pytest.raises(DuplicateName):
+        aligner(Concept("Author", "tax", "entity", "Entity", "A person who writes."), g)
+    with pytest.raises(KindMismatch):
+        aligner(Concept("Meeting", "tax", "event", "Event", "People convene."), g)

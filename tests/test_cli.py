@@ -79,6 +79,17 @@ def test_organize_invalid_edited_ontology(capsys, tmp_path):
     assert "UpperCamelCase" in err
 
 
+def test_organize_with_ontology_creates_the_kb_directory(capsys, tmp_path):
+    kb, _ = organize(capsys, tmp_path)
+    missing = tmp_path / "missing" / "kb.jsonl"
+    rc, out, err = run(capsys, "organize", "--topic", "Early computing",
+                       "--corpus", str(FIXTURES / "corpus"), "--kb", str(missing),
+                       "--ontology", f"{kb}.proposal.json", "--mock", E2E_MOCK)
+    assert rc == 0, err
+    assert json.loads(out)["stored_objects"] == 3
+    assert missing.exists()
+
+
 def test_organize_without_approval_stops_for_review(capsys, tmp_path):
     kb = str(tmp_path / "kb.jsonl")
     rc, _, err = run(capsys, "organize", "--topic", "t",
@@ -439,6 +450,16 @@ def test_workers_below_one_is_user_error(capsys, tmp_path):
     rc, _, err = run(capsys, "organize", "--topic", "Early computing",
                      "--corpus", str(FIXTURES / "corpus"),
                      "--kb", str(tmp_path / "kb.jsonl"), "--auto-approve",
+                     "--mock", E2E_MOCK, "--config", str(config))
+    assert rc == 1
+    assert "workers" in err
+
+
+def test_eval_taxonomy_bad_workers_is_user_error(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"limits": {"workers": "many"}}))
+    rc, _, err = run(capsys, "eval", "taxonomy",
+                     "--dataset", str(FIXTURES / "taxonomy_20.json"),
                      "--mock", E2E_MOCK, "--config", str(config))
     assert rc == 1
     assert "workers" in err

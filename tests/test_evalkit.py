@@ -101,6 +101,42 @@ def test_taxonomy_training_graph_excludes_held_out_leaves():
     assert gold["dog"] == "tax.Mammal"
 
 
+def per_leaf_mock(dataset):
+    """One relation-classify rule per held-out leaf: its gold parent as parent,
+    Animal as parent, or its gold parent as an equivalent, in turn."""
+    parent_of = dict(dataset["edges"])
+    rules = []
+    for i, leaf in enumerate(dataset["test_leaves"]):
+        gold = ek.taxonomy_concept_name(parent_of[leaf])
+        reply = [f"{gold}: parent_of_query", "Animal: parent_of_query",
+                 f"{gold}: equivalent"][i % 3]
+        rules.append({"match": f"New concept:\nclass {ek.taxonomy_concept_name(leaf)}(",
+                      "responses": [reply]})
+    return mock_gateway({"rules": rules})
+
+
+def test_taxonomy_result_does_not_depend_on_workers():
+    from kdr.alignment import make_llm_aligner
+
+    dataset = taxonomy_fixture()
+    results = [ek.eval_taxonomy(dataset, make_llm_aligner(per_leaf_mock(dataset), k=5),
+                                workers=workers) for workers in (1, 8)]
+    assert results[0] == results[1]
+    assert 0.0 < results[0].accuracy < 1.0
+    assert [row[1] for row in results[0].per_query[:3]] == [
+        "tax.Mammal", "tax.Animal", "tax.Animal"]
+
+
+def test_taxonomy_aligner_error_propagates():
+    def aligner(query, graph):
+        if query.name == "Owl":
+            raise SchemaViolation("owl cannot be placed")
+        return "tax.Animal"
+
+    with pytest.raises(SchemaViolation, match="owl"):
+        ek.eval_taxonomy(taxonomy_fixture(), aligner, workers=8)
+
+
 # -- information extraction F1 ----------------------------------------------------
 
 

@@ -16,6 +16,7 @@ from kdr import pipeline as pl
 from kdr.errors import (
     BackendUnavailable,
     DanglingArtifact,
+    IoFailure,
     SchemaViolation,
     UnbalancedTags,
     UnparseableProposal,
@@ -276,6 +277,17 @@ def test_run_organization_files_do_not_depend_on_workers(tmp_path):
         outputs.append([(out / name).read_bytes() for name in (
             "kb.jsonl", "kb.jsonl.ontology.json", "run/manifest.json")])
     assert outputs[0] == outputs[1]
+
+
+def test_run_organization_unwritable_kb_location_fails_before_model_calls(tmp_path):
+    proposal = approved_proposal(e2e_gateway(), tmp_path)
+    (tmp_path / "file").write_text("not a directory")
+    task = pl.ResearchTask(TOPIC, "organize", corpus_path=str(FIXTURES / "corpus"),
+                           kb_path=str(tmp_path / "file" / "kb.jsonl"))
+    gateway = e2e_gateway()
+    with pytest.raises(IoFailure, match="KB directory"):
+        pl.run_organization(task, proposal, gateway)
+    assert gateway.chat_backend.calls == []
 
 
 class _PassageBackend(ChatBackend):

@@ -257,6 +257,24 @@ def test_execute_script_error_status(tmp_path):
     assert "boom" in result.stderr
 
 
+def test_execute_script_output_does_not_depend_on_workdir(tmp_path):
+    script = "import os\nprint(os.getcwd())\nraise ValueError('boom')"
+    short = rs.execute_script(script, str(tmp_path / "w"))
+    long = rs.execute_script(script, str(tmp_path / "a-much-longer-directory" / "w"))
+    assert short.exit_status == long.exit_status == "error"
+    assert 'File "./script.py"' in short.stderr
+    assert short.stderr == long.stderr
+    assert short.stdout == long.stdout == ".\n"
+    assert str(tmp_path) not in short.stderr + short.stdout
+
+
+def test_execute_script_accepts_a_relative_workdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = rs.execute_script("print('hello')", "w")
+    assert result.exit_status == "ok", result.stderr
+    assert result.stdout == "hello\n"
+
+
 # -- cycle steps -------------------------------------------------------------------
 
 
