@@ -448,12 +448,13 @@ def run_research(
         data_index = 0
         for request in plan.requests:
             if request.kind == "data_analysis":
-                trace_name = "trace.json" if data_index == 0 else f"trace_{data_index}.json"
+                # request i > 0 gets its own suffix, so artifacts do not collide
+                suffix = f"_{data_index}" if data_index else ""
                 data_index += 1
                 trace = rs.run_computation_cycle(
                     request.query, graph, store, gateway, cfg,
-                    workdir=str(section_dir / "work"),
-                    trace_path=str(section_dir / trace_name))
+                    workdir=str(section_dir / f"work{suffix}"),
+                    trace_path=str(section_dir / f"trace{suffix}.json"))
                 if trace.final_status == "passed":
                     stdout = trace.iterations[-1].execution.stdout.strip()
                     computed.append(

@@ -3,19 +3,22 @@
 The computation cycle turns an analysis query into executable code: find the
 relevant concepts, generate analysis code against their class definitions,
 query matching instances, assemble everything into one script with the
-instances bound to `search_results`, run it in a sandboxed subprocess, and
-let an evaluator decide pass or retry. The text cycle searches a corpus,
-summarizes hits, drafts an answer, and checks sufficiency.
+instances bound to `search_results`, run it in a sandbox child forked from a
+warm interpreter, and let an evaluator decide pass or retry. The text cycle
+searches a corpus, summarizes hits, drafts an answer, and checks sufficiency.
 """
 
 from __future__ import annotations
 
+import atexit
 import json
 import logging
+import os
 import re
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -284,18 +287,198 @@ def _with_guard(script: str) -> str:
     return f"{_NETWORK_GUARD}\n{script}"
 
 
+# The sandbox server: one warm `python -I` per kdr process. For each request
+# it forks a waiter, and the waiter forks the runner that executes the script
+# as `python -I script.py` would. Fork only happens here, in a process that
+# never starts a thread.
+_SERVER_SOURCE = r'''
+import atexit, builtins, gc, json, os, select, signal, socket, sys, types
+import __future__, inspect, typing  # what PRELUDE and the network guard import, loaded once
+
+
+def run(path):
+    """The runner: execute path as __main__ and leave by SystemExit, so the
+    interpreter shuts down as after a script (threads joined, atexit run)."""
+    main = types.ModuleType("__main__")
+    main.__file__ = path
+    main.__builtins__ = builtins
+    main.__cached__ = None
+    sys.modules["__main__"] = main
+    sys.argv = [path]
+    atexit.register(main.__dict__.clear)  # runs last, so module-level __del__ still prints
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    # the script gets the headroom it has at top level; the call to exec counts too
+    sys.setrecursionlimit(sys.getrecursionlimit() + depth + 1)
+    try:
+        with open(path, "rb") as handle:
+            code = compile(handle.read(), path, "exec", dont_inherit=True)
+        exec(code, main.__dict__)
+    except SystemExit:
+        raise
+    except BaseException as exc:
+        tb = exc.__traceback__.tb_next  # cut this frame; the C hook reads __traceback__
+        sys.excepthook(type(exc), exc.with_traceback(tb), tb)
+        raise SystemExit(1)
+    raise SystemExit
+
+
+def supervise(path, workdir, wall_seconds, out, err, status):
+    """The waiter: fork the runner, kill it at the wall-clock limit, report."""
+    signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+    pid = os.fork()
+    if pid == 0:  # stdin stays the server's /dev/null
+        os.dup2(out, 1)
+        os.dup2(err, 2)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        os.chdir(workdir)
+        run(path)
+    try:
+        os.close(out)
+        os.close(err)
+        exited = select.select([os.pidfd_open(pid)], [], [], wall_seconds)[0]
+        if not exited:
+            os.kill(pid, signal.SIGKILL)
+        _, code = os.waitpid(pid, 0)
+        os.write(status, json.dumps([not exited, os.waitstatus_to_exitcode(code)]).encode())
+    finally:
+        os._exit(0)
+
+
+def serve(control):
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # the kernel reaps the waiters
+    while True:
+        message, fds, _, _ = socket.recv_fds(control, 1 << 16, 3)
+        if not message:  # the kdr process closed its end
+            return
+        gc.freeze()  # keep the collector off the shared pages in the children
+        if os.fork() == 0:
+            control.close()
+            supervise(*json.loads(message), *fds)
+        for fd in fds:
+            os.close(fd)
+
+
+serve(socket.socket(fileno=int(sys.argv[1])))
+'''
+
+
+def _drain(fds: list[int]) -> list[bytes]:
+    """Read stdout, stderr and status to EOF. When the status pipe closes the
+    runner is gone; output a grandchild it left behind may still write is not
+    waited for."""
+    import selectors
+
+    chunks: dict[int, list[bytes]] = {fd: [] for fd in fds}
+    timeout = None
+    with selectors.DefaultSelector() as selector:
+        for fd in fds:
+            selector.register(fd, selectors.EVENT_READ)
+        while selector.get_map():
+            ready = selector.select(timeout)
+            if not ready:
+                break
+            for key, _ in ready:
+                data = os.read(key.fd, 1 << 16)
+                if data:
+                    chunks[key.fd].append(data)
+                else:
+                    selector.unregister(key.fd)
+                    if key.fd == fds[2]:
+                        timeout = 0
+    return [b"".join(chunks[fd]) for fd in fds]
+
+
+class _SandboxServer:
+    """The kdr side of the sandbox server: started on first use, restarted if
+    it died, ended when its control socket closes."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._proc: subprocess.Popen | None = None
+        self._control = None
+
+    def _start(self) -> None:
+        import socket
+
+        self.close()
+        ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        with theirs:
+            try:
+                self._proc = subprocess.Popen(
+                    [sys.executable, "-I", "-c", _SERVER_SOURCE, str(theirs.fileno())],
+                    stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                    stderr=subprocess.DEVNULL, pass_fds=[theirs.fileno()])
+            except OSError as exc:
+                ours.close()
+                raise SandboxUnavailable(f"cannot launch interpreter: {exc}") from exc
+        self._control = ours
+
+    def close(self) -> None:
+        if self._control is not None:
+            self._control.close()
+            self._control = None
+        if self._proc is not None:
+            try:
+                self._proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
+            self._proc = None
+
+    def _run_once(self, request: bytes, restart: bool) -> tuple[list, bytes, bytes] | None:
+        import socket
+
+        reads, writes = zip(*(os.pipe() for _ in range(3)))
+        try:
+            try:
+                with self._lock:
+                    if restart or self._proc is None or self._proc.poll() is not None:
+                        self._start()
+                    socket.send_fds(self._control, [request], list(writes))
+            except OSError:  # the server died after the check
+                return None
+            finally:
+                for fd in writes:
+                    os.close(fd)
+            stdout, stderr, status = _drain(list(reads))
+        finally:
+            for fd in reads:
+                os.close(fd)
+        return (json.loads(status), stdout, stderr) if status else None
+
+    def run(self, path: str, workdir: str, wall_seconds: float) -> tuple[list, bytes, bytes]:
+        """([timed out, exit code], stdout, stderr) of one script."""
+        request = json.dumps([path, workdir, wall_seconds]).encode()
+        for restart in (False, True):
+            outcome = self._run_once(request, restart)
+            if outcome is not None:
+                return outcome
+        raise SandboxUnavailable("the sandbox server ended before reporting a result")
+
+
+_SANDBOX = _SandboxServer()
+atexit.register(_SANDBOX.close)
+
+
 def execute_script(
     script: str,
     workdir: str,
     wall_seconds: float = 30.0,
     output_bytes: int = 64 * 1024,
 ) -> ExecutionResult:
-    """Run the script in an isolated interpreter subprocess.
+    """Run the script in a child forked from a warm isolated interpreter.
 
-    The child gets a network-disabling shim, runs with the workdir as its
-    working directory, and is killed at the wall-clock limit. The workdir's
-    path reads as "." in its output. New files under the workdir are
-    cataloged with a kind guess.
+    One `python -I` sandbox server per kdr process starts on the first call
+    (and again if it died); it forks a fresh child per script, which runs it
+    as `python -I script.py` would: as `__main__`, with the workdir as its
+    working directory and stdin on /dev/null. The child is killed at the
+    wall-clock limit. Children share the server's string-hash seed and the
+    environment it started with; `random` reseeds at fork. The child gets a
+    network-disabling shim, which is a courtesy guard against accidental
+    calls, not a security boundary. The workdir's path reads as "." in the
+    output. New files under the workdir are cataloged with a kind guess.
     """
     root = Path(workdir).absolute()  # the child runs inside it, so relative paths would break
     root.mkdir(parents=True, exist_ok=True)
@@ -303,19 +486,13 @@ def execute_script(
     script_path.write_text(_with_guard(script), encoding="utf-8")
     before = {p for p in root.rglob("*") if p.is_file()}
 
-    argv = [sys.executable, "-I", str(script_path)]
-    try:
-        proc = subprocess.run(
-            argv, cwd=str(root), capture_output=True, timeout=wall_seconds
-        )
-        status = "ok" if proc.returncode == 0 else "error"
-        stdout, stderr = proc.stdout, proc.stderr
-    except subprocess.TimeoutExpired as exc:
+    (timed_out, exit_code), stdout, stderr = _SANDBOX.run(
+        str(script_path), str(root), wall_seconds)
+    if timed_out:
         status = "timeout"
-        stdout = exc.stdout or b""
-        stderr = (exc.stderr or b"") + f"\nwall-clock limit of {wall_seconds}s reached".encode()
-    except OSError as exc:
-        raise SandboxUnavailable(f"cannot launch interpreter: {exc}") from exc
+        stderr += f"\nwall-clock limit of {wall_seconds}s reached".encode()
+    else:
+        status = "ok" if exit_code == 0 else "error"
 
     produced = []
     for path in sorted(p for p in root.rglob("*") if p.is_file() and p not in before):
@@ -474,20 +651,21 @@ def run_computation_cycle(
             )
         return trace
 
-    for iteration in range(1, cfg.max_iterations + 1):
-        if concepts_override is not None:
-            hit_names = [graph.resolve(n) for n in concepts_override]
-            hits = [(graph.concepts[q], onto.render_class_code(graph, q))
-                    for q in hit_names]
-        else:
-            try:
-                hits = ontology_search(query, graph, cfg.search_limit)
-            except NoConceptFound as exc:
-                return finish("failed", str(exc))
-            hit_names = [c.qualified for c, _ in hits]
-
+    # neither the graph nor the query changes between iterations
+    if concepts_override is not None:
+        hit_names = [graph.resolve(n) for n in concepts_override]
+        hit_codes = [onto.render_class_code(graph, q) for q in hit_names]
+    else:
         try:
-            code = generate_analysis_code(query, [code for _, code in hits], feedback, gateway)
+            hits = ontology_search(query, graph, cfg.search_limit)
+        except NoConceptFound as exc:
+            return finish("failed", str(exc))
+        hit_names = [c.qualified for c, _ in hits]
+        hit_codes = [code for _, code in hits]
+
+    for iteration in range(1, cfg.max_iterations + 1):
+        try:
+            code = generate_analysis_code(query, hit_codes, feedback, gateway)
         except RejectedCode as exc:
             trace.iterations.append(IterationRecord(
                 hit_names, "", 0, None, "fail", str(exc)

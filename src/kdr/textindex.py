@@ -30,10 +30,12 @@ def tokenize(text: str) -> list[str]:
 class InvertedIndex:
     postings: dict[str, dict[str, int]] = field(default_factory=dict)
     doc_ids: list[str] = field(default_factory=list)
+    _seen: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def add(self, doc_id: str, text: str) -> None:
-        if doc_id in set(self.doc_ids):
+        if doc_id in self._seen:
             raise ValueError(f"duplicate document id {doc_id!r}")
+        self._seen.add(doc_id)
         self.doc_ids.append(doc_id)
         for token, count in Counter(tokenize(text)).items():
             self.postings.setdefault(token, {})[doc_id] = count

@@ -316,6 +316,36 @@ def test_index_rejects_duplicate_doc_id():
         index.add("a", "more")
 
 
+def test_index_rejects_a_duplicate_after_many_inserts():
+    index = InvertedIndex()
+    for i in range(500):
+        index.add(f"d{i}", f"word{i}")
+    with pytest.raises(ValueError):
+        index.add("d7", "again")
+    assert len(index) == 500
+    assert index.search("word7") == [("d7", 1.0 + math.log(500))]
+
+
+@given(docs=st.lists(st.lists(st.sampled_from(["ada", "engine", "notes", "loom", "x1"]),
+                              max_size=6), min_size=1, max_size=12),
+       query=st.lists(st.sampled_from(["ada", "engine", "loom", "zz"]), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_index_ranking_matches_the_pinned_formula(docs, query):
+    index = InvertedIndex()
+    for i, words in enumerate(docs):
+        index.add(f"d{i:02d}", " ".join(words))
+    n = len(docs)
+    expected = {}
+    for token in set(query):
+        holders = [i for i, words in enumerate(docs) if token in words]
+        for i in holders:
+            score = docs[i].count(token) * (1 + math.log(n / len(holders)))
+            expected[f"d{i:02d}"] = expected.get(f"d{i:02d}", 0.0) + score
+    ranked = index.search(" ".join(query))
+    assert [doc for doc, _ in ranked] == sorted(expected, key=lambda d: (-round(expected[d], 9), d))
+    assert all(math.isclose(score, expected[doc]) for doc, score in ranked)
+
+
 # -- property tests ------------------------------------------------------------------
 
 value_lists = st.lists(st.sampled_from(["u", "v", "w", "x", "y"]), max_size=4)

@@ -500,6 +500,30 @@ def test_run_research_exhausted_cycle_leaves_caveat(tmp_path):
     assert "background material only" in body
 
 
+def test_run_research_keeps_each_requests_artifacts_apart(tmp_path):
+    # two analysis requests in one section both write counts.csv
+    graph, store = organized(tmp_path)
+    scripts = [f"```python\nopen('counts.csv', 'w').write('{n}')\n"
+               f"print(len(search_results))\n```" for n in ("first", "second")]
+    gw = mock_gateway({"rules": [
+        {"match": "You are planning a research report", "responses": [
+            "# Numbers\n<begin_data_analysis>count every person<end_data_analysis>\n"
+            "<begin_data_analysis>list every person<end_data_analysis>"]},
+        {"match": "List the topic entities", "responses": ["Ada Lovelace"]},
+        {"match": "Write a Python script", "responses": scripts},
+        {"match": "Decide whether the analysis results satisfy", "responses": ["PASS"]},
+    ]})
+    run_dir = tmp_path / "run"
+    doc = pl.run_research(research_task(tmp_path), graph, store, gw, run_dir=str(run_dir))
+    artifacts = doc.sections[0].artifacts
+    assert [Path(a).read_text() for a in artifacts] == ["first", "second"]
+    section = run_dir / "sections" / "1"
+    assert [Path(a).relative_to(section).parts[0] for a in artifacts] == ["work", "work_1"]
+    copied = run_dir / "artifacts"
+    assert (copied / "s1_counts.csv").read_text() == "first"
+    assert (copied / "s1_1_counts.csv").read_text() == "second"
+
+
 def test_run_research_without_search_backend_notes_the_gap(tmp_path):
     graph, store = organized(tmp_path)
     gw = mock_gateway({"rules": [

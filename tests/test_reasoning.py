@@ -387,6 +387,25 @@ def test_computation_cycle_retries_then_passes(tmp_path):
     assert len(saved["iterations"]) == 2
 
 
+def test_computation_cycle_searches_the_ontology_once(tmp_path, monkeypatch):
+    searches = []
+
+    def counting_search(*args, **kwargs):
+        searches.append(args[0])
+        return search(*args, **kwargs)
+
+    search = rs.ontology_search
+    monkeypatch.setattr(rs, "ontology_search", counting_search)
+    graph = science_graph()
+    trace = rs.run_computation_cycle(
+        "mean birth year of the scientists", graph, science_store(graph),
+        scripted_cycle_gateway(), workdir=str(tmp_path / "run"))
+    assert len(trace.iterations) == 2
+    assert searches == ["mean birth year of the scientists"]
+    first, second = trace.iterations
+    assert first.concepts and first.concepts == second.concepts
+
+
 def test_computation_cycle_feedback_flows_to_codegen(tmp_path):
     graph = science_graph()
     store = science_store(graph)
