@@ -19,26 +19,7 @@ from . import evalkit as ek
 from . import knowledge_store as ks
 from . import ontology as onto
 from . import pipeline as pl
-from .errors import (
-    AmbiguousName,
-    CorruptRecord,
-    CycleDetected,
-    DuplicateAttribute,
-    DuplicateName,
-    EmptyImport,
-    GoldParentMissing,
-    IoFailure,
-    KdrError,
-    KeyMismatch,
-    KindMismatch,
-    SchemaViolation,
-    ShapeMismatch,
-    TypeMismatch,
-    UnknownConcept,
-    UnknownGoldType,
-    UnknownId,
-    UnknownParent,
-)
+from .errors import CorruptRecord, KdrError, UserError
 from .extraction import ExtractionRequest, extract
 from .llm_gateway import (
     HttpChatBackend,
@@ -49,32 +30,6 @@ from .llm_gateway import (
     Transcript,
 )
 from .websearch import FixtureSearchBackend, HttpSearchBackend
-
-# Errors caused by what the operator handed us, as opposed to failures of
-# the machinery while running. The distinction drives the exit code.
-_USER_ERRORS = (
-    ValueError,  # includes json.JSONDecodeError and task validation
-    FileNotFoundError,
-    NotADirectoryError,
-    IsADirectoryError,
-    AmbiguousName,
-    CorruptRecord,
-    CycleDetected,
-    DuplicateAttribute,
-    DuplicateName,
-    EmptyImport,
-    GoldParentMissing,
-    IoFailure,  # unreadable or unwritable paths the operator pointed at
-    KeyMismatch,
-    KindMismatch,
-    SchemaViolation,
-    ShapeMismatch,
-    TypeMismatch,
-    UnknownConcept,
-    UnknownGoldType,
-    UnknownId,
-    UnknownParent,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,6 +160,8 @@ def cmd_research(args) -> int:
                            kb_path=args.kb, output_path=args.out)
 
     if args.web_corpus:
+        if not Path(args.web_corpus).is_dir():
+            raise FileNotFoundError(f"web corpus directory {args.web_corpus!r} does not exist")
         search_backend = FixtureSearchBackend(args.web_corpus)
     elif config.get("search", {}).get("endpoint"):
         search_backend = HttpSearchBackend(config["search"]["endpoint"])
@@ -496,15 +453,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _USER_ERRORS as exc:
+    except (UserError, ValueError, OSError) as exc:  # ValueError covers bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KdrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

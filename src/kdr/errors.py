@@ -1,8 +1,11 @@
 """Exception types shared across the engine.
 
 Every error raised by kdr derives from KdrError so callers can catch the
-whole family at an API boundary. Errors that carry extra context (positions,
-line numbers, dropped names) expose it as attributes.
+whole family at an API boundary. Errors caused by what the operator handed
+in (malformed documents, unknown names, unreadable paths) derive from
+UserError; the CLI exits 1 for those and 2 for every other KdrError. Errors
+that carry extra context (positions, line numbers, dropped names) expose it
+as attributes.
 """
 
 from __future__ import annotations
@@ -12,41 +15,45 @@ class KdrError(Exception):
     """Base class for all engine errors."""
 
 
+class UserError(KdrError):
+    """An error in the operator's input rather than in the machinery."""
+
+
 # --- ontology ---------------------------------------------------------------
 
-class DuplicateName(KdrError):
+class DuplicateName(UserError):
     pass
 
 
-class DuplicateAttribute(KdrError):
+class DuplicateAttribute(UserError):
     pass
 
 
-class UnknownParent(KdrError):
+class UnknownParent(UserError):
     pass
 
 
-class KindMismatch(KdrError):
+class KindMismatch(UserError):
     pass
 
 
-class CycleDetected(KdrError):
+class CycleDetected(UserError):
     pass
 
 
-class UnknownConcept(KdrError):
+class UnknownConcept(UserError):
     pass
 
 
-class AmbiguousName(KdrError):
+class AmbiguousName(UserError):
     pass
 
 
-class EmptyImport(KdrError):
+class EmptyImport(UserError):
     pass
 
 
-class SchemaViolation(KdrError):
+class SchemaViolation(UserError):
     """An ontology document (file or proposal) breaks the declared schema."""
 
 
@@ -82,29 +89,29 @@ class EmptyOutput(KdrError):
     pass
 
 
-class UnknownGoldType(KdrError):
+class UnknownGoldType(UserError):
     pass
 
 
 # --- knowledge store --------------------------------------------------------
 
-class TypeMismatch(KdrError):
+class TypeMismatch(UserError):
     pass
 
 
-class KeyMismatch(KdrError):
+class KeyMismatch(UserError):
     pass
 
 
-class UnknownId(KdrError):
+class UnknownId(UserError):
     pass
 
 
-class IoFailure(KdrError):
+class IoFailure(UserError):
     pass
 
 
-class CorruptRecord(KdrError):
+class CorruptRecord(UserError):
     """A persisted store line failed to parse; `line_number` is 1-based."""
 
     def __init__(self, message: str, line_number: int):
@@ -172,11 +179,11 @@ class DanglingArtifact(KdrError):
 
 # --- evaluation -------------------------------------------------------------
 
-class GoldParentMissing(KdrError):
+class GoldParentMissing(UserError):
     pass
 
 
-class ShapeMismatch(KdrError):
+class ShapeMismatch(UserError):
     pass
 
 

@@ -85,23 +85,23 @@ def build_taxonomy_graph(dataset: dict) -> tuple[onto.OntologyGraph, dict[str, s
         gold[leaf] = f"{TAXONOMY_NAMESPACE}.{taxonomy_concept_name(parent)}"
 
     graph = onto.empty_graph()
-    pending = [term for term in definitions if term not in held_out]
-    while pending:
-        progressed = False
-        remaining = []
-        for term in pending:
-            parent = parent_of.get(term, "Entity")
-            parent_name = parent if parent in onto.ROOTS else taxonomy_concept_name(parent)
-            if parent in onto.ROOTS or f"{TAXONOMY_NAMESPACE}.{parent_name}" in graph.concepts:
-                graph = onto.add_concept(graph, onto.Concept(
-                    taxonomy_concept_name(term), TAXONOMY_NAMESPACE, "entity",
-                    parent_name, definitions.get(term, "")))
-                progressed = True
-            else:
-                remaining.append(term)
-        if not progressed:
-            raise SchemaViolation(f"unplaceable taxonomy concepts: {sorted(remaining)}")
-        pending = remaining
+
+    def place(term: str) -> bool:
+        parent = parent_of.get(term, "Entity")
+        if parent in onto.ROOTS:
+            parent_name = parent
+        else:
+            parent_name = taxonomy_concept_name(parent)
+            if f"{TAXONOMY_NAMESPACE}.{parent_name}" not in graph.concepts:
+                return False
+        onto.insert_concept(graph, onto.Concept(
+            taxonomy_concept_name(term), TAXONOMY_NAMESPACE, "entity",
+            parent_name, definitions.get(term, "")))
+        return True
+
+    remaining = onto.place_in_passes([t for t in definitions if t not in held_out], place)
+    if remaining:
+        raise SchemaViolation(f"unplaceable taxonomy concepts: {sorted(remaining)}")
     return graph, gold
 
 

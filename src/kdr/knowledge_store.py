@@ -23,7 +23,6 @@ from .errors import (
     IoFailure,
     KeyMismatch,
     TypeMismatch,
-    UnknownConcept,
     UnknownId,
     UnrenderableValue,
 )
@@ -240,11 +239,7 @@ class KnowledgeStore:
 
     def ingest(self, obj: KnowledgeObject) -> KnowledgeObject:
         """Insert or merge; returns the stored object after the update."""
-        try:
-            self.graph.resolve(obj.concept)
-        except UnknownConcept:
-            raise
-        validate_object(self.graph, obj)
+        validate_object(self.graph, obj)  # resolves the concept first
         with self._lock:
             existing = self.objects.get(obj.id)
             stored = merge_objects(existing, obj, self.graph) if existing else obj
@@ -401,24 +396,21 @@ def _declaration_order(objects: list[KnowledgeObject]) -> list[KnowledgeObject]:
         deps[obj.id] = wants
     ordered: list[KnowledgeObject] = []
     placed: set[str] = set()
+
+    def place(obj: KnowledgeObject) -> bool:
+        if not deps[obj.id] <= placed:
+            return False
+        ordered.append(obj)
+        placed.add(obj.id)
+        return True
+
     remaining = list(objects)
-    while remaining:
-        progressed = False
-        still = []
-        for obj in remaining:
-            if deps[obj.id] <= placed:
-                ordered.append(obj)
-                placed.add(obj.id)
-                progressed = True
-            else:
-                still.append(obj)
-        if not progressed:
-            # reference cycle: place the first pending object and let its
-            # in-cycle refs degrade to display-name strings
-            ordered.append(still[0])
-            placed.add(still[0].id)
-            still = still[1:]
-        remaining = still
+    while remaining := onto.place_in_passes(remaining, place):
+        # reference cycle: place the first pending object and let its
+        # in-cycle refs degrade to display-name strings
+        first = remaining.pop(0)
+        ordered.append(first)
+        placed.add(first.id)
     return ordered
 
 

@@ -9,6 +9,7 @@ and every test is reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -30,6 +31,8 @@ ENV_LLM_API_KEY = "KDR_LLM_API_KEY"
 ENV_LLM_MODEL = "KDR_LLM_MODEL"
 ENV_EMBED_ENDPOINT = "KDR_EMBED_ENDPOINT"
 ENV_EMBED_MODEL = "KDR_EMBED_MODEL"
+
+MAX_ATTEMPTS = 3  # per chat or embedding request
 
 
 @dataclass
@@ -70,6 +73,62 @@ class Transcript:
         with self._lock:
             with open(self.path, "a", encoding="utf-8") as handle:
                 handle.write(line + "\n")
+
+
+# -- HTTP plumbing ---------------------------------------------------------------
+
+
+def post_json(url: str, payload: dict, api_key: str = "", timeout: float = 120) -> dict:
+    """POST a JSON payload and decode the JSON reply; HTTP errors raise."""
+    import requests
+
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    response = requests.post(url, json=payload, headers=headers, timeout=timeout)
+    response.raise_for_status()
+    return response.json()
+
+
+class _HttpBackend:
+    """Endpoint settings from arguments or the environment, and one retrying POST.
+
+    Every failure retries, transport and reply shape alike: MAX_ATTEMPTS
+    tries with 1 s, 2 s, ... sleeps between them; the last failure is
+    reported as BackendUnavailable.
+    """
+
+    kind = env_endpoint = env_model = ""
+
+    def __init__(
+        self,
+        endpoint: str | None = None,
+        api_key: str | None = None,
+        model: str | None = None,
+        post=None,
+        sleep=time.sleep,
+    ):
+        self.endpoint = endpoint or os.environ.get(self.env_endpoint, "")
+        self.api_key = api_key if api_key is not None else os.environ.get(ENV_LLM_API_KEY, "")
+        self.model = model or os.environ.get(self.env_model, "")
+        self._post = post or functools.partial(post_json, api_key=self.api_key)
+        self._sleep = sleep
+        if not self.endpoint:
+            raise BackendUnavailable(f"no {self.kind} endpoint configured; "
+                                     f"set {self.env_endpoint} or use a mock backend")
+
+    def _request(self, payload: dict, parse):
+        delay = 1.0
+        for n in range(1, MAX_ATTEMPTS + 1):
+            try:
+                return parse(self._post(self.endpoint, payload))
+            except Exception as exc:  # noqa: BLE001 - every failure retries
+                log.warning("%s backend attempt %d failed: %s", self.kind, n, exc)
+                if n == MAX_ATTEMPTS:
+                    raise BackendUnavailable(f"{self.kind} endpoint failed after "
+                                             f"{MAX_ATTEMPTS} attempts: {exc}") from exc
+                self._sleep(delay)
+                delay *= 2
 
 
 # -- chat backends --------------------------------------------------------------
@@ -123,19 +182,32 @@ class MockChatBackend(ChatBackend):
         unknown = set(document) - {"rules", "default_response"}
         if unknown:
             raise SchemaViolation(f"unknown mock script keys: {sorted(unknown)}")
+        raw_rules = document.get("rules", [])
+        default_response = document.get("default_response", "")
+        if not isinstance(raw_rules, list) or not isinstance(default_response, str):
+            raise SchemaViolation("mock 'rules' must be a list and 'default_response' a string")
         rules = []
-        for raw in document.get("rules", []):
+        for raw in raw_rules:
+            if not isinstance(raw, dict):
+                raise SchemaViolation(f"mock rule {raw!r} must be an object")
             unknown = set(raw) - {"match", "regex", "responses"}
             if unknown:
                 raise SchemaViolation(f"unknown mock rule keys: {sorted(unknown)}")
             if "match" not in raw or "responses" not in raw:
                 raise SchemaViolation("mock rules need 'match' and 'responses'")
-            rules.append(MockRule(
-                match=raw["match"],
-                responses=list(raw["responses"]),
-                regex=bool(raw.get("regex", False)),
-            ))
-        return cls(rules, document.get("default_response", ""))
+            match, responses = raw["match"], raw["responses"]
+            if not isinstance(match, str):
+                raise SchemaViolation(f"mock rule match {match!r} must be a string")
+            if not (isinstance(responses, list) and all(isinstance(r, str) for r in responses)):
+                raise SchemaViolation(f"mock rule {match!r}: responses must be a list of strings")
+            regex = bool(raw.get("regex", False))
+            if regex:
+                try:
+                    re.compile(match)
+                except re.error as exc:
+                    raise SchemaViolation(f"mock rule regex {match!r}: {exc}") from exc
+            rules.append(MockRule(match=match, responses=list(responses), regex=regex))
+        return cls(rules, default_response)
 
     @classmethod
     def from_script_file(cls, path: str) -> "MockChatBackend":
@@ -152,40 +224,10 @@ class MockChatBackend(ChatBackend):
         return self.default_response
 
 
-class HttpChatBackend(ChatBackend):
+class HttpChatBackend(_HttpBackend, ChatBackend):
     """OpenAI-compatible chat completion client with exponential backoff."""
 
-    def __init__(
-        self,
-        endpoint: str | None = None,
-        api_key: str | None = None,
-        model: str | None = None,
-        max_retries: int = 3,
-        post=None,
-        sleep=time.sleep,
-    ):
-        self.endpoint = endpoint or os.environ.get(ENV_LLM_ENDPOINT, "")
-        self.api_key = api_key if api_key is not None else os.environ.get(ENV_LLM_API_KEY, "")
-        self.model = model or os.environ.get(ENV_LLM_MODEL, "")
-        self.max_retries = max_retries
-        self._post = post
-        self._sleep = sleep
-        if not self.endpoint:
-            raise BackendUnavailable(
-                f"no chat endpoint configured; set {ENV_LLM_ENDPOINT} or use a mock backend"
-            )
-
-    def _do_post(self, payload: dict) -> dict:
-        if self._post is not None:
-            return self._post(self.endpoint, payload)
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        response = requests.post(self.endpoint, json=payload, headers=headers, timeout=120)
-        response.raise_for_status()
-        return response.json()
+    kind, env_endpoint, env_model = "chat", ENV_LLM_ENDPOINT, ENV_LLM_MODEL
 
     def complete(self, messages: list[ChatMessage], config: GenerationConfig) -> str:
         payload = {
@@ -196,19 +238,7 @@ class HttpChatBackend(ChatBackend):
         }
         if config.stop:
             payload["stop"] = config.stop
-        delay = 1.0
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries):
-            try:
-                body = self._do_post(payload)
-                return body["choices"][0]["message"]["content"]
-            except Exception as exc:  # noqa: BLE001 - every transport failure retries
-                last_error = exc
-                log.warning("chat backend attempt %d failed: %s", attempt + 1, exc)
-                if attempt + 1 < self.max_retries:
-                    self._sleep(delay)
-                    delay *= 2
-        raise BackendUnavailable(f"chat endpoint failed after {self.max_retries} attempts: {last_error}")
+        return self._request(payload, lambda body: body["choices"][0]["message"]["content"])
 
 
 # -- embedding backends -----------------------------------------------------------
@@ -242,62 +272,20 @@ class MockEmbeddingBackend(EmbeddingBackend):
         return out
 
 
-class HttpEmbeddingBackend(EmbeddingBackend):
+class HttpEmbeddingBackend(_HttpBackend, EmbeddingBackend):
     """OpenAI-compatible embeddings client; vectors are L2-normalized locally."""
 
-    def __init__(
-        self,
-        endpoint: str | None = None,
-        api_key: str | None = None,
-        model: str | None = None,
-        max_retries: int = 3,
-        post=None,
-        sleep=time.sleep,
-    ):
-        self.endpoint = endpoint or os.environ.get(ENV_EMBED_ENDPOINT, "")
-        self.api_key = api_key if api_key is not None else os.environ.get(ENV_LLM_API_KEY, "")
-        self.model = model or os.environ.get(ENV_EMBED_MODEL, "")
-        self.max_retries = max_retries
-        self._post = post
-        self._sleep = sleep
-        if not self.endpoint:
-            raise BackendUnavailable(
-                f"no embedding endpoint configured; set {ENV_EMBED_ENDPOINT} or use a mock backend"
-            )
-
-    def _do_post(self, payload: dict) -> dict:
-        if self._post is not None:
-            return self._post(self.endpoint, payload)
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        response = requests.post(self.endpoint, json=payload, headers=headers, timeout=120)
-        response.raise_for_status()
-        return response.json()
+    kind, env_endpoint, env_model = "embedding", ENV_EMBED_ENDPOINT, ENV_EMBED_MODEL
 
     def embed(self, texts: list[str]) -> np.ndarray:
-        payload = {"model": self.model, "input": texts}
-        delay = 1.0
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries):
-            try:
-                body = self._do_post(payload)
-                rows = [item["embedding"] for item in body["data"]]
-                matrix = np.asarray(rows, dtype=np.float64)
-                norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-                norms[norms == 0] = 1.0
-                return matrix / norms
-            except Exception as exc:  # noqa: BLE001
-                last_error = exc
-                log.warning("embedding backend attempt %d failed: %s", attempt + 1, exc)
-                if attempt + 1 < self.max_retries:
-                    self._sleep(delay)
-                    delay *= 2
-        raise BackendUnavailable(
-            f"embedding endpoint failed after {self.max_retries} attempts: {last_error}"
-        )
+        return self._request({"model": self.model, "input": texts}, _unit_rows)
+
+
+def _unit_rows(body: dict) -> np.ndarray:
+    matrix = np.asarray([item["embedding"] for item in body["data"]], dtype=np.float64)
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return matrix / norms
 
 
 # -- gateway ---------------------------------------------------------------------

@@ -7,7 +7,8 @@ class-definition code, renders import clauses, and answers hierarchy queries
 
 Graphs are copy-on-update: every mutation returns a new graph and never
 touches the one it was derived from, so concurrent readers of a loaded graph
-are always safe.
+are always safe. Only a builder fills its own private graph in place
+(insert_concept) before handing it out.
 """
 
 from __future__ import annotations
@@ -146,15 +147,14 @@ class OntologyGraph:
     concepts: dict[str, Concept] = field(default_factory=dict)
     parents: dict[str, str] = field(default_factory=dict)
     equivalences: dict[str, set[str]] = field(default_factory=dict)
-    dependencies: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     # -- lookup ---------------------------------------------------------------
 
     def resolve(self, name: str, namespace: str | None = None) -> str:
         """Resolve a possibly-unqualified concept name to its qualified form.
 
-        Lookup order: roots, explicit qualification, the given namespace, that
-        namespace's declared dependencies, then a unique global match.
+        Lookup order: roots, explicit qualification, the given namespace, then
+        a unique global match.
         """
         if name in ROOTS:
             return name
@@ -166,10 +166,6 @@ class OntologyGraph:
             q = f"{namespace}.{name}"
             if q in self.concepts:
                 return q
-            for dep in self.dependencies.get(namespace, ()):
-                q = f"{dep}.{name}"
-                if q in self.concepts:
-                    return q
         matches = [q for q in self.concepts if q.rsplit(".", 1)[1] == name]
         if len(matches) == 1:
             return matches[0]
@@ -239,25 +235,20 @@ class OntologyGraph:
             concepts=dict(self.concepts),
             parents=dict(self.parents),
             equivalences={k: set(v) for k, v in self.equivalences.items()},
-            dependencies=dict(self.dependencies),
         )
 
-    def with_dependency(self, namespace: str, dep: str) -> "OntologyGraph":
-        g = self._clone()
-        current = g.dependencies.get(namespace, ())
-        if dep not in current:
-            g.dependencies[namespace] = current + (dep,)
-        return g
-
-    def with_equivalence(self, a: str, b: str, namespace: str | None = None) -> "OntologyGraph":
+    def _add_equivalence(self, a: str, b: str, namespace: str | None = None) -> None:
         qa, qb = self.resolve(a, namespace), self.resolve(b, namespace)
         if qa in ROOTS or qb in ROOTS:
             raise SchemaViolation("roots cannot take part in equivalences")
         if self.kind_of(qa) != self.kind_of(qb):
             raise KindMismatch(f"{qa} and {qb} have different kinds")
+        self.equivalences.setdefault(qa, set()).add(qb)
+        self.equivalences.setdefault(qb, set()).add(qa)
+
+    def with_equivalence(self, a: str, b: str, namespace: str | None = None) -> "OntologyGraph":
         g = self._clone()
-        g.equivalences.setdefault(qa, set()).add(qb)
-        g.equivalences.setdefault(qb, set()).add(qa)
+        g._add_equivalence(a, b, namespace)
         return g
 
 
@@ -319,17 +310,39 @@ def check_concept(graph: OntologyGraph, c: Concept) -> tuple[str, list[str]]:
     return parent_q, resolved_equivalents
 
 
+def _insert(graph: OntologyGraph, c: Concept, parent_q: str, equivalents: list[str]) -> None:
+    q = c.qualified
+    graph.concepts[q] = c
+    graph.parents[q] = parent_q
+    for other_q in equivalents:
+        graph._add_equivalence(q, other_q)
+
+
 def add_concept(graph: OntologyGraph, c: Concept) -> OntologyGraph:
     """Insert a concept, returning a new graph; the input graph is untouched."""
-    parent_q, resolved_equivalents = check_concept(graph, c)
-    q = c.qualified
+    parent_q, equivalents = check_concept(graph, c)
     g = graph._clone()
-    g.concepts[q] = c
-    g.parents[q] = parent_q
-    for other_q in resolved_equivalents:
-        g.equivalences.setdefault(q, set()).add(other_q)
-        g.equivalences.setdefault(other_q, set()).add(q)
+    _insert(g, c, parent_q, equivalents)
     return g
+
+
+def insert_concept(graph: OntologyGraph, c: Concept) -> None:
+    """add_concept in place, for a graph still being built that no one else holds."""
+    _insert(graph, c, *check_concept(graph, c))
+
+
+def place_in_passes(items: list, place) -> list:
+    """Sweep items in order, calling place(item), which says whether it placed
+    the item; sweep again over the rest until a sweep places none. Returns
+    those leftovers in order, empty when every item was placed.
+    """
+    remaining = list(items)
+    while remaining:
+        left = [item for item in remaining if not place(item)]
+        if len(left) == len(remaining):
+            break
+        remaining = left
+    return remaining
 
 
 def validate_graph(graph: OntologyGraph) -> None:
@@ -582,29 +595,25 @@ def graph_from_document(document: dict) -> OntologyGraph:
                 declared_equivalences.append((ns, entry["name"], other))
 
     graph = empty_graph()
-    remaining = pending
-    while remaining:
-        progressed = []
-        stuck = []
-        for concept in remaining:
-            try:
-                graph = add_concept(graph, concept)
-                progressed.append(concept)
-            except (UnknownParent, UnknownConcept):
-                stuck.append(concept)
-        if not progressed:
-            names = {c.name for c in stuck}
-            internal = [c for c in stuck if c.parent in names]
-            if internal:
-                raise CycleDetected(
-                    f"parent cycle among: {sorted(c.qualified for c in internal)}"
-                )
-            first = stuck[0]
-            raise UnknownParent(f"{first.qualified} has unknown parent {first.parent!r}")
-        remaining = stuck
+
+    def place(concept: Concept) -> bool:
+        try:
+            insert_concept(graph, concept)
+        except (UnknownParent, UnknownConcept):
+            return False
+        return True
+
+    stuck = place_in_passes(pending, place)
+    if stuck:
+        names = {c.name for c in stuck}
+        internal = [c for c in stuck if c.parent in names]
+        if internal:
+            raise CycleDetected(f"parent cycle among: {sorted(c.qualified for c in internal)}")
+        first = stuck[0]
+        raise UnknownParent(f"{first.qualified} has unknown parent {first.parent!r}")
 
     for ns, name, other in declared_equivalences:
-        graph = graph.with_equivalence(name, other, namespace=ns)
+        graph._add_equivalence(name, other, ns)
     validate_graph(graph)
     return graph
 

@@ -9,6 +9,7 @@ merge and revise, and assemble the final markdown with copied artifacts.
 from __future__ import annotations
 
 import hashlib
+import functools
 import html.parser
 import json
 import logging
@@ -68,7 +69,11 @@ class ResearchTask:
 class ProposedOntology:
     document: dict
     status: str = "proposed"  # "proposed" | "approved" | "edited"
-    reviewer_note: str = ""
+
+    @functools.cached_property
+    def graph(self) -> onto.OntologyGraph:
+        """The document's validated graph, parsed on first use only."""
+        return onto.graph_from_document(self.document)
 
     @property
     def concept_count(self) -> int:
@@ -90,8 +95,8 @@ def propose_ontology(
     )
     raw = strip_code_fence(response)
     try:
-        document = json.loads(raw)
-        onto.graph_from_document(document)  # schema check only
+        proposal = ProposedOntology(json.loads(raw))
+        proposal.graph  # schema check
     except (json.JSONDecodeError, KdrError) as exc:
         if review_path:
             Path(review_path).parent.mkdir(parents=True, exist_ok=True)
@@ -100,8 +105,9 @@ def propose_ontology(
     if review_path:
         Path(review_path).parent.mkdir(parents=True, exist_ok=True)
         Path(review_path).write_text(
-            json.dumps(document, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-    return ProposedOntology(document)
+            json.dumps(proposal.document, indent=2, ensure_ascii=False) + "\n",
+            encoding="utf-8")
+    return proposal
 
 
 def review_gate(
@@ -110,18 +116,13 @@ def review_gate(
     edited_path: str | None = None,
 ) -> ProposedOntology:
     """Approval or a revalidated edited file; anything else stays gated."""
-    if edited_path:
-        with open(edited_path, encoding="utf-8") as handle:
-            document = json.load(handle)
-        onto.graph_from_document(document)  # raises SchemaViolation on bad edits
-        return ProposedOntology(document, status="edited",
-                                reviewer_note=f"edited file {edited_path}")
-    with open(proposal_path, encoding="utf-8") as handle:
+    with open(edited_path or proposal_path, encoding="utf-8") as handle:
         document = json.load(handle)
-    if not approve:
+    if not (edited_path or approve):
         raise ValueError("proposal not approved; pass approve=True or an edited file")
-    onto.graph_from_document(document)
-    return ProposedOntology(document, status="approved")
+    proposal = ProposedOntology(document, status="edited" if edited_path else "approved")
+    proposal.graph  # raises SchemaViolation on a bad document
+    return proposal
 
 
 # -- corpus ingestion ------------------------------------------------------------
@@ -291,7 +292,7 @@ def run_organization(
         except OSError as exc:
             raise IoFailure(f"cannot create KB directory for {task.kb_path!r}: {exc}") from exc
     if base_graph is None or all(q in onto.ROOTS for q in base_graph.concepts):
-        graph = onto.graph_from_document(proposal.document)
+        graph = proposal.graph
         notes: list[str] = []
     else:
         graph, notes = _merge_proposal_into_graph(base_graph, proposal.document, gateway)

@@ -26,6 +26,7 @@ from . import knowledge_store as ks
 from . import ontology as onto
 from . import templates
 from .errors import (
+    EmptyCorpus,
     EmptyQuery,
     NoConceptFound,
     NoInstancesFound,
@@ -726,8 +727,6 @@ def run_text_cycle(
     limit: int = 3,
 ) -> TextCycleResult:
     """Search, summarize, draft, and check sufficiency, up to max_rounds."""
-    from .errors import EmptyCorpus  # local import keeps module deps one-way
-
     summaries: dict[str, tuple[str, str]] = {}
     result = TextCycleResult(text="")
     search_query = query

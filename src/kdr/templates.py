@@ -193,5 +193,3 @@ Full report:
 Section to polish:
 {section}
 """
-
-REPORT_PLAN_HEADER = "Report plan for: {title}"

@@ -7,12 +7,14 @@ sits behind the same contract.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EmptyCorpus, SchemaViolation, SearchBackendUnavailable
+from .llm_gateway import post_json
 from .textindex import InvertedIndex
 
 log = logging.getLogger(__name__)
@@ -73,20 +75,11 @@ class HttpSearchBackend(SearchBackend):
         if not endpoint:
             raise SearchBackendUnavailable("no search endpoint configured")
         self.endpoint = endpoint
-        self._post = post
-
-    def _do_post(self, payload: dict) -> dict:
-        if self._post is not None:
-            return self._post(self.endpoint, payload)
-        import requests
-
-        response = requests.post(self.endpoint, json=payload, timeout=60)
-        response.raise_for_status()
-        return response.json()
+        self._post = post or functools.partial(post_json, timeout=60)
 
     def search(self, query: str, limit: int = 5) -> list[SearchHit]:
         try:
-            body = self._do_post({"query": query, "limit": limit})
+            body = self._post(self.endpoint, {"query": query, "limit": limit})
             return [
                 SearchHit(r["title"], r["url"], r.get("body", ""), float(r.get("score", 0.0)))
                 for r in body["results"]

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
 
+import pytest
+
 from kdr import cli
+from kdr import errors
 from kdr import knowledge_store as ks
 from kdr import ontology as onto
 
@@ -474,3 +478,76 @@ def test_no_backend_configured_is_runtime_error(capsys, tmp_path, monkeypatch):
                      "--out", str(tmp_path / "run"))
     assert rc == 2
     assert "KDR_LLM_ENDPOINT" in err
+
+
+# -- exit codes ----------------------------------------------------------------------
+
+# The error classes that exit 1; every other KdrError exits 2. UserError is
+# the base the user errors derive from.
+USER_ERROR_NAMES = {
+    "UserError", "AmbiguousName", "CorruptRecord", "CycleDetected",
+    "DuplicateAttribute", "DuplicateName", "EmptyImport", "GoldParentMissing",
+    "IoFailure", "KeyMismatch", "KindMismatch", "SchemaViolation", "ShapeMismatch",
+    "TypeMismatch", "UnknownConcept", "UnknownGoldType", "UnknownId", "UnknownParent",
+}
+
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                 if issubclass(cls, errors.KdrError)]
+
+
+def _instance(cls):
+    try:
+        return cls("boom")
+    except TypeError:  # classes that carry a position or line number
+        return cls("boom", 1)
+
+
+def exit_code_of(capsys, monkeypatch, exc: Exception):
+    def raising(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_kb_stats", raising)
+    return run(capsys, "kb", "stats", "--kb", "x")
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_class_keeps_its_exit_code(capsys, monkeypatch, cls):
+    rc, _, err = exit_code_of(capsys, monkeypatch, _instance(cls))
+    assert rc == (1 if cls.__name__ in USER_ERROR_NAMES else 2)
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_new_user_error_subclass_exits_one(capsys, monkeypatch):
+    from kdr.errors import UserError
+
+    class BadInput(UserError):
+        pass
+
+    rc, _, err = exit_code_of(capsys, monkeypatch, BadInput("bad input"))
+    assert rc == 1
+    assert err == "error: bad input\n"
+
+
+def test_research_missing_web_corpus_is_user_error(capsys, tmp_path):
+    kb = colliding_kb(tmp_path)
+    rc, _, err = run(capsys, "research", "--task", "t", "--kb", kb,
+                     "--out", str(tmp_path / "run"), "--mock", E2E_MOCK,
+                     "--web-corpus", str(tmp_path / "nonexistent"))
+    assert rc == 1
+    assert "nonexistent" in err
+
+
+@pytest.mark.parametrize("script", [
+    {"rules": [5]},
+    {"rules": [{"match": "([", "regex": True, "responses": ["x"]}]},
+    {"rules": [{"match": "Score the research report", "responses": "PASS"}]},
+], ids=["rule-not-object", "bad-regex", "responses-not-list"])
+def test_malformed_mock_script_is_user_error(capsys, tmp_path, script):
+    mock = tmp_path / "mock.json"
+    mock.write_text(json.dumps(script))
+    report = tmp_path / "report.md"
+    report.write_text("# Report\n")
+    rc, _, err = run(capsys, "eval", "report", "--report", str(report),
+                     "--mock", str(mock))
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -115,6 +115,23 @@ def per_leaf_mock(dataset):
     return mock_gateway({"rules": rules})
 
 
+def test_taxonomy_training_graph_order_is_pinned():
+    dataset = {
+        "concepts": [{"name": n, "definition": f"{n}."} for n in
+                     ("sea bass", "fish", "animal", "perch", "shark", "held")],
+        "edges": [["sea bass", "fish"], ["fish", "animal"], ["perch", "fish"],
+                  ["shark", "animal"], ["held", "fish"]],
+        "test_leaves": ["held"],
+    }
+    graph, gold = ek.build_taxonomy_graph(dataset)
+    assert list(graph.parents.items()) == [
+        ("tax.Animal", "Entity"), ("tax.Shark", "tax.Animal"), ("tax.Fish", "tax.Animal"),
+        ("tax.Perch", "tax.Fish"), ("tax.SeaBass", "tax.Fish")]
+    assert list(graph.concepts) == list(graph.parents)
+    assert graph.concepts["tax.SeaBass"].description == "sea bass."
+    assert gold == {"held": "tax.Fish"}
+
+
 def test_taxonomy_result_does_not_depend_on_workers():
     from kdr.alignment import make_llm_aligner
 

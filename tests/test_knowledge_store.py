@@ -276,6 +276,23 @@ def test_render_cycle_degrades_to_name_string(graph):
     assert "o1 = Person(name=\"B\", advisor=o0)" in code
 
 
+def test_render_order_with_a_cycle_is_pinned(graph):
+    # a and b cite each other, c cites a, d cites nothing: d goes first, then
+    # the stalled sweep forces a, the first leftover, and b and c follow.
+    a, b, c, d = (person(graph, n) for n in "ABCD")
+    a.slots["advisor"] = [ks.SlotValue(ks.Ref(b.id))]
+    b.slots["advisor"] = [ks.SlotValue(ks.Ref(a.id))]
+    c.slots["advisor"] = [ks.SlotValue(ks.Ref(a.id))]
+    code = ks.render_declaration_code([a, b, c, d], graph, resolve_external=lambda i: None)
+    assert code.split("\n") == [
+        'o0 = Person(name="D")',
+        'o1 = Person(name="A", advisor="B")',
+        'o2 = Person(name="B", advisor=o1)',
+        'o3 = Person(name="C", advisor=o1)',
+        "search_results = [o1, o2, o3, o0]",
+    ]
+
+
 def test_render_list_attribute(graph):
     p = person(graph, "Ada", papers=["On X", "On Y"])
     code = ks.render_declaration_code([p], graph)

@@ -173,3 +173,18 @@ def test_mock_gateway_temperature_defaults_to_zero():
     assert GenerationConfig().temperature == 0.0
     gw = mock_gateway(default_response="y")
     assert gw.ask("anything") == "y"
+
+
+@pytest.mark.parametrize("script", [
+    {"rules": [5]},
+    {"rules": [{"match": 5, "responses": ["x"]}]},
+    {"rules": [{"match": "([", "regex": True, "responses": ["x"]}]},
+    {"rules": [{"match": "x", "responses": "PASS"}]},
+    {"rules": [{"match": "x", "responses": ["ok", 3]}]},
+    {"rules": {"match": "x", "responses": ["x"]}},
+    {"default_response": 7},
+], ids=["rule-not-object", "match-not-string", "bad-regex", "responses-string",
+        "response-not-string", "rules-not-list", "default-not-string"])
+def test_mock_script_shape_is_checked_at_load(script):
+    with pytest.raises(SchemaViolation):
+        MockChatBackend.from_script(script)

@@ -294,6 +294,37 @@ def test_loader_accepts_forward_parent_references():
     assert g.parents["ns.Child"] == "ns.Base"
 
 
+def test_loader_concept_order_is_pinned():
+    # Concepts are placed in sweeps over the document order; within a sweep a
+    # name resolves against what is already placed, so B.Tool takes A.Thing,
+    # the only Thing at that point.
+    doc = {"namespaces": {
+        "A": [
+            {"name": "Leaf", "kind": "entity", "parent": "Mid"},
+            {"name": "Mid", "kind": "entity", "parent": "Top"},
+            {"name": "Top", "kind": "entity", "parent": "Entity",
+             "attributes": [{"name": "maker", "type": "Agent"}]},
+            {"name": "Agent", "kind": "entity", "parent": "Entity"},
+            {"name": "Thing", "kind": "entity", "parent": "Entity",
+             "equivalents": ["B.Thing"]},
+        ],
+        "B": [
+            {"name": "Tool", "kind": "entity", "parent": "Thing"},
+            {"name": "Thing", "kind": "entity", "parent": "Entity"},
+            {"name": "Gadget", "kind": "entity", "parent": "Leaf"},
+        ],
+    }}
+    g = ontology.graph_from_document(doc)
+    assert list(g.concepts) == ["A.Agent", "A.Thing", "B.Tool", "B.Thing", "A.Top",
+                                "A.Mid", "A.Leaf", "B.Gadget"]
+    assert list(g.parents.items()) == [
+        ("A.Agent", "Entity"), ("A.Thing", "Entity"), ("B.Tool", "A.Thing"),
+        ("B.Thing", "Entity"), ("A.Top", "Entity"), ("A.Mid", "A.Top"),
+        ("A.Leaf", "A.Mid"), ("B.Gadget", "A.Leaf")]
+    assert list(g.equivalences.items()) == [("A.Thing", {"B.Thing"}),
+                                            ("B.Thing", {"A.Thing"})]
+
+
 def test_loader_rejects_unknown_keys():
     with pytest.raises(SchemaViolation):
         ontology.graph_from_document({"namespaces": {}, "extra": 1})
