@@ -19,12 +19,11 @@ from . import ontology as onto
 from . import templates
 from .errors import CycleDetected
 from .llm_gateway import EmbeddingBackend, LlmGateway
+from .ontology import DEFAULT_K
 
 log = logging.getLogger(__name__)
 
 RELATIONS = ("parent_of_query", "child_of_query", "equivalent", "unrelated")
-
-DEFAULT_K = 10
 
 
 @dataclass

@@ -14,7 +14,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import alignment as al
 from . import evalkit as ek
 from . import knowledge_store as ks
 from . import ontology as onto
@@ -168,14 +167,14 @@ def cmd_research(args) -> int:
     else:
         search_backend = None
 
-    limits = config.get("limits", {})
+    limits = pl.limits_from(config)
     doc = pl.run_research(
         task, graph, store, gateway,
         search_backend=search_backend,
         run_dir=args.out,
         cfg=pl.cycle_config_from(config),
-        max_rounds=int(limits.get("max_rounds", 3)),
-        search_hits=int(limits.get("search_hits", 3)),
+        max_rounds=limits.get("max_rounds", 3),
+        search_hits=limits.get("search_hits", 3),
         workers=workers,
     )
     _emit({
@@ -190,6 +189,8 @@ def cmd_research(args) -> int:
 
 
 def cmd_align(args) -> int:
+    from . import alignment as al  # imports numpy, which `import kdr.cli` leaves out
+
     config = pl.load_config(args.config)
     gateway = _gateway(args, config)
     graph = onto.load_ontology(args.ontology)
@@ -237,6 +238,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_eval_taxonomy(args) -> int:
+    from . import alignment as al
+
     config = pl.load_config(args.config)
     workers = pl.workers_from(config)
     gateway = _gateway(args, config)
@@ -309,19 +312,17 @@ def cmd_kb_query(args) -> int:
 
 def cmd_kb_merge_check(args) -> int:
     graph, store = _load_kb(args.kb, args.ontology)
-    by_name: dict[str, list[ks.KnowledgeObject]] = {}
-    for obj in store.objects.values():
-        by_name.setdefault(ks.normalize_name(obj.display_name), []).append(obj)
+    by_name = store.ids_by_name()
     collisions = []
     for name in sorted(by_name):
-        group = by_name[name]
+        group = [store.objects[i] for i in sorted(by_name[name])]
         if len(group) < 2:
             continue
         collisions.append({
             "name": name,
             "objects": [{"id": o.id, "concept": o.concept,
                          "display_name": o.display_name}
-                        for o in sorted(group, key=lambda o: o.id)],
+                        for o in group],
         })
     _emit({"collisions": collisions}, args.pretty)
     return 0
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--description", default="")
     p.add_argument("--kind", choices=["entity", "event"], default="entity")
     p.add_argument("--namespace", default="NEW")
-    p.add_argument("--k", type=int, default=al.DEFAULT_K,
+    p.add_argument("--k", type=int, default=onto.DEFAULT_K,
                    help="candidate neighbors to consider")
     p.add_argument("--save", help="write the expanded ontology here")
     _add_common(p)
@@ -397,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = esub.add_parser("taxonomy", help="parent placement accuracy and similarity")
     e.add_argument("--dataset", required=True, help="taxonomy dataset JSON")
-    e.add_argument("--k", type=int, default=al.DEFAULT_K)
+    e.add_argument("--k", type=int, default=onto.DEFAULT_K)
     _add_common(e)
     e.set_defaults(func=cmd_eval_taxonomy)
 

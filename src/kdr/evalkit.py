@@ -182,6 +182,10 @@ def eval_ie_f1(pred: list, gold: list, task: str) -> F1Result:
     tp = sum(min(count, gold_counts[key]) for key, count in pred_counts.items())
     fp = sum(pred_counts.values()) - tp
     fn = sum(gold_counts.values()) - tp
+    return _f1_result(tp, fp, fn)
+
+
+def _f1_result(tp: int, fp: int, fn: int) -> F1Result:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -225,10 +229,7 @@ def eval_ie_files(pred_records: list[dict], gold_records: list[dict], task: str)
         gold = annotations_to_tuples(gold_by_id.get(rid, {}), task)
         one = eval_ie_f1(pred, gold, task)
         tp, fp, fn = tp + one.tp, fp + one.fp, fn + one.fn
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return F1Result(precision, recall, f1, tp, fp, fn)
+    return _f1_result(tp, fp, fn)
 
 
 # -- question answering over prepared subgraphs ----------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import json
 import re
 import time
 from dataclasses import dataclass, field
@@ -157,11 +158,10 @@ def _node_span(node: ast.AST, offsets: list[int]) -> tuple[int, int] | None:
 
 
 class _Parser:
-    def __init__(self, graph, namespace, tolerant, result_vars=("results", "search_results")):
+    def __init__(self, graph, namespace, tolerant):
         self.graph = graph
         self.namespace = namespace
         self.tolerant = tolerant
-        self.result_vars = result_vars
         self.issues: list[ParseIssue] = []
         self.bindings: dict[str, ParsedInstantiation] = {}
         self.order: list[ParsedInstantiation] = []
@@ -260,7 +260,7 @@ class _Parser:
                         else:
                             self.fail("bad_literal", "result lists may hold calls or variables",
                                       _node_span(item, offsets))
-                    if target in self.result_vars:
+                    if target in ("results", "search_results"):
                         self.listed = listed
                 else:
                     self.fail("not_a_call", f"assignment to {target!r} is not a constructor call",
@@ -448,8 +448,6 @@ SAMPLE_TASKS = ("understanding", "importing_closed", "importing_open", "instanti
 
 def render_call(graph: onto.OntologyGraph, concept: str, slots: dict, namespace: str) -> str:
     """Canonical single constructor call with args in declaration order."""
-    import json as _json
-
     q = graph.resolve(concept, namespace)
     parts = []
     for spec in onto.effective_attributes(graph, q):
@@ -459,16 +457,16 @@ def render_call(graph: onto.OntologyGraph, concept: str, slots: dict, namespace:
         _, is_list = onto.parse_type_token(spec.type)
         if is_list:
             items = value if isinstance(value, list) else [value]
-            rendered = "[" + ", ".join(_render_sample_literal(v, _json) for v in items) + "]"
+            rendered = "[" + ", ".join(_render_sample_literal(v) for v in items) + "]"
         else:
-            rendered = _render_sample_literal(value, _json)
+            rendered = _render_sample_literal(value)
         parts.append(f"{spec.name}={rendered}")
     return f"{concept}({', '.join(parts)})"
 
 
-def _render_sample_literal(value, _json) -> str:
+def _render_sample_literal(value) -> str:
     if isinstance(value, str):
-        return _json.dumps(value, ensure_ascii=False)
+        return json.dumps(value, ensure_ascii=False)
     return repr(value)
 
 

@@ -15,6 +15,7 @@ import hashlib
 import json
 import re
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import ontology as onto
@@ -221,13 +222,14 @@ def merge_objects(a: KnowledgeObject, b: KnowledgeObject,
 
 
 class KnowledgeStore:
-    """In-memory object store with a single-writer lock and a lazy text index."""
+    """In-memory object store with a single-writer lock and lookup views
+    (names, text tokens, inbound references) built on first use after a change."""
 
     def __init__(self, graph: onto.OntologyGraph):
         self.graph = graph
         self.objects: dict[str, KnowledgeObject] = {}
-        self._lock = threading.Lock()
-        self._index: InvertedIndex | None = None
+        self._lock = threading.RLock()
+        self._views: dict[str, object] = {}
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -244,7 +246,7 @@ class KnowledgeStore:
             existing = self.objects.get(obj.id)
             stored = merge_objects(existing, obj, self.graph) if existing else obj
             self.objects[obj.id] = stored
-            self._index = None
+            self._views.clear()
         return stored
 
     def ingest_all(self, objects: list[KnowledgeObject]) -> list[KnowledgeObject]:
@@ -261,10 +263,6 @@ class KnowledgeStore:
         """
         resolved = 0
         with self._lock:
-            by_name: dict[str, list[tuple[str, str]]] = {}
-            for obj in self.objects.values():
-                by_name.setdefault(normalize_name(obj.display_name), []).append(
-                    (obj.id, obj.concept))
             for obj in self.objects.values():
                 specs = _attr_specs(self.graph, obj.concept)
                 for attr, values in obj.slots.items():
@@ -275,71 +273,78 @@ class KnowledgeStore:
                     for sv in values:
                         if not isinstance(sv.value, str):
                             continue
-                        hit = self._find_by_name(sv.value, target, by_name)
+                        hit = self._find_by_name(sv.value, target)
                         if hit is not None:
                             sv.value = Ref(hit)
                             resolved += 1
-            self._index = None
+            self._views.clear()  # the text and inbound views saw the strings
         return resolved
 
-    def _find_by_name(self, name: str, target_concept: str,
-                      by_name: dict[str, list[tuple[str, str]]]) -> str | None:
+    def _find_by_name(self, name: str, target_concept: str) -> str | None:
         """Smallest id among same-name objects of the target concept, a
-        descendant, or an equivalent; by_name maps normalized names to
-        (id, concept) pairs."""
-        hits = [obj_id for obj_id, q in by_name.get(normalize_name(name), ())
-                if q == target_concept or self.graph.is_descendant(q, target_concept)
+        descendant, or an equivalent."""
+        hits = [obj_id for obj_id in self.ids_by_name().get(normalize_name(name), ())
+                if (q := self.objects[obj_id].concept) == target_concept
+                or self.graph.is_descendant(q, target_concept)
                 or target_concept in self.graph.equivalence_class(q)]
         return min(hits) if hits else None
 
-    # -- queries --------------------------------------------------------------------
+    def _view(self, build):
+        """What build() derives from objects, built once per change to them."""
+        with self._lock:
+            if build.__name__ not in self._views:
+                self._views[build.__name__] = build()
+            return self._views[build.__name__]
 
-    def query_by_name(self, name: str, fuzzy: bool = False) -> list[KnowledgeObject]:
-        if not fuzzy:
-            wanted = normalize_name(name)
-            matches = [o for o in self.objects.values()
-                       if normalize_name(o.display_name) == wanted]
-            return sorted(matches, key=lambda o: (o.display_name, o.id))
-        query_tokens = set(tokenize(name))
-        scored = []
+    def _names(self) -> dict[str, list[str]]:
+        by_name: dict[str, list[str]] = {}
         for obj in self.objects.values():
-            overlap = len(query_tokens & set(tokenize(self._document_text(obj))))
-            if overlap:
-                scored.append((obj, overlap))
-        scored.sort(key=lambda pair: (-pair[1], pair[0].display_name, pair[0].id))
-        return [obj for obj, _ in scored]
+            by_name.setdefault(normalize_name(obj.display_name), []).append(obj.id)
+        return by_name
 
-    def _document_text(self, obj: KnowledgeObject) -> str:
-        parts = [obj.display_name]
-        for values in obj.slots.values():
-            for sv in values:
-                if isinstance(sv.value, str):
-                    parts.append(sv.value)
-        return " ".join(parts)
+    def _tokens(self) -> InvertedIndex:
+        index = InvertedIndex()
+        for obj_id in sorted(self.objects):
+            obj = self.objects[obj_id]
+            strings = [sv.value for values in obj.slots.values() for sv in values
+                       if isinstance(sv.value, str)]
+            index.add(obj_id, " ".join([obj.display_name, *strings]))
+        return index
 
-    def _ensure_index(self) -> InvertedIndex:
-        if self._index is None:
-            index = InvertedIndex()
-            for obj_id in sorted(self.objects):
-                index.add(obj_id, self._document_text(self.objects[obj_id]))
-            self._index = index
-        return self._index
-
-    def fulltext_search(self, query: str, limit: int = 10) -> list[tuple[str, float]]:
-        return self._ensure_index().search(query, limit=limit)
-
-    def subgraph(self, seed_ids: list[str], hops: int = 1) -> list[KnowledgeObject]:
-        """Closure over references, both directions, breadth-first, deterministic."""
-        for seed in seed_ids:
-            if seed not in self.objects:
-                raise UnknownId(f"no object with id {seed!r}")
+    def _inbound(self) -> dict[str, list[str]]:
         inbound: dict[str, list[str]] = {}
         for obj_id in sorted(self.objects):
             for attr in sorted(self.objects[obj_id].slots):
                 for sv in self.objects[obj_id].slots[attr]:
                     if isinstance(sv.value, Ref):
                         inbound.setdefault(sv.value.id, []).append(obj_id)
+        return inbound
 
+    def ids_by_name(self) -> dict[str, list[str]]:
+        """Normalized display name -> ids of the objects bearing it (read-only)."""
+        return self._view(self._names)
+
+    # -- queries --------------------------------------------------------------------
+
+    def query_by_name(self, name: str, fuzzy: bool = False) -> list[KnowledgeObject]:
+        if not fuzzy:
+            matches = [self.objects[i] for i in self.ids_by_name().get(normalize_name(name), ())]
+            return sorted(matches, key=lambda o: (o.display_name, o.id))
+        postings = self._view(self._tokens).postings
+        overlap = Counter(obj_id for token in set(tokenize(name))
+                          for obj_id in postings.get(token, ()))
+        return sorted((self.objects[i] for i in overlap),
+                      key=lambda o: (-overlap[o.id], o.display_name, o.id))
+
+    def fulltext_search(self, query: str, limit: int = 10) -> list[tuple[str, float]]:
+        return self._view(self._tokens).search(query, limit=limit)
+
+    def subgraph(self, seed_ids: list[str], hops: int = 1) -> list[KnowledgeObject]:
+        """Closure over references, both directions, breadth-first, deterministic."""
+        for seed in seed_ids:
+            if seed not in self.objects:
+                raise UnknownId(f"no object with id {seed!r}")
+        inbound = self._view(self._inbound)
         seen = dict.fromkeys(seed_ids)  # insertion-ordered set
         frontier = list(seed_ids)
         for _ in range(hops):
@@ -418,7 +423,6 @@ def render_declaration_code(
     objects: list[KnowledgeObject],
     graph: onto.OntologyGraph,
     resolve_external=None,
-    result_var: str = "search_results",
 ) -> str:
     """Constructor calls bound to o{i} variables, then the result list.
 
@@ -456,7 +460,7 @@ def render_declaration_code(
         var_of[obj.id] = var
 
     listed = ", ".join(var_of[o.id] for o in objects)
-    lines.append(f"{result_var} = [{listed}]")
+    lines.append(f"search_results = [{listed}]")
     return "\n".join(lines)
 
 

@@ -19,10 +19,12 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BackendUnavailable, ContextTooLong, SchemaViolation
+
+if TYPE_CHECKING:  # numpy is imported where vectors are made, so `import kdr.cli` skips it
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -262,6 +264,8 @@ class MockEmbeddingBackend(EmbeddingBackend):
         self.dim = dim
 
     def embed(self, texts: list[str]) -> np.ndarray:
+        import numpy as np
+
         out = np.empty((len(texts), self.dim), dtype=np.float64)
         for i, text in enumerate(texts):
             digest = hashlib.sha256(text.encode("utf-8")).digest()
@@ -282,6 +286,8 @@ class HttpEmbeddingBackend(_HttpBackend, EmbeddingBackend):
 
 
 def _unit_rows(body: dict) -> np.ndarray:
+    import numpy as np
+
     matrix = np.asarray([item["embedding"] for item in body["data"]], dtype=np.float64)
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
@@ -331,12 +337,8 @@ class LlmGateway:
         self.transcript.record("response", {"seq": seq, "tag": tag, "content": response})
         return response
 
-    def ask(self, prompt: str, system: str | None = None, tag: str = "") -> str:
-        messages = []
-        if system:
-            messages.append(ChatMessage("system", system))
-        messages.append(ChatMessage("user", prompt))
-        return self.chat(messages, tag=tag)
+    def ask(self, prompt: str, tag: str = "") -> str:
+        return self.chat([ChatMessage("user", prompt)], tag=tag)
 
     def embed(self, texts: list[str]) -> np.ndarray:
         if self.embedder is None:

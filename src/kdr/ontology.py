@@ -38,6 +38,10 @@ ROOTS = {ENTITY_ROOT: "entity", EVENT_ROOT: "event"}
 # by a name, event instances by their trigger phrase.
 MANDATORY_SLOT = {"entity": "name", "event": "trigger"}
 
+# Candidate neighbours retrieved when placing a new concept (kdr.alignment);
+# kept here so the CLI can show it without importing numpy.
+DEFAULT_K = 10
+
 ROOT_DESCRIPTIONS = {
     ENTITY_ROOT: "Base concept for all entities.",
     EVENT_ROOT: "Base concept for all events.",

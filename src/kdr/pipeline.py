@@ -13,6 +13,7 @@ import functools
 import html.parser
 import json
 import logging
+import math
 import os
 import re
 import shutil
@@ -20,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import alignment
 from . import knowledge_store as ks
 from . import ontology as onto
 from . import reasoning as rs
@@ -238,6 +238,8 @@ def _merge_proposal_into_graph(
 ) -> tuple[onto.OntologyGraph, list[str]]:
     """Add proposed concepts; root-parented ones go through alignment when the
     graph already holds same-kind concepts and a backend is available."""
+    from . import alignment  # imports numpy, so it loads only when a proposal needs aligning
+
     notes: list[str] = []
     fresh = onto.graph_from_document(document)
     aligner = alignment.make_llm_aligner(gateway) if gateway else None
@@ -612,19 +614,37 @@ def load_config(path: str | None = None) -> dict:
     return document
 
 
-def cycle_config_from(config: dict) -> rs.CycleConfig:
+# Every limits key and the smallest integer it takes; wall_seconds instead
+# takes any number above 0.
+LIMIT_MINIMUMS = {"max_iterations": 1, "hops": 0, "wall_seconds": None, "output_bytes": 1,
+                  "search_limit": 1, "max_rounds": 1, "search_hits": 1, "workers": 1}
+
+
+def limits_from(config: dict) -> dict:
+    """The config's limits, each checked for type and range before any model call."""
     limits = config.get("limits", {})
-    allowed = {"max_iterations", "hops", "wall_seconds", "output_bytes", "search_limit"}
-    unknown = set(limits) - allowed - {"max_rounds", "search_hits", "workers"}
+    if not isinstance(limits, dict):
+        raise SchemaViolation(f"limits must be an object, got {limits!r}")
+    unknown = set(limits) - set(LIMIT_MINIMUMS)
     if unknown:
         raise SchemaViolation(f"unknown limit keys: {sorted(unknown)}")
-    kwargs = {k: limits[k] for k in allowed if k in limits}
-    return rs.CycleConfig(**kwargs)
+    for key, value in limits.items():
+        low = LIMIT_MINIMUMS[key]
+        if low is None:
+            ok, wanted = isinstance(value, (int, float)) and 0 < value < math.inf, "a number > 0"
+        else:
+            ok, wanted = isinstance(value, int) and value >= low, f"an integer >= {low}"
+        if isinstance(value, bool) or not ok:
+            raise SchemaViolation(f"limits.{key} must be {wanted}, got {value!r}")
+    return limits
+
+
+def cycle_config_from(config: dict) -> rs.CycleConfig:
+    limits = limits_from(config)
+    return rs.CycleConfig(**{k: v for k, v in limits.items()
+                             if k in rs.CycleConfig.__dataclass_fields__})
 
 
 def workers_from(config: dict) -> int:
     """limits.workers: how many extraction jobs, report sections or taxonomy leaves overlap."""
-    workers = config.get("limits", {}).get("workers", DEFAULT_WORKERS)
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise SchemaViolation(f"limits.workers must be an integer >= 1, got {workers!r}")
-    return workers
+    return limits_from(config).get("workers", DEFAULT_WORKERS)

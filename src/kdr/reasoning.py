@@ -459,6 +459,11 @@ class _SandboxServer:
         raise SandboxUnavailable("the sandbox server ended before reporting a result")
 
 
+def _file_stamps(root: Path) -> dict[Path, tuple[int, int]]:
+    stats = {path: path.stat() for path in root.rglob("*") if path.is_file()}
+    return {path: (stat.st_size, stat.st_mtime_ns) for path, stat in stats.items()}
+
+
 _SANDBOX = _SandboxServer()
 atexit.register(_SANDBOX.close)
 
@@ -479,13 +484,14 @@ def execute_script(
     environment it started with; `random` reseeds at fork. The child gets a
     network-disabling shim, which is a courtesy guard against accidental
     calls, not a security boundary. The workdir's path reads as "." in the
-    output. New files under the workdir are cataloged with a kind guess.
+    output. New or rewritten files under the workdir (by size and
+    modification time) are cataloged with a kind guess.
     """
     root = Path(workdir).absolute()  # the child runs inside it, so relative paths would break
     root.mkdir(parents=True, exist_ok=True)
     script_path = root / "script.py"
     script_path.write_text(_with_guard(script), encoding="utf-8")
-    before = {p for p in root.rglob("*") if p.is_file()}
+    before = _file_stamps(root)
 
     (timed_out, exit_code), stdout, stderr = _SANDBOX.run(
         str(script_path), str(root), wall_seconds)
@@ -496,9 +502,10 @@ def execute_script(
         status = "ok" if exit_code == 0 else "error"
 
     produced = []
-    for path in sorted(p for p in root.rglob("*") if p.is_file() and p not in before):
-        rel = str(path.relative_to(root))
-        produced.append((rel, _guess_kind(rel)))
+    for path, stamp in sorted(_file_stamps(root).items()):
+        if before.get(path) != stamp:
+            rel = str(path.relative_to(root))
+            produced.append((rel, _guess_kind(rel)))
     return ExecutionResult(
         exit_status=status,
         stdout=_truncate(_mask_workdir(stdout, root), output_bytes),

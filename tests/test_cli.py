@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,6 +52,16 @@ def test_unknown_flag_is_user_error(capsys):
     assert rc == 1
     assert "bogus" in err
 
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, kdr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 # -- organize ------------------------------------------------------------------------
 
@@ -468,6 +481,22 @@ def test_eval_taxonomy_bad_workers_is_user_error(capsys, tmp_path):
     assert rc == 1
     assert "workers" in err
 
+
+@pytest.mark.parametrize("limits", [
+    {"wall_seconds": "30"}, {"max_iterations": "2"}, {"search_limit": "5"},
+    {"output_bytes": "x"}, {"hops": -1}, {"max_rounds": "3"}, {"search_hits": 0},
+])
+def test_research_bad_limit_is_user_error_before_any_model_call(capsys, tmp_path, limits):
+    kb, _ = organize(capsys, tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"limits": limits}))
+    transcript = tmp_path / "calls.jsonl"
+    rc, _, err = run(capsys, "research", "--task", "Early computing", "--kb", kb,
+                     "--out", str(tmp_path / "run"), "--mock", E2E_MOCK,
+                     "--config", str(config), "--transcript", str(transcript))
+    assert rc == 1
+    assert err.count("error:") == 1 and f"limits.{next(iter(limits))}" in err
+    assert not transcript.exists() or transcript.read_text() == ""
 
 def test_no_backend_configured_is_runtime_error(capsys, tmp_path, monkeypatch):
     for var in ("KDR_LLM_ENDPOINT", "KDR_LLM_API_KEY", "KDR_LLM_MODEL"):

@@ -1,6 +1,10 @@
 """Store behavior: merge laws, queries, subgraph walks, code rendering, persistence."""
 
+import copy
 import math
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -380,3 +384,232 @@ def test_list_merge_is_set_union_regardless_of_direction(first, second, ts):
     assert set(ab.live("papers")) == set(ba.live("papers"))
     again = ks.merge_objects(ab, b, graph)
     assert again.live("papers") == ab.live("papers")
+
+
+# -- lookup views against brute force --------------------------------------------------
+# The references below are the store's lookups as whole-store scans, built anew
+# on every call; the store serves the same lookups from views it keeps between
+# changes, so any view that outlives a change shows up as a mismatch.
+
+
+def _text_of(obj):
+    parts = [obj.display_name]
+    for values in obj.slots.values():
+        for sv in values:
+            if isinstance(sv.value, str):
+                parts.append(sv.value)
+    return " ".join(parts)
+
+
+def reference_exact(store, name):
+    wanted = ks.normalize_name(name)
+    matches = [o for o in store.objects.values() if ks.normalize_name(o.display_name) == wanted]
+    return [o.id for o in sorted(matches, key=lambda o: (o.display_name, o.id))]
+
+
+def reference_fuzzy(store, name):
+    query_tokens = set(tokenize(name))
+    scored = []
+    for obj in store.objects.values():
+        overlap = len(query_tokens & set(tokenize(_text_of(obj))))
+        if overlap:
+            scored.append((obj, overlap))
+    scored.sort(key=lambda pair: (-pair[1], pair[0].display_name, pair[0].id))
+    return [obj.id for obj, _ in scored]
+
+
+def reference_fulltext(store, query, limit):
+    index = InvertedIndex()
+    for obj_id in sorted(store.objects):
+        index.add(obj_id, _text_of(store.objects[obj_id]))
+    return index.search(query, limit=limit)
+
+
+def reference_subgraph(store, seed_ids, hops):
+    inbound = {}
+    for obj_id in sorted(store.objects):
+        for attr in sorted(store.objects[obj_id].slots):
+            for sv in store.objects[obj_id].slots[attr]:
+                if isinstance(sv.value, ks.Ref):
+                    inbound.setdefault(sv.value.id, []).append(obj_id)
+    seen = dict.fromkeys(seed_ids)
+    frontier = list(seed_ids)
+    for _ in range(hops):
+        next_frontier = []
+        for obj_id in frontier:
+            obj = store.objects[obj_id]
+            neighbors = []
+            for attr in sorted(obj.slots):
+                for sv in obj.slots[attr]:
+                    if isinstance(sv.value, ks.Ref) and sv.value.id in store.objects:
+                        neighbors.append(sv.value.id)
+            neighbors.extend(inbound.get(obj_id, []))
+            for n in neighbors:
+                if n not in seen:
+                    seen[n] = None
+                    next_frontier.append(n)
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    return list(seen)
+
+
+def reference_groups(store):
+    by_name = {}
+    for obj in store.objects.values():
+        by_name.setdefault(ks.normalize_name(obj.display_name), []).append(obj.id)
+    return {name: sorted(ids) for name, ids in by_name.items()}
+
+
+def reference_settle(graph, objects):
+    """Resolve ref-slot strings in place over a copy of the objects; returns the count."""
+    by_name = {}
+    for obj in objects.values():
+        by_name.setdefault(ks.normalize_name(obj.display_name), []).append((obj.id, obj.concept))
+    resolved = 0
+    for obj in objects.values():
+        specs = ks._attr_specs(graph, obj.concept)
+        for attr, values in obj.slots.items():
+            base, _ = ontology.parse_type_token(specs[attr].type)
+            if base in ontology.SCALAR_BASES:
+                continue
+            target = graph.resolve(base, obj.concept.rsplit(".", 1)[0])
+            for sv in values:
+                if not isinstance(sv.value, str):
+                    continue
+                hits = [i for i, q in by_name.get(ks.normalize_name(sv.value), ())
+                        if q == target or graph.is_descendant(q, target)
+                        or target in graph.equivalence_class(q)]
+                if hits:
+                    sv.value = ks.Ref(min(hits))
+                    resolved += 1
+    return resolved
+
+
+def views_graph():
+    g = research_graph()
+    g = add_concept(g, Concept("Scientist", "NER", "entity", "Person", "A researcher."))
+    g = add_concept(g, Concept("Agent", "NER", "entity", "Entity", "Acts for others."))
+    g = add_concept(g, Concept("Human", "NER", "entity", "Entity", "A human being.",
+                               equivalents=["Agent"]))
+    return add_concept(g, Concept("Lab", "NER", "entity", "Entity", "A laboratory.",
+                                  attributes=[AttributeSpec("head", "Human")]))
+
+
+BASE_NAMES = ["Ada Lovelace", "Charles Babbage", "Grace", "Mary Somerville", "Lab One"]
+
+names = st.builds(
+    lambda base, case, gap, left, right: left + getattr(base, case)().replace(" ", gap) + right,
+    st.sampled_from(BASE_NAMES), st.sampled_from(["strip", "upper", "lower", "title"]),
+    st.sampled_from([" ", "  ", "\t"]), st.sampled_from(["", " ", "(", "'"]),
+    st.sampled_from(["", ".", "!", ")", ", "]),
+)
+queries = st.one_of(names, st.sampled_from(["lovelace grace", "Babbage!", "engine", "zzz",
+                                            "analytical Engine", "Paris"]))
+ingests = st.one_of(
+    st.tuples(st.just("NER.Person"), names,
+              st.fixed_dictionaries({}, optional={
+                  "advisor": names, "affiliation": st.sampled_from(["Analytical Engine", "Paris"]),
+                  "papers": st.lists(st.sampled_from(["engine notes", "grace"]), max_size=2)})),
+    st.tuples(st.just("NER.Scientist"), names, st.fixed_dictionaries({}, optional={
+        "advisor": names})),
+    st.tuples(st.just("NER.Human"), names, st.just({})),
+    st.tuples(st.just("NER.Lab"), names, st.fixed_dictionaries({}, optional={"head": names})),
+    st.tuples(st.just("NER.Org"), names, st.fixed_dictionaries({}, optional={
+        "members": st.lists(names, max_size=3)})),
+)
+operations = st.lists(st.one_of(
+    st.tuples(st.just("ingest"), ingests),
+    st.tuples(st.just("settle"), st.none()),
+    st.tuples(st.just("exact"), queries),
+    st.tuples(st.just("fuzzy"), queries),
+    st.tuples(st.just("fulltext"), st.tuples(queries, st.integers(1, 4))),
+    st.tuples(st.just("subgraph"), st.tuples(st.integers(0, 50), st.integers(0, 3))),
+    st.tuples(st.just("groups"), st.none()),
+), max_size=30)
+
+
+@given(ops=operations)
+@settings(max_examples=150, deadline=None)
+def test_lookups_match_brute_force_across_ingest_and_settle(ops):
+    graph = views_graph()
+    store = ks.KnowledgeStore(graph)
+    for step, (op, arg) in enumerate(ops):
+        if op == "ingest":
+            concept, name, slots = arg
+            store.ingest(ks.make_object(graph, concept, name, slots, [(f"s{step}", step)]))
+        elif op == "settle":
+            expected = {i: copy.deepcopy(o) for i, o in store.objects.items()}
+            count = reference_settle(graph, expected)
+            assert store.settle() == count
+            assert store.objects == expected
+        elif op == "exact":
+            assert [o.id for o in store.query_by_name(arg)] == reference_exact(store, arg)
+        elif op == "fuzzy":
+            assert [o.id for o in store.query_by_name(arg, fuzzy=True)] == reference_fuzzy(store, arg)
+        elif op == "fulltext":
+            query, limit = arg
+            assert store.fulltext_search(query, limit) == reference_fulltext(store, query, limit)
+        elif op == "subgraph" and store.objects:
+            pick, hops = arg
+            seed = sorted(store.objects)[pick % len(store.objects)]
+            got = [o.id for o in store.subgraph([seed], hops=hops)]
+            assert got == reference_subgraph(store, [seed], hops)
+        elif op == "groups":
+            assert {n: sorted(ids) for n, ids in store.ids_by_name().items()} == \
+                reference_groups(store)
+
+
+def test_concurrent_lookups_build_each_view_once(monkeypatch):
+    graph = views_graph()
+
+    def fill(store):
+        people = [person(graph, f"Person {i}", affiliation=f"Lab {i % 7}",
+                         advisor=f"Person {(i * 5) % 60}") for i in range(60)]
+        store.ingest_all(people)
+        store.settle()
+        return store
+
+    def lookups(store):
+        out = []
+        for i in range(0, 60, 6):
+            out.append([o.id for o in store.query_by_name(f"person {i}")])
+            out.append([o.id for o in store.query_by_name(f"lab {i % 7}", fuzzy=True)])
+            seed = store.query_by_name(f"Person {i}")[0].id
+            out.append([o.id for o in store.subgraph([seed], hops=2)])
+        return out
+
+    serial = lookups(fill(ks.KnowledgeStore(graph)))
+    store = fill(ks.KnowledgeStore(graph))
+    builds = []
+    for name in ("_names", "_tokens", "_inbound"):
+        original = getattr(ks.KnowledgeStore, name)
+
+        def counted(self, _original=original):
+            builds.append(_original.__name__)
+            time.sleep(0.01)  # widen the window in which a second build could start
+            return _original(self)
+
+        counted.__name__ = original.__name__
+        monkeypatch.setattr(ks.KnowledgeStore, name, counted)
+
+    barrier = threading.Barrier(8)
+    results = [None] * 8
+
+    def worker(slot):
+        barrier.wait(timeout=10)
+        results[slot] = lookups(store)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result == serial for result in results)
+    assert sorted(builds) == ["_inbound", "_names", "_tokens"]

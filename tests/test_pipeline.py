@@ -500,6 +500,27 @@ def test_run_research_exhausted_cycle_leaves_caveat(tmp_path):
     assert "background material only" in body
 
 
+def test_run_research_rerun_without_section_results_keeps_artifacts(tmp_path):
+    graph, store = organized(tmp_path)
+    backend = FixtureSearchBackend(str(FIXTURES / "webcorpus"))
+    run_dir = tmp_path / "run"
+
+    def research():
+        return pl.run_research(research_task(tmp_path), graph, store, e2e_gateway(),
+                               search_backend=backend, run_dir=str(run_dir),
+                               generated_at="2026-01-01T00:00:00Z")
+
+    research()
+    first = (run_dir / "report.md").read_text()
+    for result in run_dir.glob("sections/*/result.json"):
+        result.unlink()
+    doc = research()
+    assert len(doc.sections[1].artifacts) == 1
+    assert (run_dir / "report.md").read_text() == first
+    assert "artifacts/s2_birth_years.csv" in first
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["artifact_count"] == 1
+
 def test_run_research_keeps_each_requests_artifacts_apart(tmp_path):
     # two analysis requests in one section both write counts.csv
     graph, store = organized(tmp_path)
@@ -610,3 +631,28 @@ def test_load_config_missing_env_means_defaults(monkeypatch):
     assert pl.load_config() == {}
     cfg = pl.cycle_config_from({})
     assert cfg.max_iterations == 3
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("max_iterations", "2"), ("max_iterations", 0), ("max_iterations", 2.0),
+    ("hops", -1), ("hops", True), ("wall_seconds", "30"), ("wall_seconds", 0),
+    ("wall_seconds", -1.5), ("wall_seconds", float("nan")), ("wall_seconds", False),
+    ("output_bytes", "x"), ("search_limit", "5"), ("max_rounds", 0),
+    ("search_hits", "3"), ("workers", 1.5),
+])
+def test_every_limit_is_checked_for_type_and_range(key, bad):
+    config = {"limits": {key: bad}}
+    with pytest.raises(SchemaViolation, match=f"limits.{key}"):
+        pl.cycle_config_from(config)
+    with pytest.raises(SchemaViolation, match=f"limits.{key}"):
+        pl.workers_from(config)
+
+
+def test_limits_accept_their_smallest_values():
+    config = {"limits": {"max_iterations": 1, "hops": 0, "wall_seconds": 0.5,
+                         "output_bytes": 1, "search_limit": 1, "max_rounds": 1,
+                         "search_hits": 1, "workers": 1}}
+    cfg = pl.cycle_config_from(config)
+    assert (cfg.max_iterations, cfg.hops, cfg.wall_seconds) == (1, 0, 0.5)
+    assert pl.workers_from(config) == 1
+    assert pl.cycle_config_from({"limits": {"wall_seconds": 7}}).wall_seconds == 7

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -497,6 +498,17 @@ def test_computation_cycle_objects_override_skips_topic_query(tmp_path):
     assert "Charles Babbage" in trace.iterations[0].execution.stdout
     assert all("List the topic entities" not in c for c in gw.chat_backend.calls)
 
+
+def test_execute_script_catalogs_rewritten_files_too(tmp_path):
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    (workdir / "notes.txt").write_text("left alone\n")
+    script = "open('counts.csv', 'w').write('kind,count\\nA,1\\n')\n"
+    first = rs.execute_script(script, str(workdir))
+    time.sleep(0.05)  # past the file system's timestamp tick
+    second = rs.execute_script(script, str(workdir))
+    assert first.produced_files == [("counts.csv", "table")]
+    assert second.produced_files == [("counts.csv", "table")]
 
 def test_computation_cycle_collects_artifacts(tmp_path):
     graph = science_graph()
