@@ -101,13 +101,8 @@ def _load_kb(kb_path: str, ontology_path: str | None):
 
 
 def _object_record(obj: ks.KnowledgeObject) -> dict:
-    return {
-        "id": obj.id,
-        "concept": obj.concept,
-        "display_name": obj.display_name,
-        "slots": {attr: ks._slot_to_json(v) for attr, v in obj.slots.items()},
-        "provenance": [[s, ts] for s, ts in obj.provenance],
-    }
+    row = ks.object_row(obj)
+    return {key: row[key] for key in ("id", "concept", "display_name", "slots", "provenance")}
 
 
 # -- organize ---------------------------------------------------------------------------

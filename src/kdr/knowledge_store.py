@@ -27,6 +27,7 @@ from .errors import (
     UnknownId,
     UnrenderableValue,
 )
+from .files import write_file
 from .textindex import InvertedIndex, tokenize
 
 
@@ -370,14 +371,13 @@ class KnowledgeStore:
 # -- declaration-code rendering -------------------------------------------------------
 
 
-def _render_literal(value: object, var_of: dict[str, str], resolve_external) -> str:
+def _render_literal(value: object, var_of: dict[str, str], resolve) -> str:
     if isinstance(value, Ref):
         if value.id in var_of:
             return var_of[value.id]
-        if resolve_external is not None:
-            name = resolve_external(value.id)
-            if name is not None:
-                return json.dumps(name, ensure_ascii=False)
+        name = resolve(value.id)
+        if name is not None:
+            return json.dumps(name, ensure_ascii=False)
         raise UnrenderableValue(f"reference to {value.id!r} cannot be rendered")
     if isinstance(value, bool):
         raise UnrenderableValue(f"boolean {value!r} has no attribute type")
@@ -489,23 +489,22 @@ def _slot_from_json(raw: list, attr: str, line_number: int) -> list[SlotValue]:
     return values
 
 
+def object_row(obj: KnowledgeObject) -> dict:
+    """The object as one JSON-ready KB line, the form `save` writes and `load` reads."""
+    return {
+        "id": obj.id,
+        "concept": obj.concept,
+        "display_name": obj.display_name,
+        "slots": {attr: _slot_to_json(v) for attr, v in obj.slots.items()},
+        "provenance": [[s, ts] for s, ts in obj.provenance],
+        "updated_at": obj.updated_at,
+        "history": [[attr, value, ts] for attr, value, ts in obj.history],
+    }
+
+
 def save(store: KnowledgeStore, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            for obj_id in store.objects:
-                obj = store.objects[obj_id]
-                row = {
-                    "id": obj.id,
-                    "concept": obj.concept,
-                    "display_name": obj.display_name,
-                    "slots": {attr: _slot_to_json(v) for attr, v in obj.slots.items()},
-                    "provenance": [[s, ts] for s, ts in obj.provenance],
-                    "updated_at": obj.updated_at,
-                    "history": [[attr, value, ts] for attr, value, ts in obj.history],
-                }
-                handle.write(json.dumps(row, ensure_ascii=False) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_file(path, (json.dumps(object_row(obj), ensure_ascii=False) + "\n"
+                      for obj in store.objects.values()))
 
 
 _ROW_KEYS = {"id", "concept", "display_name", "slots", "provenance", "updated_at", "history"}

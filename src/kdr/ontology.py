@@ -29,6 +29,7 @@ from .errors import (
     UnknownConcept,
     UnknownParent,
 )
+from .files import write_json
 
 ENTITY_ROOT = "Entity"
 EVENT_ROOT = "Event"
@@ -654,6 +655,4 @@ def load_ontology(path: str) -> OntologyGraph:
 
 
 def save_ontology(graph: OntologyGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(graph_to_document(graph), handle, indent=2, ensure_ascii=False)
-        handle.write("\n")
+    write_json(path, graph_to_document(graph))

@@ -34,6 +34,7 @@ from .errors import (
     UnparseableProposal,
 )
 from .extraction import ExtractionReport, ExtractionRequest, extract, strip_code_fence
+from .files import write_file, write_json
 from .knowledge_store import KnowledgeStore
 from .llm_gateway import LlmGateway
 
@@ -99,14 +100,10 @@ def propose_ontology(
         proposal.graph  # schema check
     except (json.JSONDecodeError, KdrError) as exc:
         if review_path:
-            Path(review_path).parent.mkdir(parents=True, exist_ok=True)
-            Path(f"{review_path}.raw").write_text(response, encoding="utf-8")
+            write_file(f"{review_path}.raw", response)
         raise UnparseableProposal(f"proposal rejected: {exc}") from exc
     if review_path:
-        Path(review_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(review_path).write_text(
-            json.dumps(proposal.document, indent=2, ensure_ascii=False) + "\n",
-            encoding="utf-8")
+        write_json(review_path, proposal.document)
     return proposal
 
 
@@ -363,9 +360,7 @@ def run_organization(
         ks.save(store, task.kb_path)
         onto.save_ontology(graph, f"{task.kb_path}.ontology.json")
     if run_dir:
-        Path(run_dir).mkdir(parents=True, exist_ok=True)
-        (Path(run_dir) / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+        write_json(Path(run_dir) / "manifest.json", manifest)
     return graph, store, manifest
 
 
@@ -426,17 +421,15 @@ def run_research(
     """
     cfg = cfg or rs.CycleConfig()
     run = Path(run_dir) if run_dir else Path("runs") / time.strftime("%Y%m%d-%H%M%S")
-    run.mkdir(parents=True, exist_ok=True)
 
     plan_text = gateway.ask(
         templates.PLAN_PROMPT.format(title=task.topic, request=task.topic), tag="plan")
-    (run / "plan.txt").write_text(plan_text, encoding="utf-8")
+    write_file(run / "plan.txt", plan_text)
     plans = rs.parse_decomposition(plan_text)
 
     def run_section(numbered: tuple[int, rs.CyclePlan]) -> tuple[Section, list]:
         n, plan = numbered
         section_dir = run / "sections" / str(n)
-        section_dir.mkdir(parents=True, exist_ok=True)
         digest = _section_hash(plan)
         cached = _load_section_cache(section_dir / "result.json", digest)
         if cached is not None:
@@ -501,13 +494,13 @@ def run_research(
         if caveats:
             body = (body + "\n\n" if body else "") + "\n\n".join(caveats)
 
-        (section_dir / "result.json").write_text(json.dumps({
+        write_json(section_dir / "result.json", {
             "hash": digest,
             "title": plan.section_title,
             "body": body,
             "artifacts": artifacts,
             "sources": section_sources,
-        }, indent=2, ensure_ascii=False), encoding="utf-8")
+        })
         return Section(plan.section_title, body, artifacts), section_sources
 
     sections: list[Section] = []
@@ -530,14 +523,14 @@ def run_research(
     doc = ReportDocument(title=task.topic, sections=sections,
                          sources=all_sources, generated_at=stamp)
     report_path = assemble_report(doc, str(run))
-    (run / "manifest.json").write_text(json.dumps({
+    write_json(run / "manifest.json", {
         "topic": task.topic,
         "sections": [s.title for s in sections],
         "artifact_count": sum(len(s.artifacts) for s in sections),
         "source_count": len(all_sources),
         "report": str(report_path),
         "generated_at": stamp,
-    }, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    })
     return doc
 
 
@@ -552,10 +545,6 @@ def assemble_report(doc: ReportDocument, out_dir: str) -> str:
     if not doc.sections:
         raise ValueError("report has no sections")
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create report directory {out_dir!r}: {exc}") from exc
     artifacts_dir = out / "artifacts"
     lines: list[str] = [f"# {doc.title}", ""]
     if doc.generated_at:
@@ -584,15 +573,15 @@ def assemble_report(doc: ReportDocument, out_dir: str) -> str:
                 else:
                     lines.append(f"[{src.name}]({rel})")
                 lines.append("")
-        lines += ["## Sources", ""]
-        if doc.sources:
-            lines += [f"- [{title}]({url})" for title, url in doc.sources]
-        else:
-            lines.append("- (none)")
-        report_path = out / "report.md"
-        report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot write report under {out_dir!r}: {exc}") from exc
+    lines += ["## Sources", ""]
+    if doc.sources:
+        lines += [f"- [{title}]({url})" for title, url in doc.sources]
+    else:
+        lines.append("- (none)")
+    report_path = out / "report.md"
+    write_file(report_path, "\n".join(lines) + "\n")
     return str(report_path)
 
 

@@ -36,6 +36,7 @@ from .errors import (
     UnbalancedTags,
 )
 from .extraction import strip_code_fence
+from .files import write_file, write_json
 from .knowledge_store import KnowledgeObject, KnowledgeStore
 from .llm_gateway import LlmGateway
 from .textindex import InvertedIndex, tokenize
@@ -488,9 +489,8 @@ def execute_script(
     modification time) are cataloged with a kind guess.
     """
     root = Path(workdir).absolute()  # the child runs inside it, so relative paths would break
-    root.mkdir(parents=True, exist_ok=True)
     script_path = root / "script.py"
-    script_path.write_text(_with_guard(script), encoding="utf-8")
+    write_file(script_path, _with_guard(script))
     before = _file_stamps(root)
 
     (timed_out, exit_code), stdout, stderr = _SANDBOX.run(
@@ -653,11 +653,11 @@ def run_computation_cycle(
         trace.final_status = status
         trace.reason = reason
         if trace_path:
-            Path(trace_path).parent.mkdir(parents=True, exist_ok=True)
-            Path(trace_path).write_text(
-                json.dumps(trace.to_json(), indent=2, ensure_ascii=False), encoding="utf-8"
-            )
+            write_json(trace_path, trace.to_json())
         return trace
+
+    def resolve(ref_id: str):
+        return store.objects[ref_id].display_name if ref_id in store.objects else None
 
     # neither the graph nor the query changes between iterations
     if concepts_override is not None:
@@ -694,9 +694,6 @@ def run_computation_cycle(
 
         closure = class_closure(graph, hit_names + [o.concept for o in objects])
         class_codes = [onto.render_class_code(graph, q) for q in closure]
-
-        def resolve(ref_id: str):
-            return store.objects[ref_id].display_name if ref_id in store.objects else None
 
         script = assemble_script(class_codes, objects, code, graph, resolve)
         iter_dir = base / f"iter{iteration}"

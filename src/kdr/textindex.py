@@ -7,11 +7,13 @@ concept search. Scoring is pinned so rankings stay reproducible:
                tf(t, d) * (1 + ln(N / df(t)))
 
 Only documents containing at least one query token are returned, ordered by
-score descending with document id as the tiebreak.
+score descending with document id as the tiebreak. A limit keeps the first
+`limit` of that order, selected with a heap: the same as sorting, then slicing.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from collections import Counter
@@ -24,6 +26,10 @@ def tokenize(text: str) -> list[str]:
     """Lowercase word tokens; camelCase and snake_case are split apart."""
     spaced = re.sub(r"(?<=[a-z0-9])(?=[A-Z])", " ", text)
     return _TOKEN_RE.findall(spaced.lower())
+
+
+def _rank(item: tuple[str, float]) -> tuple[float, str]:
+    return -item[1], item[0]
 
 
 @dataclass
@@ -55,5 +61,6 @@ class InvertedIndex:
             idf = 1.0 + math.log(n / len(docs))
             for doc_id, tf in docs.items():
                 scores[doc_id] = scores.get(doc_id, 0.0) + tf * idf
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[:limit] if limit is not None else ranked
+        if limit is None:
+            return sorted(scores.items(), key=_rank)
+        return heapq.nsmallest(limit, scores.items(), key=_rank)

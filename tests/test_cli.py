@@ -229,6 +229,19 @@ def test_align_places_concept(capsys, tmp_path):
     assert "NEW.Wolf" in expanded.concepts
 
 
+def test_align_save_creates_a_missing_directory(capsys, tmp_path):
+    ontology = animal_ontology(tmp_path)
+    mock = tmp_path / "mock.json"
+    mock.write_text(json.dumps({"rules": [
+        {"match": "class Wolf", "responses": ["Mammal: parent_of_query"]}]}))
+    saved = tmp_path / "missing" / "x.json"
+    rc, _, err = run(capsys, "align", "--ontology", ontology,
+                     "--name", "Wolf", "--description", "A wild canid.",
+                     "--save", str(saved), "--mock", str(mock))
+    assert rc == 0, err
+    assert "NEW.Wolf" in onto.load_ontology(str(saved)).concepts
+
+
 def test_align_rejects_bad_name(capsys, tmp_path):
     ontology = animal_ontology(tmp_path)
     rc, _, err = run(capsys, "align", "--ontology", ontology,

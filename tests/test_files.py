@@ -1,0 +1,210 @@
+"""The one file writer: whole-file replacement, modes, threads, failures."""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+from kdr import files
+from kdr import knowledge_store as ks
+from kdr import ontology as onto
+from kdr import pipeline as pl
+from kdr.errors import IoFailure
+from kdr.llm_gateway import LlmGateway, MockChatBackend, MockEmbeddingBackend, Transcript
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(files.__file__).parent
+
+
+def e2e_gateway():
+    script = json.loads((FIXTURES / "e2e_mock.json").read_text())
+    return LlmGateway(MockChatBackend.from_script(script),
+                      MockEmbeddingBackend(), Transcript(None))
+
+
+def temp_files(root: Path) -> list[Path]:
+    return sorted(root.rglob("*.tmp"))
+
+
+def test_failed_replace_leaves_old_kb_ontology_and_manifest(tmp_path, monkeypatch):
+    gw = e2e_gateway()
+    pl.propose_ontology("Early computing", "s", gw, review_path=str(tmp_path / "p.json"))
+    proposal = pl.review_gate(str(tmp_path / "p.json"), approve=True)
+    kb = tmp_path / "kb.jsonl"
+    ontology = tmp_path / "kb.jsonl.ontology.json"
+    manifest = tmp_path / "run" / "manifest.json"
+    task = pl.ResearchTask("Early computing", "organize",
+                           corpus_path=str(FIXTURES / "corpus"), kb_path=str(kb))
+    graph, store, _ = pl.run_organization(task, proposal, gw, run_dir=str(tmp_path / "run"))
+    assert store.objects
+    before = {path: path.read_bytes() for path in (kb, ontology, manifest)}
+
+    def crash(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(IoFailure, match="cannot write"):
+        ks.save(ks.KnowledgeStore(graph), str(kb))
+    with pytest.raises(IoFailure, match="cannot write"):
+        onto.save_ontology(onto.empty_graph(), str(ontology))
+    other = pl.ResearchTask("Another topic", "organize", corpus_path=str(FIXTURES / "corpus"))
+    with pytest.raises(IoFailure, match="cannot write"):
+        pl.run_organization(other, proposal, gw, run_dir=str(tmp_path / "run"))
+    assert {path: path.read_bytes() for path in before} == before
+    assert temp_files(tmp_path) == []
+
+
+def test_an_error_between_pieces_keeps_the_old_file(tmp_path):
+    path = tmp_path / "doc.txt"
+    files.write_file(path, "old\n")
+
+    def pieces():
+        yield "new "
+        raise ValueError("encoder broke")
+
+    with pytest.raises(ValueError):
+        files.write_file(path, pieces())
+    assert path.read_text() == "old\n"
+    assert temp_files(tmp_path) == []
+
+
+def test_saved_kb_follows_the_umask_in_a_new_directory(tmp_path):
+    graph = onto.empty_graph()
+    path = tmp_path / "new" / "dir" / "kb.jsonl"
+    old = os.umask(0o022)
+    try:
+        ks.save(ks.KnowledgeStore(graph), str(path))
+        onto.save_ontology(graph, f"{path}.ontology.json")
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == 0o644
+    assert Path(f"{path}.ontology.json").stat().st_mode & 0o777 == 0o644
+
+
+def test_threads_writing_one_directory_leave_whole_files_and_no_temp_files(tmp_path):
+    texts = {i: f"thread {i}\n" * (1000 + i) for i in range(8)}
+    errors: list[BaseException] = []
+    barrier = threading.Barrier(8)
+
+    def writer(i: int) -> None:
+        try:
+            barrier.wait(timeout=10)
+            for _ in range(20):
+                files.write_file(tmp_path / f"own_{i}.txt", texts[i])
+                files.write_file(tmp_path / "shared.txt", texts[i])
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert all((tmp_path / f"own_{i}.txt").read_text() == texts[i] for i in texts)
+    assert (tmp_path / "shared.txt").read_text() in texts.values()
+    assert temp_files(tmp_path) == []
+
+
+@pytest.mark.parametrize("save", [
+    lambda path: ks.save(ks.KnowledgeStore(onto.empty_graph()), path),
+    lambda path: onto.save_ontology(onto.empty_graph(), path),
+    lambda path: files.write_json(path, {"a": 1}),
+], ids=["kb", "ontology", "json"])
+def test_parent_that_is_a_regular_file_raises_io_failure(tmp_path, save):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    with pytest.raises(IoFailure, match="cannot write"):
+        save(str(blocker / "out.json"))
+    assert blocker.read_text() == "not a directory"
+
+
+def test_write_json_layout(tmp_path):
+    files.write_json(tmp_path / "doc.json", {"name": "Ada Lovelace", "n": [1]})
+    assert (tmp_path / "doc.json").read_text(encoding="utf-8") == (
+        '{\n  "name": "Ada Lovelace",\n  "n": [\n    1\n  ]\n}\n')
+
+
+# -- one writer ------------------------------------------------------------------
+
+_WRITE_MODE_CHARS = set("wxa+")
+# (module, enclosing function) pairs allowed to write outside files.py
+_ALLOWED = {("llm_gateway.py", "Transcript.record")}
+
+
+class _WriteFinder(ast.NodeVisitor):
+    def __init__(self):
+        self.scope: list[str] = []
+        self.found: list[tuple[str, int]] = []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def visit_Call(self, node: ast.Call):
+        func = node.func
+        mode = None
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else None
+        elif (isinstance(func, ast.Attribute) and func.attr == "open"
+              and not (isinstance(func.value, ast.Name) and func.value.id == "os")):
+            mode = node.args[0] if node.args else None
+        for keyword in node.keywords:
+            if keyword.arg == "mode":
+                mode = keyword.value
+        writes = (
+            isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes")
+            or isinstance(func, ast.Attribute) and func.attr == "dump"
+            and isinstance(func.value, ast.Name) and func.value.id == "json"
+            or isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+            and bool(_WRITE_MODE_CHARS & set(mode.value))
+        )
+        if writes:
+            self.found.append((".".join(self.scope), node.lineno))
+        self.generic_visit(node)
+
+
+def test_files_is_the_only_writer():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "files.py":
+            continue
+        finder = _WriteFinder()
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        offenders += [f"{path.name}:{line} in {scope or '<module>'}"
+                      for scope, line in finder.found if (path.name, scope) not in _ALLOWED]
+    assert offenders == []
+
+
+def test_write_finder_flags_each_kind_of_write():
+    source = '''
+def f(p):
+    p.write_text("x")
+    p.write_bytes(b"x")
+    json.dump({}, handle)
+    open(p, "w")
+    open(p, mode="x")
+    p.open("a")
+    open(p, "r+b")
+    open(p)
+    open(p, "rb")
+    os.open(p, os.O_RDONLY)
+'''
+    finder = _WriteFinder()
+    finder.visit(ast.parse(source))
+    assert [line for _, line in finder.found] == [3, 4, 5, 6, 7, 8, 9]

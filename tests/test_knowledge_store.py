@@ -367,6 +367,19 @@ def test_index_ranking_matches_the_pinned_formula(docs, query):
     assert all(math.isclose(score, expected[doc]) for doc, score in ranked)
 
 
+@given(docs=st.lists(st.sampled_from(["ada", "ada engine", "engine", "loom ada", "x1"]),
+                     min_size=1, max_size=30),
+       query=st.sampled_from(["ada", "engine", "ada loom", "zz"]),
+       limit=st.integers(0, 35))
+@settings(max_examples=80, deadline=None)
+def test_index_limit_equals_sorting_then_slicing(docs, query, limit):
+    index = InvertedIndex()
+    for i, text in enumerate(docs):
+        index.add(f"d{i:02d}", text)
+    full = index.search(query)
+    assert index.search(query, limit=limit) == sorted(full, key=lambda kv: (-kv[1], kv[0]))[:limit]
+
+
 # -- property tests ------------------------------------------------------------------
 
 value_lists = st.lists(st.sampled_from(["u", "v", "w", "x", "y"]), max_size=4)
