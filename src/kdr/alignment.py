@@ -87,10 +87,10 @@ class EmbeddingIndex(Mapping):
 
 def embed_ontology(
     graph: onto.OntologyGraph,
-    backend: EmbeddingBackend,
+    backend: EmbeddingBackend | LlmGateway,
     memo: dict[str, np.ndarray] | None = None,
 ) -> EmbeddingIndex:
-    """One vector per concept, keyed by qualified name.
+    """One vector per concept, keyed by qualified name, from `backend`.embed.
 
     `memo` maps embedding texts to vectors across calls: only texts it lacks
     go to the backend, so a graph grown by one concept embeds one text.
@@ -126,7 +126,7 @@ def retrieve_candidates(
     query: onto.Concept,
     index: Mapping[str, np.ndarray],
     k: int = DEFAULT_K,
-    backend: EmbeddingBackend | None = None,
+    backend: EmbeddingBackend | LlmGateway | None = None,
     query_vector: np.ndarray | None = None,
 ) -> CandidateSet:
     """Exact top-k by cosine; ties break lexicographically; the query itself is skipped.
@@ -277,12 +277,12 @@ def align_concept(
 ) -> AlignmentOutcome:
     """Full two-stage pass for one new concept."""
     if index is None:
-        index = embed_ontology(graph, gateway.embedder)
+        index = embed_ontology(graph, gateway)
     if not index:
         outcome = expand_ontology(query, [], graph)
         outcome.note = "empty ontology; attached under the kind root"
         return outcome
-    cands = retrieve_candidates(query, index, k, backend=gateway.embedder)
+    cands = retrieve_candidates(query, index, k, backend=gateway)
     verdicts = classify_relations(query, cands, graph, gateway)
     return expand_ontology(query, verdicts, graph)
 
@@ -304,12 +304,12 @@ def make_llm_aligner(gateway: LlmGateway, k: int = DEFAULT_K):
         nonlocal cached_graph, cached_index
         with lock:
             if cached_graph is not graph:
-                cached_index = embed_ontology(graph, gateway.embedder, memo)
+                cached_index = embed_ontology(graph, gateway, memo)
                 cached_graph = graph
             index = cached_index
         verdicts = []
         if index:
-            cands = retrieve_candidates(query, index, k, backend=gateway.embedder)
+            cands = retrieve_candidates(query, index, k, backend=gateway)
             verdicts = classify_relations(query, cands, graph, gateway)
         return place_concept(query, verdicts, graph)[0]
 

@@ -18,8 +18,9 @@ from . import evalkit as ek
 from . import knowledge_store as ks
 from . import ontology as onto
 from . import pipeline as pl
-from .errors import CorruptRecord, KdrError, UserError
+from .errors import KdrError, UserError
 from .extraction import ExtractionRequest, extract
+from .files import read_json, read_jsonl, read_text
 from .llm_gateway import (
     HttpChatBackend,
     HttpEmbeddingBackend,
@@ -46,22 +47,11 @@ def _emit(payload, pretty: bool) -> None:
         print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
 
 
-def _read_jsonl(path: str) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for n, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise CorruptRecord(exc.msg, n) from exc
-    return records
-
-
-def _read_json(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+def _positive_int(text: str) -> int:
+    """argparse type for --k: ranked[:k] with k <= 0 is no top-k."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _mock_gateway_from_file(path: str, transcript: Transcript) -> LlmGateway:
@@ -214,7 +204,7 @@ def cmd_extract(args) -> int:
     graph = onto.load_ontology(args.ontology)
     if bool(args.text) == bool(args.file):
         raise ValueError("pass exactly one of --text or --file")
-    text = args.text if args.text else Path(args.file).read_text(encoding="utf-8")
+    text = args.text if args.text else read_text(args.file)
 
     if args.types:
         allowed = [t.strip() for t in args.types.split(",") if t.strip()]
@@ -238,7 +228,7 @@ def cmd_eval_taxonomy(args) -> int:
     config = pl.load_config(args.config)
     workers = pl.workers_from(config)
     gateway = _gateway(args, config)
-    dataset = _read_json(args.dataset)
+    dataset = read_json(args.dataset)
     result = ek.eval_taxonomy(dataset, al.make_llm_aligner(gateway, k=args.k),
                               workers=workers)
     _emit({
@@ -250,8 +240,8 @@ def cmd_eval_taxonomy(args) -> int:
 
 
 def cmd_eval_ie(args) -> int:
-    result = ek.eval_ie_files(_read_jsonl(args.pred), _read_jsonl(args.gold),
-                              args.task)
+    pred, gold = ([row for _, row in read_jsonl(path)] for path in (args.pred, args.gold))
+    result = ek.eval_ie_files(pred, gold, args.task)
     _emit(asdict(result), args.pretty)
     return 0
 
@@ -259,7 +249,7 @@ def cmd_eval_ie(args) -> int:
 def cmd_eval_kbqa(args) -> int:
     config = pl.load_config(args.config)
     gateway = _gateway(args, config)
-    records = _read_jsonl(args.dataset)
+    records = [row for _, row in read_jsonl(args.dataset)]
     result = ek.eval_kbqa(records, gateway,
                           cfg=pl.cycle_config_from(config),
                           workdir=args.workdir)
@@ -277,7 +267,7 @@ def cmd_eval_report(args) -> int:
         gateways = [_mock_gateway_from_file(path, transcript) for path in args.mock]
     else:
         gateways = [_gateway(args, config)]
-    report = Path(args.report).read_text(encoding="utf-8")
+    report = read_text(args.report)
     score = ek.judge_report(report, gateways)
     _emit(score.as_dict(), args.pretty)
     return 0
@@ -371,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--description", default="")
     p.add_argument("--kind", choices=["entity", "event"], default="entity")
     p.add_argument("--namespace", default="NEW")
-    p.add_argument("--k", type=int, default=onto.DEFAULT_K,
+    p.add_argument("--k", type=_positive_int, default=onto.DEFAULT_K,
                    help="candidate neighbors to consider")
     p.add_argument("--save", help="write the expanded ontology here")
     _add_common(p)
@@ -393,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = esub.add_parser("taxonomy", help="parent placement accuracy and similarity")
     e.add_argument("--dataset", required=True, help="taxonomy dataset JSON")
-    e.add_argument("--k", type=int, default=onto.DEFAULT_K)
+    e.add_argument("--k", type=_positive_int, default=onto.DEFAULT_K)
     _add_common(e)
     e.set_defaults(func=cmd_eval_taxonomy)
 
@@ -449,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UserError, ValueError, OSError) as exc:  # ValueError covers bad JSON
+    except (UserError, ValueError, OSError) as exc:  # ValueError: bad flag combinations
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KdrError as exc:

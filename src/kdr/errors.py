@@ -54,7 +54,7 @@ class EmptyImport(UserError):
 
 
 class SchemaViolation(UserError):
-    """An ontology document (file or proposal) breaks the declared schema."""
+    """A document or row handed in (ontology, config, script, dataset) has the wrong shape."""
 
 
 # --- llm gateway ------------------------------------------------------------
@@ -112,10 +112,11 @@ class IoFailure(UserError):
 
 
 class CorruptRecord(UserError):
-    """A persisted store line failed to parse; `line_number` is 1-based."""
+    """A line of a file failed to parse or validate; `line_number` is 1-based."""
 
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, message: str, line_number: int, path=None):
+        where = f"{path}: " if path is not None else ""
+        super().__init__(f"{where}line {line_number}: {message}")
         self.line_number = line_number
 
 

@@ -21,6 +21,7 @@ from .errors import (
     ShapeMismatch,
     SubgraphLoadFailure,
 )
+from .files import check_keys
 from .knowledge_store import KnowledgeStore
 from .pipeline import DEFAULT_WORKERS, ordered_map
 from .reasoning import CycleConfig, run_computation_cycle
@@ -51,17 +52,13 @@ def taxonomy_concept_name(term: str) -> str:
 def load_taxonomy_dataset(document: dict) -> dict:
     """Validate {"concepts": [{name, definition}], "edges": [[child, parent]],
     "test_leaves": [...]} and return it unchanged."""
-    if not isinstance(document, dict):
-        raise SchemaViolation("taxonomy dataset must be a JSON object")
-    unknown = set(document) - {"concepts", "edges", "test_leaves"}
-    if unknown:
-        raise SchemaViolation(f"unknown taxonomy dataset keys: {sorted(unknown)}")
-    for key in ("concepts", "edges", "test_leaves"):
-        if key not in document or not isinstance(document[key], list):
+    keys = ("concepts", "edges", "test_leaves")
+    check_keys(document, "taxonomy dataset", required=keys, allowed=keys)
+    for key in keys:
+        if not isinstance(document[key], list):
             raise SchemaViolation(f"taxonomy dataset needs a {key!r} list")
-    for row in document["concepts"]:
-        if not isinstance(row, dict) or "name" not in row:
-            raise SchemaViolation("each concept needs at least a name")
+    for i, row in enumerate(document["concepts"]):
+        check_keys(row, f"taxonomy concept {i}", required=("name",))
     for edge in document["edges"]:
         if not (isinstance(edge, list) and len(edge) == 2):
             raise SchemaViolation("each edge must be a [child, parent] pair")
@@ -196,7 +193,7 @@ def annotations_to_tuples(record: dict, task: str) -> list[tuple]:
     """Typed tuples from one {"id", "text", "annotations": [{type, slots}]} record."""
     tuples = []
     for ann in record.get("annotations", []):
-        kind = ann.get("type", "")
+        kind = check_keys(ann, f"annotation of IE record {record.get('id')!r}").get("type", "")
         slots = ann.get("slots", {})
         try:
             if task == "ner":
@@ -221,8 +218,9 @@ def annotations_to_tuples(record: dict, task: str) -> list[tuple]:
 
 def eval_ie_files(pred_records: list[dict], gold_records: list[dict], task: str) -> F1Result:
     """Micro F1 across a dataset: records paired by id, counts summed."""
-    pred_by_id = {r.get("id"): r for r in pred_records}
-    gold_by_id = {r.get("id"): r for r in gold_records}
+    def by_id(records: list[dict], side: str) -> dict:
+        return {check_keys(r, f"{side} IE record {i}").get("id"): r for i, r in enumerate(records)}
+    pred_by_id, gold_by_id = by_id(pred_records, "predicted"), by_id(gold_records, "gold")
     tp = fp = fn = 0
     for rid in sorted(set(pred_by_id) | set(gold_by_id), key=str):
         pred = annotations_to_tuples(pred_by_id.get(rid, {}), task)
@@ -296,9 +294,8 @@ def eval_kbqa(
     base = workdir or tempfile.mkdtemp(prefix="kdr-kbqa-")
     per_question = []
     for i, record in enumerate(records):
-        missing = {"id", "question", "topic_entity", "triples", "answers"} - set(record)
-        if missing:
-            raise SchemaViolation(f"QA record {i} lacks {sorted(missing)}")
+        check_keys(record, f"QA record {i}",
+                   required=("id", "question", "topic_entity", "triples", "answers"))
         qid = str(record["id"])
         gold = [str(a) for a in record["answers"]]
         predicted: list[str] = []

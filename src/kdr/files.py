@@ -1,14 +1,15 @@
-"""Whole-file writes: the one way kdr persists a file."""
+"""The one way kdr persists or loads a file: writes replace the whole file,
+and every read error names the file (and the line, for malformed JSON)."""
 
 import itertools
 import json
 import os
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from pathlib import Path
 
-from .errors import IoFailure
+from .errors import CorruptRecord, IoFailure, SchemaViolation
 
 
 def write_file(path: str | os.PathLike, text: str | Iterable[str]) -> None:
@@ -37,3 +38,52 @@ def write_json(path: str | os.PathLike, document) -> None:
     """write_file of `document` as indented JSON plus a trailing newline."""
     pieces = json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(document)
     write_file(path, itertools.chain(pieces, ["\n"]))
+
+
+def make_dir(path: str | os.PathLike, what: str) -> None:
+    """Create directory `path` and its parents, so a bad location fails before any work."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create {what} {path}: {exc}") from exc
+
+
+def read_text(path: str | os.PathLike) -> str:
+    """The UTF-8 text of `path`; OSError or a bad byte -> IoFailure naming it."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def _parse(text: str, path, line_number: int | None = None):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CorruptRecord(exc.msg, line_number or exc.lineno, path) from exc
+
+
+def read_json(path: str | os.PathLike):
+    """The JSON document in `path`."""
+    return _parse(read_text(path), path)
+
+
+def read_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, object]]:
+    """(1-based line number, row) for each non-blank line, parsed as it is reached."""
+    for n, line in enumerate(read_text(path).split("\n"), start=1):
+        if line.strip():
+            yield n, _parse(line, path, n)
+
+
+def check_keys(document, what: str, required=(), allowed=None) -> dict:
+    """`document` if it is a JSON object with every `required` key and, when
+    `allowed` is given, no other key; SchemaViolation naming `what` if not."""
+    if not isinstance(document, dict):
+        raise SchemaViolation(f"{what} must be a JSON object, got {type(document).__name__}")
+    missing = [key for key in required if key not in document]
+    if missing:
+        raise SchemaViolation(f"{what} lacks {missing}")
+    if allowed is not None and not document.keys() <= set(allowed):
+        raise SchemaViolation(f"unknown {what} keys: {sorted(document.keys() - set(allowed))}")
+    return document

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 from . import ontology as onto
 from .errors import (
     CorruptRecord,
-    IoFailure,
+    KdrError,
     KeyMismatch,
     TypeMismatch,
     UnknownId,
     UnrenderableValue,
 )
-from .files import write_file
+from .files import check_keys, read_jsonl, write_file
 from .textindex import InvertedIndex, tokenize
 
 
@@ -475,15 +475,14 @@ def _slot_to_json(values: list[SlotValue]) -> list[dict]:
     return out
 
 
-def _slot_from_json(raw: list, attr: str, line_number: int) -> list[SlotValue]:
+def _slot_from_json(raw: list, attr: str) -> list[SlotValue]:
     values = []
     for item in raw:
-        if not isinstance(item, dict) or "value" not in item:
-            raise CorruptRecord(f"bad slot value under {attr!r}", line_number)
+        if not isinstance(item, dict) or "value" not in item:  # inline: one per value
+            raise ValueError(f"bad slot value under {attr!r}")
         value = item["value"]
         if isinstance(value, dict):
-            if set(value) != {"ref"}:
-                raise CorruptRecord(f"bad reference under {attr!r}", line_number)
+            check_keys(value, f"reference under {attr!r}", required=("ref",), allowed=("ref",))
             value = Ref(value["ref"])
         values.append(SlotValue(value, int(item.get("provenance_index", 0))))
     return values
@@ -507,36 +506,26 @@ def save(store: KnowledgeStore, path: str) -> None:
                       for obj in store.objects.values()))
 
 
-_ROW_KEYS = {"id", "concept", "display_name", "slots", "provenance", "updated_at", "history"}
+_ROW_KEYS = ("id", "concept", "display_name", "slots", "provenance", "updated_at", "history")
 
 
 def load(path: str, graph: onto.OntologyGraph) -> KnowledgeStore:
+    """The store saved at `path`, each row checked against `graph` as ingest checks it."""
     store = KnowledgeStore(graph)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    for n, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for n, row in read_jsonl(path):
         try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorruptRecord(exc.msg, n) from exc
-        if not isinstance(row, dict) or set(row) != _ROW_KEYS:
-            raise CorruptRecord("unexpected field set", n)
-        try:
+            check_keys(row, "KB row", required=_ROW_KEYS, allowed=_ROW_KEYS)
             obj = KnowledgeObject(
                 id=row["id"],
                 concept=row["concept"],
                 display_name=row["display_name"],
-                slots={attr: _slot_from_json(v, attr, n) for attr, v in row["slots"].items()},
+                slots={attr: _slot_from_json(v, attr) for attr, v in row["slots"].items()},
                 provenance=[(s, float(ts)) for s, ts in row["provenance"]],
                 updated_at=float(row["updated_at"]),
                 history=[(attr, value, float(ts)) for attr, value, ts in row["history"]],
             )
-        except (TypeError, ValueError, KeyError) as exc:
-            raise CorruptRecord(str(exc), n) from exc
+            validate_object(graph, obj)
+        except (KdrError, TypeError, ValueError, KeyError) as exc:
+            raise CorruptRecord(str(exc), n, path) from exc
         store.objects[obj.id] = obj
     return store

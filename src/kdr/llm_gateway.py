@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import BackendUnavailable, ContextTooLong, SchemaViolation
+from .files import check_keys, read_json
 
 if TYPE_CHECKING:  # numpy is imported where vectors are made, so `import kdr.cli` skips it
     import numpy as np
@@ -179,24 +180,15 @@ class MockChatBackend(ChatBackend):
 
     @classmethod
     def from_script(cls, document: dict) -> "MockChatBackend":
-        if not isinstance(document, dict):
-            raise SchemaViolation("mock script must be a JSON object")
-        unknown = set(document) - {"rules", "default_response"}
-        if unknown:
-            raise SchemaViolation(f"unknown mock script keys: {sorted(unknown)}")
+        check_keys(document, "mock script", allowed=("rules", "default_response"))
         raw_rules = document.get("rules", [])
         default_response = document.get("default_response", "")
         if not isinstance(raw_rules, list) or not isinstance(default_response, str):
             raise SchemaViolation("mock 'rules' must be a list and 'default_response' a string")
         rules = []
-        for raw in raw_rules:
-            if not isinstance(raw, dict):
-                raise SchemaViolation(f"mock rule {raw!r} must be an object")
-            unknown = set(raw) - {"match", "regex", "responses"}
-            if unknown:
-                raise SchemaViolation(f"unknown mock rule keys: {sorted(unknown)}")
-            if "match" not in raw or "responses" not in raw:
-                raise SchemaViolation("mock rules need 'match' and 'responses'")
+        for i, raw in enumerate(raw_rules):
+            check_keys(raw, f"mock rule {i}", required=("match", "responses"),
+                       allowed=("match", "regex", "responses"))
             match, responses = raw["match"], raw["responses"]
             if not isinstance(match, str):
                 raise SchemaViolation(f"mock rule match {match!r} must be a string")
@@ -213,8 +205,7 @@ class MockChatBackend(ChatBackend):
 
     @classmethod
     def from_script_file(cls, path: str) -> "MockChatBackend":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_script(json.load(handle))
+        return cls.from_script(read_json(path))
 
     def complete(self, messages: list[ChatMessage], config: GenerationConfig) -> str:
         prompt = "\n".join(m.content for m in messages)

@@ -13,7 +13,6 @@ are always safe. Only a builder fills its own private graph in place
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -29,7 +28,7 @@ from .errors import (
     UnknownConcept,
     UnknownParent,
 )
-from .files import write_json
+from .files import check_keys, read_json, write_json
 
 ENTITY_ROOT = "Entity"
 EVENT_ROOT = "Event"
@@ -541,11 +540,6 @@ def render_import_clause(graph: OntologyGraph, namespace: str, names: list[str])
 
 # -- persistence ----------------------------------------------------------------
 
-_TOP_KEYS = {"namespaces"}
-_CONCEPT_KEYS = {"name", "kind", "parent", "description", "examples", "attributes", "equivalents"}
-_ATTR_KEYS = {"name", "type", "doc"}
-
-
 def graph_from_document(document: dict) -> OntologyGraph:
     """Build a graph from the ontology JSON document shape.
 
@@ -553,14 +547,8 @@ def graph_from_document(document: dict) -> OntologyGraph:
     in any order; parent links are settled iteratively and leftovers are
     reported as cycles or unknown parents.
     """
-    if not isinstance(document, dict):
-        raise SchemaViolation("ontology document must be a JSON object")
-    unknown = set(document) - _TOP_KEYS
-    if unknown:
-        raise SchemaViolation(f"unknown top-level keys: {sorted(unknown)}")
-    namespaces = document.get("namespaces", {})
-    if not isinstance(namespaces, dict):
-        raise SchemaViolation("'namespaces' must be an object")
+    check_keys(document, "ontology document", allowed=("namespaces",))
+    namespaces = check_keys(document.get("namespaces", {}), "'namespaces'")
 
     pending: list[Concept] = []
     declared_equivalences: list[tuple[str, str, str]] = []
@@ -568,23 +556,13 @@ def graph_from_document(document: dict) -> OntologyGraph:
         if not isinstance(entries, list):
             raise SchemaViolation(f"namespace {ns!r} must hold a list of concepts")
         for entry in entries:
-            if not isinstance(entry, dict):
-                raise SchemaViolation(f"concept entries in {ns!r} must be objects")
-            unknown = set(entry) - _CONCEPT_KEYS
-            if unknown:
-                raise SchemaViolation(f"unknown concept keys in {ns!r}: {sorted(unknown)}")
-            for required in ("name", "kind", "parent"):
-                if required not in entry:
-                    raise SchemaViolation(f"concept in {ns!r} is missing {required!r}")
+            check_keys(entry, f"concept in {ns!r}", required=("name", "kind", "parent"),
+                       allowed=("name", "kind", "parent", "description", "examples",
+                                "attributes", "equivalents"))
             attrs = []
             for raw in entry.get("attributes", []):
-                if not isinstance(raw, dict):
-                    raise SchemaViolation("attribute entries must be objects")
-                unknown = set(raw) - _ATTR_KEYS
-                if unknown:
-                    raise SchemaViolation(f"unknown attribute keys: {sorted(unknown)}")
-                if "name" not in raw or "type" not in raw:
-                    raise SchemaViolation("attribute entries need 'name' and 'type'")
+                check_keys(raw, f"attribute of {ns}.{entry['name']}", required=("name", "type"),
+                           allowed=("name", "type", "doc"))
                 attrs.append(AttributeSpec(raw["name"], raw["type"], raw.get("doc", "")))
             concept = Concept(
                 name=entry["name"],
@@ -646,12 +624,7 @@ def graph_to_document(graph: OntologyGraph) -> dict:
 
 
 def load_ontology(path: str) -> OntologyGraph:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"not valid JSON: {exc}") from exc
-    return graph_from_document(document)
+    return graph_from_document(read_json(path))
 
 
 def save_ontology(graph: OntologyGraph, path: str) -> None:

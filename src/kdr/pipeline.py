@@ -26,6 +26,7 @@ from . import ontology as onto
 from . import reasoning as rs
 from . import templates
 from .errors import (
+    CorruptRecord,
     DanglingArtifact,
     IoFailure,
     KdrError,
@@ -34,7 +35,7 @@ from .errors import (
     UnparseableProposal,
 )
 from .extraction import ExtractionReport, ExtractionRequest, extract, strip_code_fence
-from .files import write_file, write_json
+from .files import check_keys, make_dir, read_json, read_text, write_file, write_json
 from .knowledge_store import KnowledgeStore
 from .llm_gateway import LlmGateway
 
@@ -113,8 +114,7 @@ def review_gate(
     edited_path: str | None = None,
 ) -> ProposedOntology:
     """Approval or a revalidated edited file; anything else stays gated."""
-    with open(edited_path or proposal_path, encoding="utf-8") as handle:
-        document = json.load(handle)
+    document = read_json(edited_path or proposal_path)
     if not (edited_path or approve):
         raise ValueError("proposal not approved; pass approve=True or an edited file")
     proposal = ProposedOntology(document, status="edited" if edited_path else "approved")
@@ -176,7 +176,7 @@ def read_corpus(corpus_dir: str) -> tuple[list[tuple[str, str]], list[str]]:
         if reader is None:
             skipped.append(path.name)
             continue
-        docs.append((path.name, reader(path.read_text(encoding="utf-8"))))
+        docs.append((path.name, reader(read_text(path))))
     return docs, skipped
 
 
@@ -286,10 +286,9 @@ def run_organization(
     if proposal.status not in ("approved", "edited"):
         raise ValueError(f"ontology proposal is {proposal.status}; review it first")
     if task.kb_path:  # before any model call, so an unwritable location fails fast
-        try:
-            Path(task.kb_path).parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise IoFailure(f"cannot create KB directory for {task.kb_path!r}: {exc}") from exc
+        make_dir(Path(task.kb_path).parent, "KB directory")
+    if run_dir:
+        make_dir(run_dir, "run directory")
     if base_graph is None or all(q in onto.ROOTS for q in base_graph.concepts):
         graph = proposal.graph
         notes: list[str] = []
@@ -389,13 +388,11 @@ def _section_hash(plan: rs.CyclePlan) -> str:
 
 
 def _load_section_cache(path: Path, digest: str) -> dict | None:
-    if not path.exists():
-        return None
     try:
-        cached = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+        cached = read_json(path)
+    except (IoFailure, CorruptRecord):  # absent, unreadable or malformed: run the section
         return None
-    return cached if cached.get("hash") == digest else None
+    return cached if isinstance(cached, dict) and cached.get("hash") == digest else None
 
 
 def run_research(
@@ -421,6 +418,7 @@ def run_research(
     """
     cfg = cfg or rs.CycleConfig()
     run = Path(run_dir) if run_dir else Path("runs") / time.strftime("%Y%m%d-%H%M%S")
+    make_dir(run, "run directory")  # before the plan call, so a bad location costs none
 
     plan_text = gateway.ask(
         templates.PLAN_PROMPT.format(title=task.topic, request=task.topic), tag="plan")
@@ -593,14 +591,7 @@ def load_config(path: str | None = None) -> dict:
     path = path or os.environ.get(ENV_CONFIG)
     if not path:
         return {}
-    with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict):
-        raise SchemaViolation("config must be a JSON object")
-    unknown = set(document) - CONFIG_KEYS
-    if unknown:
-        raise SchemaViolation(f"unknown config keys: {sorted(unknown)}")
-    return document
+    return check_keys(read_json(path), "config", allowed=CONFIG_KEYS)
 
 
 # Every limits key and the smallest integer it takes; wall_seconds instead
@@ -611,12 +602,7 @@ LIMIT_MINIMUMS = {"max_iterations": 1, "hops": 0, "wall_seconds": None, "output_
 
 def limits_from(config: dict) -> dict:
     """The config's limits, each checked for type and range before any model call."""
-    limits = config.get("limits", {})
-    if not isinstance(limits, dict):
-        raise SchemaViolation(f"limits must be an object, got {limits!r}")
-    unknown = set(limits) - set(LIMIT_MINIMUMS)
-    if unknown:
-        raise SchemaViolation(f"unknown limit keys: {sorted(unknown)}")
+    limits = check_keys(config.get("limits", {}), "limits", allowed=LIMIT_MINIMUMS)
     for key, value in limits.items():
         low = LIMIT_MINIMUMS[key]
         if low is None:

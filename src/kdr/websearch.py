@@ -8,12 +8,12 @@ sits behind the same contract.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import EmptyCorpus, SchemaViolation, SearchBackendUnavailable
+from .errors import EmptyCorpus, SearchBackendUnavailable
+from .files import check_keys, read_json
 from .llm_gateway import post_json
 from .textindex import InvertedIndex
 
@@ -47,13 +47,8 @@ class FixtureSearchBackend(SearchBackend):
         if not root.is_dir():
             raise SearchBackendUnavailable(f"{corpus_dir!r} is not a directory")
         for path in sorted(root.glob("*.json")):
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise SchemaViolation(f"{path.name}: {exc}") from exc
-            missing = {"title", "url", "body"} - set(record)
-            if missing:
-                raise SchemaViolation(f"{path.name}: missing keys {sorted(missing)}")
+            record = check_keys(read_json(path), f"web record {path}",
+                                required=("title", "url", "body"))
             doc_id = path.stem
             self.documents[doc_id] = SearchHit(record["title"], record["url"], record["body"])
             self._index.add(doc_id, f"{record['title']} {record['body']}")

@@ -1,5 +1,7 @@
 """Alignment: embedding retrieval, relation verdicts, attachment rules."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from kdr import alignment as al
 from kdr import ontology
-from kdr.errors import DuplicateName, KindMismatch
+from kdr.errors import BackendUnavailable, DuplicateName, KindMismatch
 from kdr.llm_gateway import (
     LlmGateway,
     MockChatBackend,
@@ -288,3 +290,23 @@ def test_aligner_keeps_expand_errors():
         aligner(Concept("Author", "tax", "entity", "Entity", "A person who writes."), g)
     with pytest.raises(KindMismatch):
         aligner(Concept("Meeting", "tax", "event", "Event", "People convene."), g)
+
+
+def test_align_without_an_embedding_backend_raises_before_any_model_call():
+    gw = LlmGateway(MockChatBackend(default_response="Person: parent_of_query"))
+    query = Concept("Poet", "tax", "entity", "Entity", "Writes poems.")
+    with pytest.raises(BackendUnavailable, match="no embedding backend configured"):
+        al.align_concept(query, base_graph(), gw)
+    with pytest.raises(BackendUnavailable, match="no embedding backend configured"):
+        al.make_llm_aligner(gw)(query, base_graph())
+    assert gw.chat_backend.calls == []
+
+
+def test_aligner_embeds_appear_in_the_transcript(tmp_path):
+    path = tmp_path / "calls.jsonl"
+    gw = mock_gateway(default_response="Person: parent_of_query", transcript_path=str(path))
+    al.make_llm_aligner(gw, k=2)(Concept("Poet", "tax", "entity", "Entity", "Writes."),
+                                 base_graph())
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(row["kind"], row.get("count")) for row in rows if row["kind"] == "embed"] == [
+        ("embed", 3), ("embed", 1)]

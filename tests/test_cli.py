@@ -593,3 +593,92 @@ def test_malformed_mock_script_is_user_error(capsys, tmp_path, script):
                      "--mock", str(mock))
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- reading inputs --------------------------------------------------------------------
+
+
+def one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--ontology", "--mock", "--config"])
+def test_malformed_json_input_names_the_file_and_line(capsys, tmp_path, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"namespaces": {},\n}\n')
+    flags = {"--ontology": ["--ontology", str(bad), "--mock", E2E_MOCK],
+             "--mock": ["--mock", str(bad)],
+             "--config": ["--config", str(bad), "--mock", E2E_MOCK]}[flag]
+    rc, _, err = run(capsys, "organize", "--topic", "t", "--corpus", str(FIXTURES / "corpus"),
+                     "--kb", str(tmp_path / "kb.jsonl"), *flags)
+    assert rc == 1
+    assert one_error_line(err) and f"{bad}: line 2" in err
+
+
+def test_eval_kbqa_non_object_row_is_user_error(capsys, tmp_path):
+    dataset = tmp_path / "qa.jsonl"
+    dataset.write_text("5\n")
+    rc, _, err = run(capsys, "eval", "kbqa", "--dataset", str(dataset), "--mock", E2E_MOCK)
+    assert rc == 1
+    assert one_error_line(err) and "QA record 0 must be a JSON object" in err
+
+
+def test_web_corpus_non_object_file_is_user_error(capsys, tmp_path):
+    kb = colliding_kb(tmp_path)
+    web = tmp_path / "web"
+    web.mkdir()
+    (web / "page.json").write_text("5")
+    rc, _, err = run(capsys, "research", "--task", "t", "--kb", kb,
+                     "--out", str(tmp_path / "run"), "--mock", E2E_MOCK,
+                     "--web-corpus", str(web))
+    assert rc == 1
+    assert one_error_line(err) and str(web / "page.json") in err
+
+
+@pytest.mark.parametrize("row", ['[1, 2]', '{"id": 2, "annotations": [5]}'],
+                         ids=["record", "annotation"])
+def test_eval_ie_non_object_row_is_user_error(capsys, tmp_path, row):
+    pred = tmp_path / "pred.jsonl"
+    gold = tmp_path / "gold.jsonl"
+    pred.write_text('{"id": 1, "annotations": []}\n' + row + '\n')
+    gold.write_text('{"id": 1, "annotations": []}\n')
+    rc, _, err = run(capsys, "eval", "ie", "--pred", str(pred),
+                     "--gold", str(gold), "--task", "ner")
+    assert rc == 1
+    assert one_error_line(err) and "IE record" in err
+
+
+def test_corpus_file_that_is_not_utf8_names_the_file(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "latin.txt").write_bytes("caf\xe9 notes\n".encode("latin-1"))
+    rc, _, err = run(capsys, "organize", "--topic", "t", "--corpus", str(corpus),
+                     "--kb", str(tmp_path / "kb.jsonl"), "--auto-approve", "--mock", E2E_MOCK)
+    assert rc == 1
+    assert one_error_line(err) and f"cannot read {corpus / 'latin.txt'}" in err
+
+
+def test_align_without_an_embedding_backend_is_runtime_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("KDR_EMBED_ENDPOINT", raising=False)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"llm": {"endpoint": "http://127.0.0.1:9/v1"}}))
+    rc, _, err = run(capsys, "align", "--ontology", animal_ontology(tmp_path),
+                     "--name", "Wolf", "--config", str(config))
+    assert rc == 2
+    assert err == "error: no embedding backend configured\n"
+
+
+@pytest.mark.parametrize("k", ["0", "-1", "two"])
+def test_align_k_must_be_a_positive_integer(capsys, tmp_path, k):
+    rc, _, err = run(capsys, "align", "--ontology", animal_ontology(tmp_path),
+                     "--name", "Wolf", "--mock", E2E_MOCK, "--k", k)
+    assert rc == 1
+    assert "--k" in err and "integer >= 1" in err
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_eval_taxonomy_k_must_be_a_positive_integer(capsys, tmp_path, k):
+    rc, _, err = run(capsys, "eval", "taxonomy", "--dataset", str(tmp_path / "absent.json"),
+                     "--mock", E2E_MOCK, "--k", k)
+    assert rc == 1
+    assert "--k" in err and "integer >= 1" in err

@@ -15,7 +15,7 @@ from kdr import files
 from kdr import knowledge_store as ks
 from kdr import ontology as onto
 from kdr import pipeline as pl
-from kdr.errors import IoFailure
+from kdr.errors import CorruptRecord, IoFailure, SchemaViolation
 from kdr.llm_gateway import LlmGateway, MockChatBackend, MockEmbeddingBackend, Transcript
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -206,5 +206,118 @@ def f(p):
     os.open(p, os.O_RDONLY)
 '''
     finder = _WriteFinder()
+    finder.visit(ast.parse(source))
+    assert [line for _, line in finder.found] == [3, 4, 5, 6, 7, 8, 9]
+
+
+# -- the one reader --------------------------------------------------------------
+
+
+def test_read_text_names_a_missing_or_undecodable_file(tmp_path):
+    with pytest.raises(IoFailure, match=f"cannot read {tmp_path / 'absent.txt'}"):
+        files.read_text(tmp_path / "absent.txt")
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes("caf\xe9\n".encode("latin-1"))
+    with pytest.raises(IoFailure, match=f"cannot read {latin}: 'utf-8' codec"):
+        files.read_text(latin)
+
+
+def test_read_json_names_the_path_and_line(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{\n  "a": 1,\n}\n')
+    with pytest.raises(CorruptRecord) as err:
+        files.read_json(path)
+    assert err.value.line_number == 3
+    assert str(err.value).startswith(f"{path}: line 3: Expecting property name")
+    path.write_text('{"a": [1, "b"]}')
+    assert files.read_json(path) == {"a": [1, "b"]}
+
+
+def test_read_jsonl_yields_numbered_rows_and_stops_at_a_bad_one(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n\n  \n[2]\n{broken\n{"never": 1}\n')
+    rows = files.read_jsonl(path)
+    assert next(rows) == (1, {"a": 1})
+    assert next(rows) == (4, [2])
+    with pytest.raises(CorruptRecord, match=f"{path}: line 5: "):
+        next(rows)
+    with pytest.raises(IoFailure, match="cannot read"):
+        list(files.read_jsonl(tmp_path / "absent.jsonl"))
+
+
+def test_read_jsonl_keeps_a_line_separator_inside_a_string(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps({"name": "a\u2028b"}, ensure_ascii=False) + "\n",
+                    encoding="utf-8")
+    assert list(files.read_jsonl(path)) == [(1, {"name": "a\u2028b"})]
+
+
+def test_check_keys_rejects_non_objects_missing_and_unknown_keys():
+    record = {"id": 1, "extra": True}
+    assert files.check_keys(record, "QA record 0", required=("id",)) is record
+    with pytest.raises(SchemaViolation, match="QA record 0 must be a JSON object, got list"):
+        files.check_keys([1], "QA record 0")
+    with pytest.raises(SchemaViolation, match=r"QA record 0 lacks \['answers'\]"):
+        files.check_keys(record, "QA record 0", required=("id", "answers"))
+    with pytest.raises(SchemaViolation, match=r"unknown QA record 0 keys: \['extra'\]"):
+        files.check_keys(record, "QA record 0", allowed=("id",))
+
+
+def test_make_dir_under_a_regular_file_raises_io_failure(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    with pytest.raises(IoFailure, match="cannot create run directory"):
+        files.make_dir(blocker / "run", "run directory")
+    files.make_dir(tmp_path / "a" / "b", "run directory")
+    assert (tmp_path / "a" / "b").is_dir()
+
+
+# (module, enclosing function) pairs allowed to open a file outside files.py
+_READ_ALLOWED = {("llm_gateway.py", "Transcript.record")}
+
+
+class _ReadFinder(_WriteFinder):
+    """Flags open() and .open() in any mode, .read_text, .read_bytes and json.load."""
+
+    def visit_Call(self, node: ast.Call):
+        func = node.func
+        reads = (
+            isinstance(func, ast.Name) and func.id == "open"
+            or isinstance(func, ast.Attribute) and func.attr in ("open", "read_text", "read_bytes")
+            or isinstance(func, ast.Attribute) and func.attr == "load"
+            and isinstance(func.value, ast.Name) and func.value.id == "json"
+        )
+        if reads:
+            self.found.append((".".join(self.scope), node.lineno))
+        self.generic_visit(node)
+
+
+def test_files_is_the_only_reader():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "files.py":
+            continue
+        finder = _ReadFinder()
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        offenders += [f"{path.name}:{line} in {scope or '<module>'}"
+                      for scope, line in finder.found if (path.name, scope) not in _READ_ALLOWED]
+    assert offenders == []
+
+
+def test_read_finder_flags_each_kind_of_read():
+    source = '''
+def f(p):
+    open(p)
+    open(p, "rb")
+    p.open()
+    os.open(p, os.O_RDONLY)
+    p.read_text(encoding="utf-8")
+    p.read_bytes()
+    json.load(handle)
+    json.loads(text)
+    handle.read()
+    os.read(fd, 10)
+'''
+    finder = _ReadFinder()
     finder.visit(ast.parse(source))
     assert [line for _, line in finder.found] == [3, 4, 5, 6, 7, 8, 9]

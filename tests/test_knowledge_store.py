@@ -1,6 +1,7 @@
 """Store behavior: merge laws, queries, subgraph walks, code rendering, persistence."""
 
 import copy
+import json
 import math
 import sys
 import threading
@@ -626,3 +627,23 @@ def test_concurrent_lookups_build_each_view_once(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert all(result == serial for result in results)
     assert sorted(builds) == ["_inbound", "_names", "_tokens"]
+
+
+def test_load_rejects_a_row_its_ontology_does_not_allow(tmp_path, graph, store):
+    store.ingest(person(graph, "Ada", age=36))
+    path = tmp_path / "kb.jsonl"
+    ks.save(store, str(path))
+    row = ks.object_row(person(graph, "Charles"))
+    row["slots"]["shoe_size"] = [{"value": 44, "provenance_index": 0}]
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(row) + "\n")
+    with pytest.raises(CorruptRecord, match="has no attribute 'shoe_size'") as err:
+        ks.load(str(path), graph)
+    assert err.value.line_number == 2 and str(path) in str(err.value)
+
+
+def test_load_keeps_a_line_separator_inside_a_value(tmp_path, graph, store):
+    store.ingest(person(graph, "Ada", papers=["Notes on the Engine"]))
+    path = tmp_path / "kb.jsonl"
+    ks.save(store, str(path))
+    assert ks.load(str(path), graph).objects == store.objects

@@ -656,3 +656,24 @@ def test_limits_accept_their_smallest_values():
     assert (cfg.max_iterations, cfg.hops, cfg.wall_seconds) == (1, 0, 0.5)
     assert pl.workers_from(config) == 1
     assert pl.cycle_config_from({"limits": {"wall_seconds": 7}}).wall_seconds == 7
+
+
+def test_run_research_unwritable_run_dir_fails_before_model_calls(tmp_path):
+    graph, store = organized(tmp_path)
+    (tmp_path / "file").write_text("not a directory")
+    gateway = e2e_gateway()
+    with pytest.raises(IoFailure, match="run directory"):
+        pl.run_research(research_task(tmp_path), graph, store, gateway,
+                        run_dir=str(tmp_path / "file" / "run"))
+    assert gateway.chat_backend.calls == []
+
+
+def test_run_organization_unwritable_run_dir_fails_before_model_calls(tmp_path):
+    proposal = approved_proposal(e2e_gateway(), tmp_path)
+    (tmp_path / "file").write_text("not a directory")
+    gateway = e2e_gateway()
+    with pytest.raises(IoFailure, match="run directory"):
+        pl.run_organization(organize_task(tmp_path), proposal, gateway,
+                            run_dir=str(tmp_path / "file" / "run"))
+    assert gateway.chat_backend.calls == []
+    assert not (tmp_path / "kb.jsonl").exists()
