@@ -209,8 +209,7 @@ def cmd_extract(args) -> int:
     if args.types:
         allowed = [t.strip() for t in args.types.split(",") if t.strip()]
     else:
-        allowed = sorted(c.name for c in graph.concepts.values()
-                         if c.namespace == args.namespace)
+        allowed = sorted(c.name for c in graph.namespaces().get(args.namespace, []))
     request = ExtractionRequest(text, args.namespace, mode=args.mode,
                                 allowed_types=allowed if args.mode == "closed" else [],
                                 source_id=args.source_id)

@@ -296,6 +296,8 @@ def eval_kbqa(
     for i, record in enumerate(records):
         check_keys(record, f"QA record {i}",
                    required=("id", "question", "topic_entity", "triples", "answers"))
+        if not isinstance(record["answers"], list):
+            raise SchemaViolation(f"QA record {i}: 'answers' must be a list")
         qid = str(record["id"])
         gold = [str(a) for a in record["answers"]]
         predicted: list[str] = []

@@ -454,8 +454,7 @@ def render_call(graph: onto.OntologyGraph, concept: str, slots: dict, namespace:
         if spec.name not in slots:
             continue
         value = slots[spec.name]
-        _, is_list = onto.parse_type_token(spec.type)
-        if is_list:
+        if spec.is_list:
             items = value if isinstance(value, list) else [value]
             rendered = "[" + ", ".join(_render_sample_literal(v) for v in items) + "]"
         else:

@@ -89,12 +89,11 @@ def _attr_specs(graph: onto.OntologyGraph, concept: str) -> dict[str, onto.Attri
 
 
 def _check_value(spec: onto.AttributeSpec, value: object, concept: str) -> None:
-    base, _ = onto.parse_type_token(spec.type)
     if isinstance(value, Ref):
-        if base in onto.SCALAR_BASES:
+        if spec.base in onto.SCALAR_BASES:
             raise TypeMismatch(f"{concept}.{spec.name} is {spec.type}, got a reference")
         return
-    if base == "number":
+    if spec.base == "number":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeMismatch(f"{concept}.{spec.name} expects a number, got {value!r}")
         return
@@ -109,8 +108,7 @@ def validate_object(graph: onto.OntologyGraph, obj: KnowledgeObject) -> None:
         spec = specs.get(attr)
         if spec is None:
             raise TypeMismatch(f"{obj.concept} has no attribute {attr!r}")
-        _, is_list = onto.parse_type_token(spec.type)
-        if not is_list and len(values) > 1:
+        if not spec.is_list and len(values) > 1:
             raise TypeMismatch(f"{obj.concept}.{attr} is scalar but holds {len(values)} values")
         for sv in values:
             _check_value(spec, sv.value, obj.concept)
@@ -131,9 +129,8 @@ def make_object(
     for attr, raw in (slots or {}).items():
         if attr not in specs:
             raise TypeMismatch(f"{canonical} has no attribute {attr!r}")
-        _, is_list = onto.parse_type_token(specs[attr].type)
         values = list(raw) if isinstance(raw, (list, tuple)) else [raw]
-        if not is_list and len(values) > 1:
+        if not specs[attr].is_list and len(values) > 1:
             raise TypeMismatch(f"{canonical}.{attr} is scalar, got {len(values)} values")
         if values:
             slot_values[attr] = [SlotValue(v, 0) for v in values]
@@ -187,11 +184,10 @@ def merge_objects(a: KnowledgeObject, b: KnowledgeObject,
     slots: dict[str, list[SlotValue]] = {k: list(v) for k, v in a.slots.items()}
     history = list(a.history)
     for attr, incoming in b.slots.items():
-        _, is_list = onto.parse_type_token(specs[attr].type)
         if attr not in slots:
             slots[attr] = [remap(sv) for sv in incoming]
             continue
-        if is_list:
+        if specs[attr].is_list:
             present = [sv.value for sv in slots[attr]]
             for sv in incoming:
                 if sv.value not in present:
@@ -267,10 +263,9 @@ class KnowledgeStore:
             for obj in self.objects.values():
                 specs = _attr_specs(self.graph, obj.concept)
                 for attr, values in obj.slots.items():
-                    base, _ = onto.parse_type_token(specs[attr].type)
-                    if base in onto.SCALAR_BASES:
+                    if specs[attr].base in onto.SCALAR_BASES:
                         continue
-                    target = self.graph.resolve(base, obj.concept.rsplit(".", 1)[0])
+                    target = self.graph.resolve(specs[attr].base, obj.concept.rsplit(".", 1)[0])
                     for sv in values:
                         if not isinstance(sv.value, str):
                             continue
@@ -450,10 +445,9 @@ def render_declaration_code(
             values = obj.live(spec.name)
             if not values:
                 continue
-            _, is_list = onto.parse_type_token(spec.type)
             rendered = [_render_literal(v, var_of, resolve) for v in values]
             parts.append(
-                f"{spec.name}=[{', '.join(rendered)}]" if is_list else f"{spec.name}={rendered[0]}"
+                f"{spec.name}=[{', '.join(rendered)}]" if spec.is_list else f"{spec.name}={rendered[0]}"
             )
         class_name = obj.concept.rsplit(".", 1)[1]
         lines.append(f"{var} = {class_name}({', '.join(parts)})")

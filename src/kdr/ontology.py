@@ -8,12 +8,17 @@ class-definition code, renders import clauses, and answers hierarchy queries
 Graphs are copy-on-update: every mutation returns a new graph and never
 touches the one it was derived from, so concurrent readers of a loaded graph
 are always safe. Only a builder fills its own private graph in place
-(insert_concept) before handing it out.
+(insert_concept) before handing it out; ``_insert`` is the only path that
+adds a concept. Lookups are derived here once: an AttributeSpec parses its
+type token when built; a graph keeps a short-name map and memoised slot lists
+(copied to a clone: their values never change) and views such as the
+concept-search index (built once by ``view``, dropped by ``_insert``).
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -70,9 +75,12 @@ class AttributeSpec:
     name: str
     type: str
     doc: str = ""
+    base: str = field(init=False, compare=False, repr=False)
+    is_list: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.doc = _normalize_text(self.doc)
+        self.base, self.is_list = parse_type_token(self.type)
 
 
 def parse_type_token(token: str) -> tuple[str, bool]:
@@ -136,7 +144,6 @@ def _validate_concept_fields(c: Concept) -> None:
         if attr.name in seen:
             raise DuplicateAttribute(f"attribute {attr.name!r} repeated in {c.name}")
         seen.add(attr.name)
-        parse_type_token(attr.type)
 
 
 @dataclass
@@ -151,6 +158,17 @@ class OntologyGraph:
     concepts: dict[str, Concept] = field(default_factory=dict)
     parents: dict[str, str] = field(default_factory=dict)
     equivalences: dict[str, set[str]] = field(default_factory=dict)
+    _short: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _slots: dict[str, list[AttributeSpec]] = field(init=False, repr=False, compare=False)
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lock: object = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._short = {}
+        for q in self.concepts:
+            name = q.rsplit(".", 1)[1]
+            self._short[name] = self._short.get(name, ()) + (q,)
+        self._slots = {root: [mandatory_attribute(kind)] for root, kind in ROOTS.items()}
 
     # -- lookup ---------------------------------------------------------------
 
@@ -170,18 +188,19 @@ class OntologyGraph:
             q = f"{namespace}.{name}"
             if q in self.concepts:
                 return q
-        matches = [q for q in self.concepts if q.rsplit(".", 1)[1] == name]
+        matches = self._short.get(name, ())
         if len(matches) == 1:
             return matches[0]
         if not matches:
             raise UnknownConcept(f"unknown concept {name!r}")
         raise AmbiguousName(f"{name!r} exists in several namespaces: {sorted(matches)}")
 
-    def get(self, name: str, namespace: str | None = None) -> Concept:
-        q = self.resolve(name, namespace)
-        if q in ROOTS:
-            raise UnknownConcept(f"{q} is a root, not a stored concept")
-        return self.concepts[q]
+    def view(self, build):
+        """What build(graph) derives from the concepts, built once until the next insert."""
+        with self._lock:
+            if build not in self._views:
+                self._views[build] = build(self)
+            return self._views[build]
 
     def kind_of(self, qualified: str) -> str:
         if qualified in ROOTS:
@@ -235,11 +254,10 @@ class OntologyGraph:
     # -- copy-on-update mutation ----------------------------------------------
 
     def _clone(self) -> "OntologyGraph":
-        return OntologyGraph(
-            concepts=dict(self.concepts),
-            parents=dict(self.parents),
-            equivalences={k: set(v) for k, v in self.equivalences.items()},
-        )
+        g = OntologyGraph(equivalences={k: set(v) for k, v in self.equivalences.items()})
+        g.concepts, g.parents = dict(self.concepts), dict(self.parents)
+        g._short, g._slots = dict(self._short), dict(self._slots)  # their values never change
+        return g
 
     def _add_equivalence(self, a: str, b: str, namespace: str | None = None) -> None:
         qa, qb = self.resolve(a, namespace), self.resolve(b, namespace)
@@ -272,20 +290,16 @@ def check_concept(graph: OntologyGraph, c: Concept) -> tuple[str, list[str]]:
 
     if c.parent == c.name or c.parent == q:
         raise CycleDetected(f"{c.name} cannot be its own parent")
-    if c.parent in ROOTS:
-        parent_q = c.parent
-    else:
-        try:
-            parent_q = graph.resolve(c.parent, c.namespace)
-        except UnknownConcept as exc:
-            raise UnknownParent(str(exc)) from exc
+    try:
+        parent_q = graph.resolve(c.parent, c.namespace)
+    except UnknownConcept as exc:
+        raise UnknownParent(str(exc)) from exc
     if graph.kind_of(parent_q) != c.kind:
         raise KindMismatch(
             f"parent {parent_q} is a {graph.kind_of(parent_q)}, {c.name} is a {c.kind}"
         )
 
-    inherited = {a.name for a in _inherited_attributes(graph, parent_q, c.kind)}
-    inherited.add(MANDATORY_SLOT[c.kind])
+    inherited = {a.name for a in effective_attributes(graph, parent_q)}
     for attr in c.attributes:
         if attr.name in inherited:
             raise DuplicateAttribute(
@@ -293,14 +307,13 @@ def check_concept(graph: OntologyGraph, c: Concept) -> tuple[str, list[str]]:
             )
 
     for attr in c.attributes:
-        base, _ = parse_type_token(attr.type)
-        if base in SCALAR_BASES or base == c.name:
+        if attr.base in SCALAR_BASES or attr.base == c.name:
             continue
         try:
-            graph.resolve(base, c.namespace)
+            graph.resolve(attr.base, c.namespace)
         except UnknownConcept:
             raise UnknownConcept(
-                f"attribute {attr.name!r} of {c.name} references unknown concept {base!r}"
+                f"attribute {attr.name!r} of {c.name} references unknown concept {attr.base!r}"
             )
 
     resolved_equivalents = []
@@ -318,6 +331,8 @@ def _insert(graph: OntologyGraph, c: Concept, parent_q: str, equivalents: list[s
     q = c.qualified
     graph.concepts[q] = c
     graph.parents[q] = parent_q
+    graph._short[c.name] = graph._short.get(c.name, ()) + (q,)
+    graph._views.clear()
     for other_q in equivalents:
         graph._add_equivalence(q, other_q)
 
@@ -405,17 +420,6 @@ def wu_palmer(graph: OntologyGraph, a: str, b: str, namespace: str | None = None
 # -- attribute resolution -----------------------------------------------------
 
 
-def _inherited_attributes(graph: OntologyGraph, parent_q: str, kind: str) -> list[AttributeSpec]:
-    if parent_q in ROOTS:
-        return []
-    attrs: list[AttributeSpec] = []
-    for node in graph.root_path(parent_q):
-        if node in ROOTS:
-            continue
-        attrs.extend(graph.concepts[node].attributes)
-    return attrs
-
-
 def mandatory_attribute(kind: str) -> AttributeSpec:
     return AttributeSpec(MANDATORY_SLOT[kind], "text", "identifying name")
 
@@ -423,20 +427,17 @@ def mandatory_attribute(kind: str) -> AttributeSpec:
 def effective_attributes(
     graph: OntologyGraph, name: str, namespace: str | None = None
 ) -> list[AttributeSpec]:
-    """Full constructor slot list: the mandatory slot, inherited, then own."""
-    q = graph.resolve(name, namespace)
-    if q in ROOTS:
-        return [mandatory_attribute(ROOTS[q])]
-    c = graph.concepts[q]
-    attrs = [mandatory_attribute(c.kind)]
-    attrs.extend(_inherited_attributes(graph, graph.parents[q], c.kind))
-    attrs.extend(c.attributes)
-    return attrs
+    """Full constructor slot list: the mandatory slot, inherited, then own.
 
-
-def standalone_attributes(c: Concept) -> list[AttributeSpec]:
-    """Constructor slots for a concept not yet attached to any graph."""
-    return [mandatory_attribute(c.kind)] + list(c.attributes)
+    Memoised per graph as the parent's list plus the concept's own; read-only."""
+    q = node = graph.resolve(name, namespace)
+    chain = []
+    while node not in graph._slots:
+        chain.append(node)
+        node = graph.parents[node]
+    for node in reversed(chain):
+        graph._slots[node] = graph._slots[graph.parents[node]] + graph.concepts[node].attributes
+    return graph._slots[q]
 
 
 # -- canonical code rendering ---------------------------------------------------
@@ -464,19 +465,17 @@ def render_class_code(graph: OntologyGraph, name: str, namespace: str | None = N
     """Canonical class-definition code for a concept; byte-deterministic."""
     q = graph.resolve(name, namespace)
     if q in ROOTS:
-        return _render_class(q, "object", ROOT_DESCRIPTIONS[q], [], [mandatory_attribute(ROOTS[q])])
+        return _render_class(q, "object", ROOT_DESCRIPTIONS[q], [], effective_attributes(graph, q))
     c = graph.concepts[q]
-    parent_q = graph.parents[q]
-    parent_display = parent_q if parent_q in ROOTS else parent_q.rsplit(".", 1)[1]
-    return _render_class(
-        c.name, parent_display, c.description, c.examples, effective_attributes(graph, q)
-    )
+    parent = graph.parents[q].rsplit(".", 1)[-1]
+    return _render_class(c.name, parent, c.description, c.examples, effective_attributes(graph, q))
 
 
 def render_concept_code(c: Concept) -> str:
     """Class code for a concept that is not (yet) part of a graph."""
     parent_display = c.parent if c.parent else {"entity": ENTITY_ROOT, "event": EVENT_ROOT}[c.kind]
-    return _render_class(c.name, parent_display, c.description, c.examples, standalone_attributes(c))
+    return _render_class(c.name, parent_display, c.description, c.examples,
+                         [mandatory_attribute(c.kind)] + c.attributes)
 
 
 def parse_class_code(text: str) -> dict:
@@ -517,7 +516,6 @@ def parse_class_code(text: str) -> dict:
             if ": " not in part:
                 raise ParseFailure(f"bad parameter: {part!r}")
             attr_name, token = part.split(": ", 1)
-            parse_type_token(token)
             attrs.append(AttributeSpec(attr_name, token))
     return {
         "name": name,
@@ -540,10 +538,24 @@ def render_import_clause(graph: OntologyGraph, namespace: str, names: list[str])
 
 # -- persistence ----------------------------------------------------------------
 
+def _check_field_types(entry: dict, what: str) -> None:
+    """Every field holds a string, except the lists: attributes, examples, equivalents."""
+    for key, value in entry.items():
+        if key == "attributes":
+            ok, want = isinstance(value, list), "a list"
+        elif key in ("examples", "equivalents"):
+            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+            want = "a list of strings"
+        else:
+            ok, want = isinstance(value, str), "a string"
+        if not ok:
+            raise SchemaViolation(f"{what}: {key!r} must be {want}, got {type(value).__name__}")
+
+
 def graph_from_document(document: dict) -> OntologyGraph:
     """Build a graph from the ontology JSON document shape.
 
-    Unknown keys anywhere in the document are rejected. Concepts may appear
+    Unknown keys and fields of the wrong type are rejected. Concepts may appear
     in any order; parent links are settled iteratively and leftovers are
     reported as cycles or unknown parents.
     """
@@ -559,10 +571,12 @@ def graph_from_document(document: dict) -> OntologyGraph:
             check_keys(entry, f"concept in {ns!r}", required=("name", "kind", "parent"),
                        allowed=("name", "kind", "parent", "description", "examples",
                                 "attributes", "equivalents"))
+            _check_field_types(entry, f"concept {ns}.{entry['name']}")
             attrs = []
             for raw in entry.get("attributes", []):
                 check_keys(raw, f"attribute of {ns}.{entry['name']}", required=("name", "type"),
                            allowed=("name", "type", "doc"))
+                _check_field_types(raw, f"attribute of {ns}.{entry['name']}")
                 attrs.append(AttributeSpec(raw["name"], raw["type"], raw.get("doc", "")))
             concept = Concept(
                 name=entry["name"],

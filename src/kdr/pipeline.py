@@ -240,18 +240,15 @@ def _merge_proposal_into_graph(
     notes: list[str] = []
     fresh = onto.graph_from_document(document)
     aligner = alignment.make_llm_aligner(gateway) if gateway else None
-    ordered = [q for q in fresh.concepts if q not in onto.ROOTS]
-    ordered.sort(key=lambda q: len(fresh.root_path(q)))
+    ordered = sorted(fresh.concepts, key=lambda q: len(fresh.root_path(q)))
+    kinds = {c.kind for c in graph.concepts.values()}  # kinds that already have a concept
     for qualified in ordered:
         concept = fresh.concepts[qualified]
         if qualified in graph.concepts:
             notes.append(f"{qualified} already present; kept existing definition")
             continue
-        parent_is_root = concept.parent in onto.ROOTS
-        has_peers = any(c.kind == concept.kind for q, c in graph.concepts.items()
-                        if q not in onto.ROOTS)
         try:
-            if parent_is_root and has_peers and aligner is not None:
+            if concept.parent in onto.ROOTS and concept.kind in kinds and aligner is not None:
                 parent = aligner(concept, graph)
                 placed = onto.Concept(
                     concept.name, concept.namespace, concept.kind, parent,
@@ -262,6 +259,7 @@ def _merge_proposal_into_graph(
                     notes.append(f"{qualified} aligned under {parent}")
             else:
                 graph = onto.add_concept(graph, concept)
+            kinds.add(concept.kind)
         except KdrError as exc:
             notes.append(f"{qualified} skipped: {exc}")
     return graph, notes
@@ -289,7 +287,7 @@ def run_organization(
         make_dir(Path(task.kb_path).parent, "KB directory")
     if run_dir:
         make_dir(run_dir, "run directory")
-    if base_graph is None or all(q in onto.ROOTS for q in base_graph.concepts):
+    if base_graph is None or not base_graph.concepts:
         graph = proposal.graph
         notes: list[str] = []
     else:
@@ -303,10 +301,8 @@ def run_organization(
     ledger = [{"document": name, "error": "unsupported format, skipped"}
               for name in skipped]
     namespaces = sorted(proposal.document.get("namespaces", {}).keys())
-    inventory = {
-        ns: sorted(c.name for q, c in graph.concepts.items() if c.namespace == ns)
-        for ns in namespaces
-    }
+    by_namespace = graph.namespaces()
+    inventory = {ns: sorted(c.name for c in by_namespace.get(ns, [])) for ns in namespaces}
 
     passage_count = 0
     timestamp = 0.0
@@ -350,7 +346,7 @@ def run_organization(
         "extracted_objects": extracted,
         "stored_objects": len(store.objects),
         "resolved_references": resolved,
-        "concepts": sum(1 for q in graph.concepts if q not in onto.ROOTS),
+        "concepts": len(graph.concepts),
         "namespaces": namespaces,
         "alignment_notes": notes,
         "errors": ledger,

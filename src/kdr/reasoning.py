@@ -133,18 +133,21 @@ def render_decomposition(plans: list[CyclePlan]) -> str:
 # -- ontology search ---------------------------------------------------------------
 
 
+def _concept_index(graph: onto.OntologyGraph) -> InvertedIndex:
+    index = InvertedIndex()
+    for q, concept in graph.concepts.items():
+        index.add(q, " ".join([concept.name, concept.description]
+                              + [a.name for a in concept.attributes]))
+    return index
+
+
 def ontology_search(
     query: str, graph: onto.OntologyGraph, limit: int = 5
 ) -> list[tuple[onto.Concept, str]]:
     """Full-text match over concept names, descriptions, and attribute names."""
     if not tokenize(query):
         raise NoConceptFound(f"query {query!r} has no searchable tokens")
-    index = InvertedIndex()
-    for q, concept in graph.concepts.items():
-        blob = " ".join([concept.name, concept.description]
-                        + [a.name for a in concept.attributes])
-        index.add(q, blob)
-    ranked = index.search(query, limit=limit)
+    ranked = graph.view(_concept_index).search(query, limit=limit)
     if not ranked:
         raise NoConceptFound(f"no concept matches {query!r}")
     return [
@@ -165,9 +168,8 @@ def class_closure(graph: onto.OntologyGraph, names: list[str]) -> list[str]:
             if node not in wanted:
                 frontier.append(node)
         for attr in graph.concepts[q].attributes:
-            base, _ = onto.parse_type_token(attr.type)
-            if base not in onto.SCALAR_BASES:
-                frontier.append(graph.resolve(base, q.rsplit(".", 1)[0]))
+            if attr.base not in onto.SCALAR_BASES:
+                frontier.append(graph.resolve(attr.base, q.rsplit(".", 1)[0]))
     return sorted(wanted, key=lambda q: (len(graph.root_path(q)), q))
 
 

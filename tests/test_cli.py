@@ -682,3 +682,32 @@ def test_eval_taxonomy_k_must_be_a_positive_integer(capsys, tmp_path, k):
                      "--mock", E2E_MOCK, "--k", k)
     assert rc == 1
     assert "--k" in err and "integer >= 1" in err
+
+
+def _with_field(where: str, key: str, value) -> dict:
+    concept = {"name": "Person", "kind": "entity", "parent": "Entity",
+               "attributes": [{"name": "born", "type": "date"}]}
+    (concept["attributes"][0] if where == "attribute" else concept)[key] = value
+    return {"namespaces": {"STUDY": [concept]}}
+
+
+@pytest.mark.parametrize("where,key,value", [
+    ("attribute", "type", 5),
+    ("attribute", "name", ["born"]),
+    ("attribute", "doc", 3),
+    ("concept", "name", 5),
+    ("concept", "kind", 1),
+    ("concept", "parent", 7),
+    ("concept", "equivalents", [3]),
+    ("concept", "equivalents", "STUDY.Other"),
+    ("concept", "examples", "abc"),
+    ("concept", "description", ["x"]),
+    ("concept", "attributes", "born"),
+])
+def test_ontology_field_of_the_wrong_type_is_user_error(capsys, tmp_path, where, key, value):
+    kb = colliding_kb(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_with_field(where, key, value)))
+    rc, _, err = run(capsys, "kb", "stats", "--kb", kb, "--ontology", str(bad))
+    assert rc == 1
+    assert one_error_line(err) and f"{key!r} must be" in err and "STUDY." in err

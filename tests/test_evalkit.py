@@ -405,3 +405,11 @@ def test_judging_is_deterministic():
 def test_judging_requires_a_backend():
     with pytest.raises(SchemaViolation):
         ek.judge_report("r", [])
+
+
+@pytest.mark.parametrize("answers", ["Nolan", 5, None])
+def test_kbqa_answers_must_be_a_list(tmp_path, answers):
+    records = kbqa_records()
+    records[1]["answers"] = answers
+    with pytest.raises(SchemaViolation, match="QA record 1"):
+        ek.eval_kbqa(records, kbqa_gateway(), workdir=str(tmp_path))

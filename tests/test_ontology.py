@@ -1,6 +1,8 @@
 """Ontology graph: construction, rendering, hierarchy math, persistence."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from kdr.errors import (
     DuplicateAttribute,
     DuplicateName,
     EmptyImport,
+    KdrError,
     KindMismatch,
     ParseFailure,
     SchemaViolation,
@@ -389,3 +392,123 @@ def test_wu_palmer_properties(tree):
         path = g.root_path(g.resolve(names[i]))
         assert path[0] == "Entity"
         assert ontology.depth(g, names[i]) == len(path)
+
+
+# -- lookup views against the old derivations --------------------------------------
+
+SHORT_NAMES = ["Alpha", "Beta", "Gamma"]
+SPACES = ["A", "B", "C"]
+
+
+def scan_resolve(graph, name, namespace=None):
+    """resolve as a scan over every concept name."""
+    if name in ontology.ROOTS:
+        return name
+    if "." in name:
+        if name in graph.concepts:
+            return name
+        raise UnknownConcept(f"unknown concept {name!r}")
+    if namespace is not None and f"{namespace}.{name}" in graph.concepts:
+        return f"{namespace}.{name}"
+    matches = [q for q in graph.concepts if q.rsplit(".", 1)[1] == name]
+    if len(matches) == 1:
+        return matches[0]
+    if not matches:
+        raise UnknownConcept(f"unknown concept {name!r}")
+    raise AmbiguousName(f"{name!r} exists in several namespaces: {sorted(matches)}")
+
+
+def walked_attributes(graph, q):
+    """effective_attributes as a walk down the root path."""
+    if q in ontology.ROOTS:
+        return [ontology.mandatory_attribute(ontology.ROOTS[q])]
+    attrs = [ontology.mandatory_attribute(graph.concepts[q].kind)]
+    for node in graph.root_path(q):
+        if node not in ontology.ROOTS:
+            attrs.extend(graph.concepts[node].attributes)
+    return attrs
+
+
+def outcome(lookup, *args):
+    try:
+        return lookup(*args)
+    except (UnknownConcept, AmbiguousName) as exc:
+        return type(exc), str(exc)
+
+
+def assert_lookups_match(graph):
+    for name in SHORT_NAMES + ["Entity", "Event", "Missing", "Z.Alpha"] + list(graph.concepts):
+        for namespace in [None, "Z"] + SPACES:
+            assert outcome(graph.resolve, name, namespace) == outcome(
+                scan_resolve, graph, name, namespace)
+    for q in list(graph.concepts) + list(ontology.ROOTS):
+        assert ontology.effective_attributes(graph, q) == walked_attributes(graph, q)
+
+
+graph_ops = st.tuples(st.sampled_from(["insert", "add", "equivalence", "clone"]),
+                      st.integers(0, 2), st.integers(0, 2), st.integers(0, 40),
+                      st.booleans(), st.lists(st.sampled_from(
+                          ["text", "List[number]"] + SHORT_NAMES), max_size=2))
+
+
+@given(st.lists(graph_ops, max_size=25))
+@settings(max_examples=120, deadline=None)
+def test_lookups_match_the_scan_and_the_walk(ops):
+    graph = empty_graph()
+    seen = [graph]
+    for i, (op, ns, name, pick, qualified, types) in enumerate(ops):
+        placed = sorted(graph.concepts)
+        options = sorted(ontology.ROOTS) + placed
+        parent = options[pick % len(options)]
+        try:
+            if op == "equivalence" and placed:
+                graph = graph.with_equivalence(parent if parent in placed else placed[0],
+                                               placed[pick % len(placed)])
+            elif op == "clone":
+                graph = graph._clone()
+            elif op in ("insert", "add"):
+                parent_q = graph.resolve(parent)
+                attrs = [AttributeSpec(f"a{i}_{k}", t) for k, t in enumerate(types)]
+                concept = Concept(SHORT_NAMES[name], SPACES[ns], graph.kind_of(parent_q),
+                                  parent if qualified else parent.rsplit(".", 1)[-1],
+                                  attributes=attrs)
+                if op == "insert":
+                    ontology.insert_concept(graph, concept)
+                else:
+                    graph = add_concept(graph, concept)
+        except KdrError:  # a rejected concept leaves the graph as it was
+            pass
+        seen.append(graph)
+        assert_lookups_match(graph)
+    for g in seen:
+        assert_lookups_match(g)
+
+
+# -- one parser of type tokens -------------------------------------------------------
+
+SRC = Path(ontology.__file__).parent
+
+
+def parse_type_token_calls(source: str) -> list[int]:
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id == "parse_type_token"
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == "parse_type_token")]
+
+
+def test_only_the_ontology_parses_type_tokens():
+    offenders = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                 if path.name != "ontology.py"
+                 for line in parse_type_token_calls(path.read_text(encoding="utf-8"))]
+    assert offenders == []
+
+
+def test_type_token_finder_flags_each_kind_of_call():
+    source = '''
+def f(spec):
+    onto.parse_type_token(spec.type)
+    parse_type_token("List[text]")
+    spec.is_list
+    parse_type_token
+'''
+    assert parse_type_token_calls(source) == [3, 4]

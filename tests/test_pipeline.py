@@ -677,3 +677,14 @@ def test_run_organization_unwritable_run_dir_fails_before_model_calls(tmp_path):
                             run_dir=str(tmp_path / "file" / "run"))
     assert gateway.chat_backend.calls == []
     assert not (tmp_path / "kb.jsonl").exists()
+
+
+def test_proposal_with_a_non_string_type_is_unparseable(tmp_path):
+    bad = json.dumps({"namespaces": {"NS": [
+        {"name": "Person", "kind": "entity", "parent": "Entity",
+         "attributes": [{"name": "born", "type": 5}]}]}})
+    with pytest.raises(UnparseableProposal, match="'type' must be a string"):
+        pl.propose_ontology(TOPIC, "s", mock_gateway(default_response=bad),
+                            review_path=str(tmp_path / "p.json"))
+    assert json.loads((tmp_path / "p.json.raw").read_text()) == json.loads(bad)
+    assert not (tmp_path / "p.json").exists()

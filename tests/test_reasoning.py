@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
 
 import pytest
@@ -159,6 +160,45 @@ def test_ontology_search_no_tokens():
 def test_ontology_search_no_match():
     with pytest.raises(NoConceptFound):
         rs.ontology_search("zeppelin", science_graph())
+
+
+def test_ontology_search_finds_a_concept_inserted_after_a_search():
+    graph = science_graph()
+    with pytest.raises(NoConceptFound):
+        rs.ontology_search("zeppelin", graph)
+    grown = onto.add_concept(graph, onto.Concept("Zeppelin", "NER", "entity", "Entity"))
+    assert [c.name for c, _ in rs.ontology_search("zeppelin", grown)] == ["Zeppelin"]
+    with pytest.raises(NoConceptFound):
+        rs.ontology_search("zeppelin", graph)
+    onto.insert_concept(graph, onto.Concept("Zeppelin", "NER", "entity", "Entity"))
+    assert [c.name for c, _ in rs.ontology_search("zeppelin", graph)] == ["Zeppelin"]
+
+
+def test_threads_searching_a_fresh_graph_build_its_index_once(monkeypatch):
+    graph = science_graph()
+    adds = []
+    add = rs.InvertedIndex.add
+
+    def slow_add(self, doc_id, text):  # slow enough for every thread to reach the build
+        adds.append(doc_id)
+        time.sleep(0.01)
+        add(self, doc_id, text)
+
+    monkeypatch.setattr(rs.InvertedIndex, "add", slow_add)
+    barrier = threading.Barrier(8)
+    results = [None] * 8
+
+    def search(i):
+        barrier.wait()
+        results[i] = rs.ontology_search("scientist research field", graph)
+
+    threads = [threading.Thread(target=search, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert all(r == results[0] for r in results) and results[0]
+    assert sorted(adds) == sorted(graph.concepts)
 
 
 def test_class_closure_pulls_ancestors_and_ref_targets():
