@@ -292,24 +292,27 @@ def eval_kbqa(
     graph = graph or kbqa_graph()
     cfg = cfg or CycleConfig()
     base = workdir or tempfile.mkdtemp(prefix="kdr-kbqa-")
-    per_question = []
-    for i, record in enumerate(records):
+    for i, record in enumerate(records):  # every record, before any question runs
         check_keys(record, f"QA record {i}",
                    required=("id", "question", "topic_entity", "triples", "answers"))
-        if not isinstance(record["answers"], list):
-            raise SchemaViolation(f"QA record {i}: 'answers' must be a list")
+        for key, kind, name in (("question", str, "a string"),
+                                ("topic_entity", str, "a string"), ("answers", list, "a list")):
+            if not isinstance(record[key], kind):
+                raise SchemaViolation(f"QA record {i}: {key!r} must be {name}")
+    per_question = []
+    for record in records:
         qid = str(record["id"])
         gold = [str(a) for a in record["answers"]]
         predicted: list[str] = []
         try:
             store = store_from_triples(record["triples"], graph)
-            seeds = store.query_by_name(str(record["topic_entity"]))
+            seeds = store.query_by_name(record["topic_entity"])
             if not seeds:
                 raise SubgraphLoadFailure(
                     f"topic entity {record['topic_entity']!r} is not in the subgraph")
             objects = store.subgraph([o.id for o in seeds], hops=cfg.hops)
             trace = run_computation_cycle(
-                str(record["question"]), graph, store, gateway, cfg,
+                record["question"], graph, store, gateway, cfg,
                 workdir=f"{base}/q{qid}",
                 objects_override=objects,
                 concepts_override=[f"{KBQA_NAMESPACE}.Thing"],

@@ -409,8 +409,12 @@ def run_research(
     Only a plan parse failure aborts the run; a failed computation cycle
     downgrades its section to the text-cycle content plus an inline caveat.
     Finished sections are cached in the run directory keyed by plan hash.
-    Up to `workers` sections run at once, each in its own directory; they are
-    assembled in plan order, and the final revision pass stays serial.
+    Three phases follow the plan, each overlapping up to `workers` jobs: the
+    requests of every section the cache does not serve, one merge per section
+    and one revise per section. Results are folded in plan and request order,
+    so the report does not depend on `workers`. An error that a request does
+    not turn into a caveat propagates before any merge, and the run then writes
+    no section result.
     """
     cfg = cfg or rs.CycleConfig()
     run = Path(run_dir) if run_dir else Path("runs") / time.strftime("%Y%m%d-%H%M%S")
@@ -420,65 +424,56 @@ def run_research(
         templates.PLAN_PROMPT.format(title=task.topic, request=task.topic), tag="plan")
     write_file(run / "plan.txt", plan_text)
     plans = rs.parse_decomposition(plan_text)
+    sections_dir = run / "sections"
+    cached = [_load_section_cache(sections_dir / str(n) / "result.json", _section_hash(plan))
+              for n, plan in enumerate(plans, start=1)]
 
-    def run_section(numbered: tuple[int, rs.CyclePlan]) -> tuple[Section, list]:
-        n, plan = numbered
-        section_dir = run / "sections" / str(n)
-        digest = _section_hash(plan)
-        cached = _load_section_cache(section_dir / "result.json", digest)
-        if cached is not None:
-            return (Section(cached["title"], cached["body"], cached["artifacts"]),
-                    cached["sources"])
+    def run_request(job: tuple[int, int, rs.CycleRequest]) -> dict[str, list]:
+        """One request's contribution, by kind: computed, drafted, caveats,
+        artifacts and sources."""
+        n, data_index, request = job
+        if request.kind == "data_analysis":
+            # analysis request i > 0 of a section gets its own suffix, so artifacts do not collide
+            suffix = f"_{data_index}" if data_index else ""
+            trace = rs.run_computation_cycle(
+                request.query, graph, store, gateway, cfg,
+                workdir=str(sections_dir / str(n) / f"work{suffix}"),
+                trace_path=str(sections_dir / str(n) / f"trace{suffix}.json"))
+            if trace.final_status == "passed":
+                stdout = trace.iterations[-1].execution.stdout.strip()
+                return {"computed": [f"Computed findings for '{request.query}':\n{stdout}"],
+                        "artifacts": trace.artifacts}
+            reason = trace.reason or "no passing iteration"
+            return {"caveats": [
+                f"*The analysis request '{request.query}' did not complete ({reason}); "
+                f"this section relies on background material only.*"]}
+        if search_backend is None:
+            return {"caveats": [f"*No search backend was configured for '{request.query}'.*"]}
+        try:
+            text_result = rs.run_text_cycle(
+                request.query, search_backend, gateway, max_rounds=max_rounds, limit=search_hits)
+        except SearchBackendUnavailable as exc:
+            return {"caveats": [f"*Search failed for '{request.query}': {exc}.*"]}
+        if text_result.text.strip():
+            return {"drafted": [text_result.text.strip()], "sources": text_result.sources}
+        caveats = [f"*No background material found for '{request.query}' "
+                   f"({text_result.note}).*"] if text_result.note else []
+        return {"caveats": caveats, "sources": text_result.sources}
 
-        computed: list[str] = []
-        caveats: list[str] = []
-        drafted_parts: list[str] = []
-        artifacts: list[str] = []
-        section_sources: list[tuple[str, str]] = []
-        data_index = 0
-        for request in plan.requests:
-            if request.kind == "data_analysis":
-                # request i > 0 gets its own suffix, so artifacts do not collide
-                suffix = f"_{data_index}" if data_index else ""
-                data_index += 1
-                trace = rs.run_computation_cycle(
-                    request.query, graph, store, gateway, cfg,
-                    workdir=str(section_dir / f"work{suffix}"),
-                    trace_path=str(section_dir / f"trace{suffix}.json"))
-                if trace.final_status == "passed":
-                    stdout = trace.iterations[-1].execution.stdout.strip()
-                    computed.append(
-                        f"Computed findings for '{request.query}':\n{stdout}")
-                    artifacts.extend(trace.artifacts)
-                else:
-                    reason = trace.reason or "no passing iteration"
-                    caveats.append(
-                        f"*The analysis request '{request.query}' did not "
-                        f"complete ({reason}); this section relies on "
-                        f"background material only.*")
-            else:
-                if search_backend is None:
-                    caveats.append(
-                        f"*No search backend was configured for "
-                        f"'{request.query}'.*")
-                    continue
-                try:
-                    text_result = rs.run_text_cycle(
-                        request.query, search_backend, gateway,
-                        max_rounds=max_rounds, limit=search_hits)
-                except SearchBackendUnavailable as exc:
-                    caveats.append(
-                        f"*Search failed for '{request.query}': {exc}.*")
-                    continue
-                if text_result.text.strip():
-                    drafted_parts.append(text_result.text.strip())
-                elif text_result.note:
-                    caveats.append(
-                        f"*No background material found for "
-                        f"'{request.query}' ({text_result.note}).*")
-                section_sources.extend(text_result.sources)
+    jobs = [(n, sum(r.kind == "data_analysis" for r in plan.requests[:i]), request)
+            for n, plan in enumerate(plans, start=1) if cached[n - 1] is None
+            for i, request in enumerate(plan.requests)]
+    outcomes = list(zip(jobs, ordered_map(run_request, jobs, workers)))
 
-        drafted = "\n\n".join(drafted_parts)
+    def merge_section(n: int) -> tuple[Section, list]:
+        plan, hit = plans[n - 1], cached[n - 1]
+        if hit is not None:
+            return Section(hit["title"], hit["body"], hit["artifacts"]), hit["sources"]
+        parts = {key: [value for (m, _, _), outcome in outcomes if m == n
+                       for value in outcome.get(key, [])]
+                 for key in ("computed", "drafted", "caveats", "artifacts", "sources")}
+        computed, caveats = parts["computed"], parts["caveats"]
+        drafted = "\n\n".join(parts["drafted"])
         if computed or drafted:
             body = rs.merge_and_revise(plan.section_title, computed, drafted, gateway)
             if not body.strip():
@@ -487,28 +482,28 @@ def run_research(
             body = ""
         if caveats:
             body = (body + "\n\n" if body else "") + "\n\n".join(caveats)
-
-        write_json(section_dir / "result.json", {
-            "hash": digest,
+        write_json(sections_dir / str(n) / "result.json", {
+            "hash": _section_hash(plan),
             "title": plan.section_title,
             "body": body,
-            "artifacts": artifacts,
-            "sources": section_sources,
+            "artifacts": parts["artifacts"],
+            "sources": parts["sources"],
         })
-        return Section(plan.section_title, body, artifacts), section_sources
+        return Section(plan.section_title, body, parts["artifacts"]), parts["sources"]
 
     sections: list[Section] = []
     all_sources: list[tuple[str, str]] = []
     seen_urls: set[str] = set()
     for section, section_sources in ordered_map(
-            run_section, list(enumerate(plans, start=1)), workers):
+            merge_section, list(range(1, len(plans) + 1)), workers):
         sections.append(section)
         for title, url in section_sources:
             if url not in seen_urls:
                 seen_urls.add(url)
                 all_sources.append((title, url))
 
-    revised = rs.revise_report([s.body for s in sections], gateway)
+    revised = rs.revise_report([s.body for s in sections], gateway,
+                               functools.partial(ordered_map, workers=workers))
     for section, new_body in zip(sections, revised):
         if new_body.strip():
             section.body = new_body
@@ -617,5 +612,6 @@ def cycle_config_from(config: dict) -> rs.CycleConfig:
 
 
 def workers_from(config: dict) -> int:
-    """limits.workers: how many extraction jobs, report sections or taxonomy leaves overlap."""
+    """limits.workers: how many extraction jobs, research requests, merges and
+    revises, or taxonomy leaves overlap."""
     return limits_from(config).get("workers", DEFAULT_WORKERS)

@@ -797,13 +797,14 @@ def merge_and_revise(
     return gateway.ask(prompt, tag="merge")
 
 
-def revise_report(section_bodies: list[str], gateway: LlmGateway) -> list[str]:
-    """Global polish: each section is revised in view of the whole report."""
+def revise_report(section_bodies: list[str], gateway: LlmGateway,
+                  map_each=lambda fn, items: [fn(item) for item in items]) -> list[str]:
+    """Global polish: each section is revised in view of the whole report.
+
+    `map_each(fn, items)` makes the calls; it must return results in item
+    order, and may overlap them.
+    """
     full = "\n\n".join(section_bodies)
-    revised = []
-    for body in section_bodies:
-        revised.append(gateway.ask(
-            templates.REVISE_SECTION_PROMPT.format(report=full, section=body),
-            tag="revise",
-        ))
-    return revised
+    return map_each(lambda body: gateway.ask(
+        templates.REVISE_SECTION_PROMPT.format(report=full, section=body), tag="revise"),
+        section_bodies)

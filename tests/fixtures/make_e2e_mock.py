@@ -87,7 +87,10 @@ SCRIPT = {
         {"match": "Decide whether the draft sufficiently answers",
          "responses": ["PASS covered"]},
         {"match": "Merge the computed findings", "responses": [SECTION_2]},
-        {"match": "Polish the section", "responses": [SECTION_1, SECTION_2]},
+        # one revise rule per section, matched on the section it polishes:
+        # revises overlap, so a shared queue would answer in arrival order
+        {"match": f"Section to polish:\n{SECTION_1}", "responses": [SECTION_1]},
+        {"match": f"Section to polish:\n{SECTION_2}", "responses": [SECTION_2]},
     ],
     "default_response": "",
 }

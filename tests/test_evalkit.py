@@ -413,3 +413,14 @@ def test_kbqa_answers_must_be_a_list(tmp_path, answers):
     records[1]["answers"] = answers
     with pytest.raises(SchemaViolation, match="QA record 1"):
         ek.eval_kbqa(records, kbqa_gateway(), workdir=str(tmp_path))
+
+
+@pytest.mark.parametrize("key, value", [("question", 5), ("topic_entity", None),
+                                        ("topic_entity", ["Inception"])])
+def test_kbqa_question_and_topic_entity_must_be_strings(tmp_path, key, value):
+    records = kbqa_records()
+    records[1][key] = value
+    gw = kbqa_gateway()
+    with pytest.raises(SchemaViolation, match=f"QA record 1: '{key}'"):
+        ek.eval_kbqa(records, gw, workdir=str(tmp_path))
+    assert not gw.chat_backend.calls  # checked before any question runs

@@ -524,15 +524,17 @@ def test_run_research_rerun_without_section_results_keeps_artifacts(tmp_path):
 def test_run_research_keeps_each_requests_artifacts_apart(tmp_path):
     # two analysis requests in one section both write counts.csv
     graph, store = organized(tmp_path)
-    scripts = [f"```python\nopen('counts.csv', 'w').write('{n}')\n"
-               f"print(len(search_results))\n```" for n in ("first", "second")]
+    # the two requests overlap, so each has its own codegen rule
+    scripts = [{"match": f"Query: {query}", "responses": [
+        f"```python\nopen('counts.csv', 'w').write('{n}')\nprint(len(search_results))\n```"]}
+        for query, n in (("count every person", "first"), ("list every person", "second"))]
     gw = mock_gateway({"rules": [
         {"match": "You are planning a research report", "responses": [
             "# Numbers\n<begin_data_analysis>count every person<end_data_analysis>\n"
             "<begin_data_analysis>list every person<end_data_analysis>"]},
         {"match": "List the topic entities", "responses": ["Ada Lovelace"]},
-        {"match": "Write a Python script", "responses": scripts},
         {"match": "Decide whether the analysis results satisfy", "responses": ["PASS"]},
+        *scripts,
     ]})
     run_dir = tmp_path / "run"
     doc = pl.run_research(research_task(tmp_path), graph, store, gw, run_dir=str(run_dir))
@@ -554,6 +556,186 @@ def test_run_research_without_search_backend_notes_the_gap(tmp_path):
     doc = pl.run_research(research_task(tmp_path), graph, store, gw,
                           run_dir=str(tmp_path / "run"))
     assert "No search backend" in doc.sections[0].body
+
+
+def prompt_of(messages) -> str:
+    return "\n".join(m.content for m in messages)
+
+
+class _HoldFirst(ChatBackend):
+    """Holds the first call of each group until a later call of the same group
+    has returned, so overlapped calls reach the scripted mock out of issue order.
+    A group is a tuple of prompt markers; `reordered` names the groups whose
+    held call was overtaken (the hold gives up after `wait_s`)."""
+
+    def __init__(self, inner, groups: dict, wait_s: float = 5.0):
+        self.inner, self.groups, self.wait_s = inner, groups, wait_s
+        self.reordered: set[str] = set()
+        self._released: dict[str, threading.Event] = {}
+        self._lock = threading.Lock()
+
+    def complete(self, messages, config):
+        prompt = prompt_of(messages)
+        group = next((g for g, marks in self.groups.items()
+                      if any(m in prompt for m in marks)), None)
+        if group is None:
+            return self.inner.complete(messages, config)
+        with self._lock:
+            first = group not in self._released
+            released = self._released.setdefault(group, threading.Event())
+        if first:
+            if released.wait(self.wait_s):
+                self.reordered.add(group)
+            return self.inner.complete(messages, config)
+        try:
+            return self.inner.complete(messages, config)
+        finally:
+            released.set()
+
+
+def test_run_research_output_does_not_depend_on_call_order(tmp_path):
+    # the first request job and the first revise are overtaken by later ones
+    graph, store = organized(tmp_path)
+    backend = FixtureSearchBackend(str(FIXTURES / "webcorpus"))
+    held = _HoldFirst(e2e_gateway().chat_backend, {
+        "requests": ("Summarize the following source", "Write a Python script"),
+        "revises": ("Polish the section",)})
+    outputs = []
+    for workers, gateway in ((1, e2e_gateway()),
+                             (8, LlmGateway(held, MockEmbeddingBackend(), Transcript(None)))):
+        run_dir = tmp_path / f"w{workers}"
+        pl.run_research(research_task(tmp_path), graph, store, gateway,
+                        search_backend=backend, run_dir=str(run_dir),
+                        generated_at="2026-01-01T00:00:00Z", workers=workers)
+        results = sorted((run_dir / "sections").glob("*/result.json"))
+        outputs.append([(run_dir / "report.md").read_bytes()] + [
+            p.read_bytes().replace(bytes(run_dir), b"<run>") for p in results])
+    assert held.reordered == {"requests", "revises"}
+    assert len(outputs[0]) == 3
+    assert outputs[0] == outputs[1]
+
+
+class _InFlight(ChatBackend):
+    """Sleeps in every call and records (prompt, start, end, calls in flight at
+    its start), so overlapped calls show up in the spans."""
+
+    def __init__(self, inner, delay_s: float = 0.03):
+        self.inner, self.delay_s = inner, delay_s
+        self.spans: list[tuple[str, float, float, int]] = []
+        self._now = 0
+        self._lock = threading.Lock()
+
+    def complete(self, messages, config):
+        with self._lock:
+            self._now += 1
+            start, in_flight = time.monotonic(), self._now
+        try:
+            time.sleep(self.delay_s)
+            return self.inner.complete(messages, config)
+        finally:
+            with self._lock:
+                self._now -= 1
+                self.spans.append((prompt_of(messages), start, time.monotonic(), in_flight))
+
+
+def test_run_research_overlaps_requests_and_revises_within_workers(tmp_path):
+    graph, store = organized(tmp_path)
+    plan = "".join(f"# S{n}\n<begin_web_search>Ada Lovelace {n}<end_web_search>\n"
+                   f"<begin_web_search>analytical engine {n}<end_web_search>\n"
+                   for n in range(1, 5))
+    chat = _InFlight(MockChatBackend.from_script({"rules": [
+        {"match": "You are planning a research report", "responses": [plan]},
+        {"match": "Decide whether the draft sufficiently", "responses": ["PASS"]},
+        {"match": "Polish the section", "responses": ["polished"]},
+    ], "default_response": "text"}))
+    gateway = LlmGateway(chat, MockEmbeddingBackend(), Transcript(None))
+    doc = pl.run_research(research_task(tmp_path), graph, store, gateway,
+                          search_backend=FixtureSearchBackend(str(FIXTURES / "webcorpus")),
+                          run_dir=str(tmp_path / "run"), workers=3)
+    assert [s.body for s in doc.sections] == ["polished"] * 4
+    revises = [n for prompt, _, _, n in chat.spans if "Polish the section" in prompt]
+    requests = [n for prompt, _, _, n in chat.spans
+                if "Polish the section" not in prompt and "planning a research" not in prompt]
+    # per section: one hit and two hits summarized, each request drafted and checked
+    assert len(revises) == 4 and len(requests) == 4 * (3 + 4)
+    assert max(n for *_, n in chat.spans) <= 3
+    assert max(requests) >= 2 and max(revises) >= 2
+
+
+def test_run_research_overlaps_a_sections_analysis_and_web_requests(tmp_path):
+    graph, store = organized(tmp_path)
+    chat = _InFlight(MockChatBackend.from_script({"rules": [
+        {"match": "You are planning a research report", "responses": [
+            "# Both\n<begin_data_analysis>mean birth year of every person<end_data_analysis>\n"
+            "<begin_web_search>Who collaborated on the Analytical Engine?<end_web_search>"]},
+        {"match": "List the topic entities", "responses": ["Ada Lovelace"]},
+        {"match": "Write a Python script", "responses": ["```python\nprint(1)\n```"]},
+        {"match": "Decide whether the analysis results satisfy", "responses": ["PASS"]},
+        {"match": "Decide whether the draft sufficiently", "responses": ["PASS"]},
+    ], "default_response": "text"}))
+    gateway = LlmGateway(chat, MockEmbeddingBackend(), Transcript(None))
+    pl.run_research(research_task(tmp_path), graph, store, gateway,
+                    search_backend=FixtureSearchBackend(str(FIXTURES / "webcorpus")),
+                    run_dir=str(tmp_path / "run"), workers=8)
+    analysis_marks = ("List the topic entities", "Write a Python script",
+                      "Decide whether the analysis results")
+    web_marks = ("Summarize the following source", "Write the answer to the research",
+                 "Decide whether the draft")
+
+    def extent(marks):
+        spans = [(s, e) for p, s, e, _ in chat.spans if any(m in p for m in marks)]
+        return min(s for s, _ in spans), max(e for _, e in spans)
+
+    (a_start, a_end), (w_start, w_end) = extent(analysis_marks), extent(web_marks)
+    assert a_start < w_end and w_start < a_end
+
+
+def test_run_research_reruns_only_uncached_sections(tmp_path):
+    graph, store = organized(tmp_path)
+    backend = FixtureSearchBackend(str(FIXTURES / "webcorpus"))
+    run_dir = tmp_path / "run"
+
+    def research(gateway):
+        pl.run_research(research_task(tmp_path), graph, store, gateway,
+                        search_backend=backend, run_dir=str(run_dir),
+                        generated_at="2026-01-01T00:00:00Z")
+        return (run_dir / "report.md").read_bytes()
+
+    first = research(e2e_gateway())
+    (run_dir / "sections" / "2" / "result.json").unlink()
+    gateway = e2e_gateway()
+    assert research(gateway) == first
+    calls = gateway.chat_backend.calls
+    # section 1 (web only, served by its result.json): no request and no merge call
+    assert not any("Who collaborated on the Analytical Engine?" in c for c in calls)
+    assert not any("Merge the computed findings" in c and "Background" in c for c in calls)
+    # section 2 ran again
+    assert any("mean birth year of every person on record" in c for c in calls)
+    assert (run_dir / "sections" / "2" / "result.json").exists()
+
+
+class _WebDown(ChatBackend):
+    def __init__(self, inner):
+        self.inner = inner
+
+    def complete(self, messages, config):
+        if "Summarize the following source" in prompt_of(messages):
+            raise BackendUnavailable("chat endpoint unreachable")
+        return self.inner.complete(messages, config)
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_run_research_request_error_propagates_and_writes_no_section(tmp_path, workers):
+    graph, store = organized(tmp_path)
+    gateway = LlmGateway(_WebDown(e2e_gateway().chat_backend),
+                         MockEmbeddingBackend(), Transcript(None))
+    run_dir = tmp_path / "run"
+    with pytest.raises(BackendUnavailable, match="unreachable"):
+        pl.run_research(research_task(tmp_path), graph, store, gateway,
+                        search_backend=FixtureSearchBackend(str(FIXTURES / "webcorpus")),
+                        run_dir=str(run_dir), workers=workers)
+    assert not list(run_dir.glob("sections/*/result.json"))
+    assert not (run_dir / "report.md").exists()
 
 
 # -- report assembly -------------------------------------------------------------------
