@@ -9,7 +9,6 @@ relation per candidate; the verdicts decide where the new concept attaches.
 from __future__ import annotations
 
 import logging
-import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
@@ -243,13 +242,13 @@ def place_concept(
         note = "no informative verdicts; attached under the kind root"
 
     try:
-        onto.check_concept(graph, replace(query, parent=parent, equivalents=[]))
+        onto.check_concept(graph, replace(query, parent=parent))
     except CycleDetected:
         note = f"attaching under {parent} would close a cycle; fell back to {root}"
         log.warning("%s: %s", query.name, note)
         parent = root
         equivalent_to = None
-        onto.check_concept(graph, replace(query, parent=parent, equivalents=[]))
+        onto.check_concept(graph, replace(query, parent=parent))
     # The equivalence edge needs no check of its own: the candidate is a stored
     # concept of its parent's kind, which the check above matched to the query.
     return parent, equivalent_to, note
@@ -260,12 +259,13 @@ def expand_ontology(
     verdicts: list[RelationVerdict],
     graph: onto.OntologyGraph,
 ) -> AlignmentOutcome:
-    """Attach the query concept where place_concept puts it."""
+    """Attach the query concept where place_concept puts it, in a copy of the graph."""
     parent, equivalent_to, note = place_concept(query, verdicts, graph)
-    new_graph = onto.add_concept(graph, replace(query, parent=parent, equivalents=[]))
+    grown = graph.copy()
+    onto.insert_concept(grown, replace(query, parent=parent))
     if equivalent_to is not None:
-        new_graph = new_graph.with_equivalence(query.qualified, equivalent_to)
-    return AlignmentOutcome(new_graph, parent, equivalent_to, verdicts, note)
+        grown.add_equivalence(query.qualified, equivalent_to)
+    return AlignmentOutcome(grown, parent, equivalent_to, verdicts, note)
 
 
 def align_concept(
@@ -290,23 +290,18 @@ def align_concept(
 def make_llm_aligner(gateway: LlmGateway, k: int = DEFAULT_K):
     """Aligner closure (Concept, OntologyGraph) -> qualified parent name.
 
-    It keeps the index of the last graph it was given, held and compared by
-    identity, plus a memo of embedded texts, so a graph grown by one concept
-    embeds one text. It returns the parent align_concept would pick without
-    building the grown graph, and is safe to call from several threads.
+    Each graph it is given keeps its index as a view, rebuilt after an insert;
+    a memo of embedded texts makes a graph grown by one concept embed one
+    text. It returns the parent align_concept would pick without growing the
+    graph, and is safe to call from several threads.
     """
-    lock = threading.Lock()
     memo: dict[str, np.ndarray] = {}
-    cached_graph: onto.OntologyGraph | None = None
-    cached_index: EmbeddingIndex | None = None
+
+    def index_of(graph: onto.OntologyGraph) -> EmbeddingIndex:
+        return embed_ontology(graph, gateway, memo)
 
     def aligner(query: onto.Concept, graph: onto.OntologyGraph) -> str:
-        nonlocal cached_graph, cached_index
-        with lock:
-            if cached_graph is not graph:
-                cached_index = embed_ontology(graph, gateway, memo)
-                cached_graph = graph
-            index = cached_index
+        index = graph.view(index_of)
         verdicts = []
         if index:
             cands = retrieve_candidates(query, index, k, backend=gateway)

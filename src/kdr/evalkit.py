@@ -245,11 +245,12 @@ class KbqaEvalResult:
 def kbqa_graph() -> onto.OntologyGraph:
     """One-concept schema: a named thing carrying its outgoing facts."""
     graph = onto.empty_graph()
-    return onto.add_concept(graph, onto.Concept(
+    onto.insert_concept(graph, onto.Concept(
         "Thing", KBQA_NAMESPACE, "entity", "Entity",
         "A subject from a question subgraph.",
         attributes=[onto.AttributeSpec("facts", "List[text]",
                                        "outgoing relations as 'predicate: object' lines")]))
+    return graph
 
 
 def store_from_triples(triples: list, graph: onto.OntologyGraph) -> KnowledgeStore:

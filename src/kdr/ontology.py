@@ -5,14 +5,14 @@ concepts ``Entity`` and ``Event``. The module renders concepts as canonical
 class-definition code, renders import clauses, and answers hierarchy queries
 (depth, lowest common ancestor, Wu&Palmer similarity).
 
-Graphs are copy-on-update: every mutation returns a new graph and never
-touches the one it was derived from, so concurrent readers of a loaded graph
-are always safe. Only a builder fills its own private graph in place
-(insert_concept) before handing it out; ``_insert`` is the only path that
-adds a concept. Lookups are derived here once: an AttributeSpec parses its
-type token when built; a graph keeps a short-name map and memoised slot lists
-(copied to a clone: their values never change) and views such as the
-concept-search index (built once by ``view``, dropped by ``_insert``).
+A graph grows in place, by whoever owns it, through two paths only:
+``insert_concept`` (via ``_insert``) and ``OntologyGraph.add_equivalence``. A
+caller that must leave its input unchanged takes ``graph.copy()`` once and
+grows the copy. Equivalence exists only as a graph edge. Lookups are derived
+here once: an AttributeSpec parses its type token when built; a graph keeps a
+short-name map and memoised slot lists (shared with a copy: their values
+never change) and views such as the concept-search index (built once by
+``view``, dropped by ``_insert``).
 """
 
 from __future__ import annotations
@@ -96,11 +96,6 @@ def parse_type_token(token: str) -> tuple[str, bool]:
     raise SchemaViolation(f"invalid attribute type token: {token!r}")
 
 
-def is_ref_type(token: str) -> bool:
-    base, _ = parse_type_token(token)
-    return base not in SCALAR_BASES
-
-
 @dataclass
 class Concept:
     """A node of the ontology: an entity or event class.
@@ -117,7 +112,6 @@ class Concept:
     description: str = ""
     examples: list[str] = field(default_factory=list)
     attributes: list[AttributeSpec] = field(default_factory=list)
-    equivalents: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.description = _normalize_text(self.description)
@@ -148,11 +142,12 @@ def _validate_concept_fields(c: Concept) -> None:
 
 @dataclass
 class OntologyGraph:
-    """An immutable snapshot of the ontology forest.
+    """The ontology forest, grown in place by its owner.
 
     ``concepts`` maps qualified names (``namespace.Name``) to concepts;
     ``parents`` maps qualified names to qualified parent names or a root.
-    Equivalence is kept symmetric: both directions are stored.
+    Equivalence is kept symmetric: both directions are stored. Readers that
+    share a graph must not see it grow; its owner hands them a ``copy()``.
     """
 
     concepts: dict[str, Concept] = field(default_factory=dict)
@@ -251,15 +246,17 @@ class OntologyGraph:
     def is_descendant(self, qualified: str, ancestor: str) -> bool:
         return ancestor in self.root_path(qualified)[:-1]
 
-    # -- copy-on-update mutation ----------------------------------------------
+    # -- mutation ---------------------------------------------------------------
 
-    def _clone(self) -> "OntologyGraph":
+    def copy(self) -> "OntologyGraph":
+        """A graph that grows apart from this one; views are rebuilt on demand."""
         g = OntologyGraph(equivalences={k: set(v) for k, v in self.equivalences.items()})
         g.concepts, g.parents = dict(self.concepts), dict(self.parents)
         g._short, g._slots = dict(self._short), dict(self._slots)  # their values never change
         return g
 
-    def _add_equivalence(self, a: str, b: str, namespace: str | None = None) -> None:
+    def add_equivalence(self, a: str, b: str, namespace: str | None = None) -> None:
+        """Declare a ~ b in place, stored in both directions."""
         qa, qb = self.resolve(a, namespace), self.resolve(b, namespace)
         if qa in ROOTS or qb in ROOTS:
             raise SchemaViolation("roots cannot take part in equivalences")
@@ -268,21 +265,13 @@ class OntologyGraph:
         self.equivalences.setdefault(qa, set()).add(qb)
         self.equivalences.setdefault(qb, set()).add(qa)
 
-    def with_equivalence(self, a: str, b: str, namespace: str | None = None) -> "OntologyGraph":
-        g = self._clone()
-        g._add_equivalence(a, b, namespace)
-        return g
-
 
 def empty_graph() -> OntologyGraph:
     return OntologyGraph()
 
 
-def check_concept(graph: OntologyGraph, c: Concept) -> tuple[str, list[str]]:
-    """Every check add_concept makes, without inserting.
-
-    Returns the qualified parent and the qualified equivalents.
-    """
+def check_concept(graph: OntologyGraph, c: Concept) -> str:
+    """Every check insert_concept makes, without inserting; returns the qualified parent."""
     _validate_concept_fields(c)
     q = c.qualified
     if q in graph.concepts:
@@ -316,38 +305,20 @@ def check_concept(graph: OntologyGraph, c: Concept) -> tuple[str, list[str]]:
                 f"attribute {attr.name!r} of {c.name} references unknown concept {attr.base!r}"
             )
 
-    resolved_equivalents = []
-    for other in c.equivalents:
-        other_q = graph.resolve(other, c.namespace)
-        if other_q in ROOTS:
-            raise SchemaViolation("roots cannot take part in equivalences")
-        if graph.kind_of(other_q) != c.kind:
-            raise KindMismatch(f"{c.name} and {other_q} have different kinds")
-        resolved_equivalents.append(other_q)
-    return parent_q, resolved_equivalents
+    return parent_q
 
 
-def _insert(graph: OntologyGraph, c: Concept, parent_q: str, equivalents: list[str]) -> None:
+def _insert(graph: OntologyGraph, c: Concept, parent_q: str) -> None:
     q = c.qualified
     graph.concepts[q] = c
     graph.parents[q] = parent_q
     graph._short[c.name] = graph._short.get(c.name, ()) + (q,)
     graph._views.clear()
-    for other_q in equivalents:
-        graph._add_equivalence(q, other_q)
-
-
-def add_concept(graph: OntologyGraph, c: Concept) -> OntologyGraph:
-    """Insert a concept, returning a new graph; the input graph is untouched."""
-    parent_q, equivalents = check_concept(graph, c)
-    g = graph._clone()
-    _insert(g, c, parent_q, equivalents)
-    return g
 
 
 def insert_concept(graph: OntologyGraph, c: Concept) -> None:
-    """add_concept in place, for a graph still being built that no one else holds."""
-    _insert(graph, c, *check_concept(graph, c))
+    """Check a concept and insert it into the graph in place."""
+    _insert(graph, c, check_concept(graph, c))
 
 
 def place_in_passes(items: list, place) -> list:
@@ -610,7 +581,7 @@ def graph_from_document(document: dict) -> OntologyGraph:
         raise UnknownParent(f"{first.qualified} has unknown parent {first.parent!r}")
 
     for ns, name, other in declared_equivalences:
-        graph._add_equivalence(name, other, ns)
+        graph.add_equivalence(name, other, ns)
     validate_graph(graph)
     return graph
 

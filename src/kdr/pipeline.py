@@ -18,7 +18,7 @@ import os
 import re
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import knowledge_store as ks
@@ -233,8 +233,9 @@ def _merge_proposal_into_graph(
     document: dict,
     gateway: LlmGateway | None,
 ) -> tuple[onto.OntologyGraph, list[str]]:
-    """Add proposed concepts; root-parented ones go through alignment when the
-    graph already holds same-kind concepts and a backend is available."""
+    """A copy of the graph with the proposed concepts and their equivalences
+    added; root-parented ones go through alignment when the graph already
+    holds same-kind concepts and a backend is available."""
     from . import alignment  # imports numpy, so it loads only when a proposal needs aligning
 
     notes: list[str] = []
@@ -242,6 +243,7 @@ def _merge_proposal_into_graph(
     aligner = alignment.make_llm_aligner(gateway) if gateway else None
     ordered = sorted(fresh.concepts, key=lambda q: len(fresh.root_path(q)))
     kinds = {c.kind for c in graph.concepts.values()}  # kinds that already have a concept
+    graph = graph.copy()
     for qualified in ordered:
         concept = fresh.concepts[qualified]
         if qualified in graph.concepts:
@@ -250,18 +252,21 @@ def _merge_proposal_into_graph(
         try:
             if concept.parent in onto.ROOTS and concept.kind in kinds and aligner is not None:
                 parent = aligner(concept, graph)
-                placed = onto.Concept(
-                    concept.name, concept.namespace, concept.kind, parent,
-                    concept.description, concept.examples, concept.attributes,
-                    concept.equivalents)
-                graph = onto.add_concept(graph, placed)
+                onto.insert_concept(graph, replace(concept, parent=parent))
                 if parent not in onto.ROOTS:
                     notes.append(f"{qualified} aligned under {parent}")
             else:
-                graph = onto.add_concept(graph, concept)
+                onto.insert_concept(graph, concept)
             kinds.add(concept.kind)
         except KdrError as exc:
             notes.append(f"{qualified} skipped: {exc}")
+    for a, others in fresh.equivalences.items():
+        for b in sorted(others):
+            if a < b and a in graph.concepts and b in graph.concepts:
+                try:
+                    graph.add_equivalence(a, b)
+                except KdrError as exc:
+                    notes.append(f"{a} ~ {b} skipped: {exc}")
     return graph, notes
 
 

@@ -639,7 +639,8 @@ def run_computation_cycle(
     objects_override: list[KnowledgeObject] | None = None,
     concepts_override: list[str] | None = None,
 ) -> ComputationTrace:
-    """Search, generate, query, execute, evaluate; retry until pass or budget.
+    """Search and query once, then generate, execute, evaluate; retry until
+    pass or budget.
 
     Evaluator feedback feeds only the next code generation. A caller may pin
     the instances with objects_override (skipping the topic-entity query) and
@@ -661,7 +662,7 @@ def run_computation_cycle(
     def resolve(ref_id: str):
         return store.objects[ref_id].display_name if ref_id in store.objects else None
 
-    # neither the graph nor the query changes between iterations
+    # neither the graph, the store nor the query changes between iterations
     if concepts_override is not None:
         hit_names = [graph.resolve(n) for n in concepts_override]
         hit_codes = [onto.render_class_code(graph, q) for q in hit_names]
@@ -672,6 +673,15 @@ def run_computation_cycle(
             return finish("failed", str(exc))
         hit_names = [c.qualified for c, _ in hits]
         hit_codes = [code for _, code in hits]
+    if objects_override is not None:
+        objects = list(objects_override)
+    else:
+        try:
+            objects = instance_query(query, store, graph, gateway, cfg.hops)
+        except (NoTopicEntity, NoInstancesFound) as exc:
+            return finish("failed", str(exc))
+    closure = class_closure(graph, hit_names + [o.concept for o in objects])
+    class_codes = [onto.render_class_code(graph, q) for q in closure]
 
     for iteration in range(1, cfg.max_iterations + 1):
         try:
@@ -682,20 +692,6 @@ def run_computation_cycle(
             ))
             feedback = str(exc)
             continue
-
-        if objects_override is not None:
-            objects = list(objects_override)
-        else:
-            try:
-                objects = instance_query(query, store, graph, gateway, cfg.hops)
-            except (NoTopicEntity, NoInstancesFound) as exc:
-                trace.iterations.append(IterationRecord(
-                    hit_names, code, 0, None, "fail", str(exc)
-                ))
-                return finish("failed", str(exc))
-
-        closure = class_closure(graph, hit_names + [o.concept for o in objects])
-        class_codes = [onto.render_class_code(graph, q) for q in closure]
 
         script = assemble_script(class_codes, objects, code, graph, resolve)
         iter_dir = base / f"iter{iteration}"

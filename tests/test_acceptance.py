@@ -77,7 +77,8 @@ def _words(rng: random.Random, low: int, high: int) -> str:
 
 def _random_graph(rng: random.Random):
     """Ten concepts in one namespace: a ref target 'Peer' plus nine random ones."""
-    graph = onto.add_concept(onto.empty_graph(), onto.Concept(
+    graph = onto.empty_graph()
+    onto.insert_concept(graph, onto.Concept(
         "Peer", "RT", "entity", "Entity", "A reference target."))
     names = ["Peer"]
     kinds = {"Peer": "entity"}
@@ -100,7 +101,7 @@ def _random_graph(rng: random.Random):
             if attr in taken or any(a.name == attr for a in attrs):
                 continue
             attrs.append(onto.AttributeSpec(attr, rng.choice(scalar_types)))
-        graph = onto.add_concept(graph, onto.Concept(
+        onto.insert_concept(graph, onto.Concept(
             name, "RT", kind, parent, _words(rng, 0, 6),
             examples=[_words(rng, 1, 4) for _ in range(rng.randint(0, 3))],
             attributes=attrs))
@@ -237,7 +238,7 @@ def test_criterion_2_wu_palmer_oracle():
             qualified = [onto.ENTITY_ROOT]
             for i in range(1, n):
                 parent_i = max(j for j in range(i) if levels[j] == levels[i] - 1)
-                graph = onto.add_concept(graph, onto.Concept(
+                onto.insert_concept(graph, onto.Concept(
                     f"N{i}", "T", "entity", qualified[parent_i]
                     if parent_i == 0 else f"N{parent_i}"))
                 qualified.append(f"T.N{i}")

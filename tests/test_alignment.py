@@ -17,14 +17,14 @@ from kdr.llm_gateway import (
     Transcript,
     mock_gateway,
 )
-from kdr.ontology import AttributeSpec, Concept, add_concept, empty_graph
+from kdr.ontology import AttributeSpec, Concept, empty_graph, insert_concept
 
 
 def base_graph():
     g = empty_graph()
-    g = add_concept(g, Concept("Person", "tax", "entity", "Entity", "A human being."))
-    g = add_concept(g, Concept("Author", "tax", "entity", "Person", "A person who writes."))
-    g = add_concept(g, Concept("Building", "tax", "entity", "Entity", "A constructed structure."))
+    insert_concept(g, Concept("Person", "tax", "entity", "Entity", "A human being."))
+    insert_concept(g, Concept("Author", "tax", "entity", "Person", "A person who writes."))
+    insert_concept(g, Concept("Building", "tax", "entity", "Entity", "A constructed structure."))
     return g
 
 
@@ -39,7 +39,8 @@ def test_embed_ontology_keys_and_determinism():
 
 
 def test_embed_empty_description_warns(caplog):
-    g = add_concept(empty_graph(), Concept("Blank", "tax", "entity", "Entity"))
+    g = empty_graph()
+    insert_concept(g, Concept("Blank", "tax", "entity", "Entity"))
     with caplog.at_level("WARNING"):
         vectors = al.embed_ontology(g, MockEmbeddingBackend(dim=8))
     assert "Blank" in caplog.text
@@ -249,9 +250,25 @@ def test_aligner_embeds_only_the_concept_a_grown_graph_adds():
     poet = Concept("Poet", "tax", "entity", "Entity", "Writes poems.")
     assert aligner(poet, g) == "tax.Person"
     assert len(gw.embedder.texts) == 3 + 1  # the ontology, then the query
-    grown = add_concept(g, Concept("Singer", "tax", "entity", "Person", "Sings."))
+    grown = g.copy()
+    insert_concept(grown, Concept("Singer", "tax", "entity", "Person", "Sings."))
     gw.embedder.texts.clear()
     assert aligner(poet, grown) == "tax.Person"
+    assert gw.embedder.texts == [al.embedding_text("Singer", "Sings."),
+                                 al.embedding_text("Poet", "Writes poems.")]
+
+
+def test_aligner_sees_a_concept_inserted_in_place():
+    gw = counting_gateway()
+    aligner = al.make_llm_aligner(gw, k=5)
+    g = base_graph()
+    poet = Concept("Poet", "tax", "entity", "Entity", "Writes poems.")
+    aligner(poet, g)
+    assert "class Singer" not in gw.chat_backend.calls[-1]
+    insert_concept(g, Concept("Singer", "tax", "entity", "Person", "Sings."))
+    gw.embedder.texts.clear()
+    aligner(poet, g)
+    assert "class Singer(Person)" in gw.chat_backend.calls[-1]
     assert gw.embedder.texts == [al.embedding_text("Singer", "Sings."),
                                  al.embedding_text("Poet", "Writes poems.")]
 
@@ -261,8 +278,9 @@ def test_aligner_gives_each_graph_its_own_candidates():
     aligner = al.make_llm_aligner(gw, k=1)
     query = Concept("Poet", "tax", "entity", "Entity", "Writes poems.")
     for i in range(50):  # a freed graph's id is soon handed to a new one
-        graph = add_concept(empty_graph(), Concept(f"Thing{i}", "tax", "entity", "Entity",
-                                                   f"Thing number {i}."))
+        graph = empty_graph()
+        insert_concept(graph, Concept(f"Thing{i}", "tax", "entity", "Entity",
+                                      f"Thing number {i}."))
         aligner(query, graph)
         assert f"class Thing{i}(Entity)" in gw.chat_backend.calls[-1]
         del graph

@@ -7,17 +7,17 @@ from kdr import knowledge_store as ks
 from kdr import ontology, templates
 from kdr.errors import EmptyOutput, NoImportsFound, ParseFailure, SchemaViolation, UnknownGoldType
 from kdr.llm_gateway import mock_gateway
-from kdr.ontology import AttributeSpec, Concept, add_concept, empty_graph
+from kdr.ontology import AttributeSpec, Concept, empty_graph, insert_concept
 
 
 def ner_graph():
     g = empty_graph()
-    g = add_concept(g, Concept("Person", "NER", "entity", "Entity", "A human.",
-                               attributes=[AttributeSpec("affiliation", "text")]))
-    g = add_concept(g, Concept("Organization", "NER", "entity", "Entity", "A body of people."))
-    g = add_concept(g, Concept("Work", "NER", "entity", "Entity", "Employment relation.",
-                               attributes=[AttributeSpec("person", "Person"),
-                                           AttributeSpec("org", "text")]))
+    insert_concept(g, Concept("Person", "NER", "entity", "Entity", "A human.",
+                              attributes=[AttributeSpec("affiliation", "text")]))
+    insert_concept(g, Concept("Organization", "NER", "entity", "Entity", "A body of people."))
+    insert_concept(g, Concept("Work", "NER", "entity", "Entity", "Employment relation.",
+                              attributes=[AttributeSpec("person", "Person"),
+                                          AttributeSpec("org", "text")]))
     return g
 
 

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 from kdr import knowledge_store as ks
 from kdr import ontology
 from kdr.errors import CorruptRecord, KeyMismatch, TypeMismatch, UnknownId, UnrenderableValue
-from kdr.ontology import AttributeSpec, Concept, add_concept, empty_graph
+from kdr.ontology import AttributeSpec, Concept, empty_graph, insert_concept
 from kdr.textindex import InvertedIndex, tokenize
 
 
 def research_graph():
     g = empty_graph()
-    g = add_concept(g, Concept(
+    insert_concept(g, Concept(
         "Person", "NER", "entity", "Entity", "A human.",
         attributes=[
             AttributeSpec("affiliation", "text"),
@@ -30,7 +30,7 @@ def research_graph():
             AttributeSpec("age", "number"),
         ],
     ))
-    g = add_concept(g, Concept(
+    insert_concept(g, Concept(
         "Org", "NER", "entity", "Entity", "An organization.",
         attributes=[AttributeSpec("members", "List[Person]")],
     ))
@@ -220,12 +220,12 @@ def test_settle_resolves_display_name_references(graph, store):
 
 def test_settle_tie_break_and_equivalence_only_match():
     g = research_graph()
-    g = add_concept(g, Concept("Scientist", "NER", "entity", "Person", "A researcher."))
-    g = add_concept(g, Concept("Agent", "NER", "entity", "Entity", "Acts for others."))
-    g = add_concept(g, Concept("Human", "NER", "entity", "Entity", "A human being.",
-                               equivalents=["Agent"]))
-    g = add_concept(g, Concept("Lab", "NER", "entity", "Entity", "A laboratory.",
-                               attributes=[AttributeSpec("head", "Human")]))
+    insert_concept(g, Concept("Scientist", "NER", "entity", "Person", "A researcher."))
+    insert_concept(g, Concept("Agent", "NER", "entity", "Entity", "Acts for others."))
+    insert_concept(g, Concept("Human", "NER", "entity", "Entity", "A human being."))
+    g.add_equivalence("Human", "Agent", "NER")
+    insert_concept(g, Concept("Lab", "NER", "entity", "Entity", "A laboratory.",
+                              attributes=[AttributeSpec("head", "Human")]))
     store = ks.KnowledgeStore(g)
     # "Ada" exists as a Person and as a Scientist (a descendant of Person):
     # both qualify, and the smaller id wins
@@ -502,12 +502,13 @@ def reference_settle(graph, objects):
 
 def views_graph():
     g = research_graph()
-    g = add_concept(g, Concept("Scientist", "NER", "entity", "Person", "A researcher."))
-    g = add_concept(g, Concept("Agent", "NER", "entity", "Entity", "Acts for others."))
-    g = add_concept(g, Concept("Human", "NER", "entity", "Entity", "A human being.",
-                               equivalents=["Agent"]))
-    return add_concept(g, Concept("Lab", "NER", "entity", "Entity", "A laboratory.",
-                                  attributes=[AttributeSpec("head", "Human")]))
+    insert_concept(g, Concept("Scientist", "NER", "entity", "Person", "A researcher."))
+    insert_concept(g, Concept("Agent", "NER", "entity", "Entity", "Acts for others."))
+    insert_concept(g, Concept("Human", "NER", "entity", "Entity", "A human being."))
+    g.add_equivalence("Human", "Agent", "NER")
+    insert_concept(g, Concept("Lab", "NER", "entity", "Entity", "A laboratory.",
+                              attributes=[AttributeSpec("head", "Human")]))
+    return g
 
 
 BASE_NAMES = ["Ada Lovelace", "Charles Babbage", "Grace", "Mary Somerville", "Lab One"]

@@ -22,13 +22,13 @@ from kdr.errors import (
     UnknownConcept,
     UnknownParent,
 )
-from kdr.ontology import AttributeSpec, Concept, add_concept, empty_graph
+from kdr.ontology import AttributeSpec, Concept, empty_graph, insert_concept
 
 
 def build(*concepts):
     g = empty_graph()
     for c in concepts:
-        g = add_concept(g, c)
+        insert_concept(g, c)
     return g
 
 
@@ -162,7 +162,7 @@ def test_wu_palmer_rejects_cross_kind():
 def test_duplicate_name_rejected():
     g = person_graph()
     with pytest.raises(DuplicateName):
-        add_concept(g, Concept("Person", "NER", "entity", "Entity"))
+        insert_concept(g, Concept("Person", "NER", "entity", "Entity"))
 
 
 def test_same_name_other_namespace_is_fine_but_ambiguous_unqualified():
@@ -179,32 +179,32 @@ def test_same_name_other_namespace_is_fine_but_ambiguous_unqualified():
 def test_unknown_parent_and_kind_mismatch():
     g = person_graph()
     with pytest.raises(UnknownParent):
-        add_concept(g, Concept("X", "NER", "entity", "Nope"))
+        insert_concept(g, Concept("X", "NER", "entity", "Nope"))
     with pytest.raises(KindMismatch):
-        add_concept(g, Concept("X", "NER", "event", "Person"))
+        insert_concept(g, Concept("X", "NER", "event", "Person"))
     with pytest.raises(KindMismatch):
-        add_concept(g, Concept("X", "NER", "entity", "Event"))
+        insert_concept(g, Concept("X", "NER", "entity", "Event"))
 
 
 def test_self_parent_is_a_cycle():
     with pytest.raises(CycleDetected):
-        add_concept(empty_graph(), Concept("X", "ns", "entity", "X"))
+        insert_concept(empty_graph(), Concept("X", "ns", "entity", "X"))
 
 
 def test_duplicate_attribute_rejected_locally_and_against_inherited():
     with pytest.raises(DuplicateAttribute):
-        add_concept(empty_graph(), Concept(
+        insert_concept(empty_graph(), Concept(
             "X", "ns", "entity", "Entity",
             attributes=[AttributeSpec("a", "text"), AttributeSpec("a", "number")],
         ))
     g = person_graph()
     with pytest.raises(DuplicateAttribute):
-        add_concept(g, Concept(
+        insert_concept(g, Concept(
             "Author", "NER", "entity", "Person",
             attributes=[AttributeSpec("affiliation", "text")],
         ))
     with pytest.raises(DuplicateAttribute):
-        add_concept(g, Concept(
+        insert_concept(g, Concept(
             "Author", "NER", "entity", "Person",
             attributes=[AttributeSpec("name", "text")],
         ))
@@ -212,20 +212,20 @@ def test_duplicate_attribute_rejected_locally_and_against_inherited():
 
 def test_ref_attribute_must_resolve():
     g = person_graph()
-    g = add_concept(g, Concept(
+    insert_concept(g, Concept(
         "Paper", "NER", "entity", "Entity",
         attributes=[AttributeSpec("authors", "List[Person]")],
     ))
-    assert ontology.is_ref_type("List[Person]")
     with pytest.raises(UnknownConcept):
-        add_concept(g, Concept(
+        insert_concept(g, Concept(
             "Bad", "NER", "entity", "Entity",
             attributes=[AttributeSpec("thing", "Missing")],
         ))
 
 
 def test_self_referential_attribute_is_allowed():
-    g = add_concept(empty_graph(), Concept(
+    g = empty_graph()
+    insert_concept(g, Concept(
         "Person", "ns", "entity", "Entity",
         attributes=[AttributeSpec("mentor", "Person")],
     ))
@@ -237,7 +237,7 @@ def test_equivalence_canonical_is_smallest_qualified_name():
         Concept("Person", "NER", "entity", "Entity"),
         Concept("Human", "RE", "entity", "Entity"),
     )
-    g = g.with_equivalence("NER.Person", "RE.Human")
+    g.add_equivalence("NER.Person", "RE.Human")
     assert g.canonical_concept("RE.Human") == "NER.Person"
     assert g.canonical_concept("NER.Person") == "NER.Person"
     assert g.equivalence_class("RE.Human") == {"NER.Person", "RE.Human"}
@@ -249,7 +249,7 @@ def test_equivalence_rejects_cross_kind():
         Concept("E", "ns", "event", "Event"),
     )
     with pytest.raises(KindMismatch):
-        g.with_equivalence("P", "E")
+        g.add_equivalence("P", "E")
 
 
 def test_import_clause_rendering():
@@ -265,20 +265,14 @@ def test_import_clause_rendering():
         ontology.render_import_clause(g, "NER", ["Ghost"])
 
 
-def test_copy_on_update_leaves_old_graph_alone():
-    g1 = person_graph()
-    g2 = add_concept(g1, Concept("Author", "NER", "entity", "Person"))
-    assert "NER.Author" in g2.concepts
-    assert "NER.Author" not in g1.concepts
-
-
 def test_document_round_trip(tmp_path):
     g = build(
         Concept("Person", "NER", "entity", "Entity", "A human.", ["Alice"],
                 [AttributeSpec("affiliation", "text", "employer name")]),
         Concept("Author", "NER", "entity", "Person"),
         Concept("Human", "RE", "entity", "Entity"),
-    ).with_equivalence("NER.Person", "RE.Human")
+    )
+    g.add_equivalence("NER.Person", "RE.Human")
     path = tmp_path / "onto.json"
     ontology.save_ontology(g, str(path))
     loaded = ontology.load_ontology(str(path))
@@ -379,7 +373,7 @@ def test_wu_palmer_properties(tree):
     g = empty_graph()
     for i in range(n):
         parent = "Entity" if parents[i] < 0 else names[parents[i]]
-        g = add_concept(g, Concept(names[i], "ns", "entity", parent))
+        insert_concept(g, Concept(names[i], "ns", "entity", parent))
     ontology.validate_graph(g)
     for i in range(n):
         for j in range(i, n):
@@ -445,7 +439,21 @@ def assert_lookups_match(graph):
         assert ontology.effective_attributes(graph, q) == walked_attributes(graph, q)
 
 
-graph_ops = st.tuples(st.sampled_from(["insert", "add", "equivalence", "clone"]),
+def lookups(graph):
+    """Every resolve outcome and slot list assert_lookups_match checks."""
+    names = SHORT_NAMES + ["Entity", "Event", "Missing", "Z.Alpha"] + list(graph.concepts)
+    return ({(name, ns): outcome(graph.resolve, name, ns)
+             for name in names for ns in [None, "Z"] + SPACES},
+            {q: ontology.effective_attributes(graph, q)
+             for q in list(graph.concepts) + list(ontology.ROOTS)})
+
+
+def state(graph):
+    return (dict(graph.concepts), dict(graph.parents),
+            {q: set(others) for q, others in graph.equivalences.items()}, lookups(graph))
+
+
+graph_ops = st.tuples(st.sampled_from(["insert", "equivalence", "copy"]),
                       st.integers(0, 2), st.integers(0, 2), st.integers(0, 40),
                       st.booleans(), st.lists(st.sampled_from(
                           ["text", "List[number]"] + SHORT_NAMES), max_size=2))
@@ -455,33 +463,32 @@ graph_ops = st.tuples(st.sampled_from(["insert", "add", "equivalence", "clone"])
 @settings(max_examples=120, deadline=None)
 def test_lookups_match_the_scan_and_the_walk(ops):
     graph = empty_graph()
-    seen = [graph]
-    for i, (op, ns, name, pick, qualified, types) in enumerate(ops):
+    left = []  # (a graph that stopped growing at a copy, its state then)
+    for i, (op, ns, name, pick, flag, types) in enumerate(ops):
         placed = sorted(graph.concepts)
         options = sorted(ontology.ROOTS) + placed
         parent = options[pick % len(options)]
         try:
             if op == "equivalence" and placed:
-                graph = graph.with_equivalence(parent if parent in placed else placed[0],
-                                               placed[pick % len(placed)])
-            elif op == "clone":
-                graph = graph._clone()
-            elif op in ("insert", "add"):
+                graph.add_equivalence(parent if parent in placed else placed[0],
+                                      placed[pick % len(placed)])
+            elif op == "copy":  # grow on in the copy or in the original
+                copy = graph.copy()
+                kept, graph = (graph, copy) if flag else (copy, graph)
+                left.append((kept, state(kept)))
+            elif op == "insert":
                 parent_q = graph.resolve(parent)
                 attrs = [AttributeSpec(f"a{i}_{k}", t) for k, t in enumerate(types)]
-                concept = Concept(SHORT_NAMES[name], SPACES[ns], graph.kind_of(parent_q),
-                                  parent if qualified else parent.rsplit(".", 1)[-1],
-                                  attributes=attrs)
-                if op == "insert":
-                    ontology.insert_concept(graph, concept)
-                else:
-                    graph = add_concept(graph, concept)
-        except KdrError:  # a rejected concept leaves the graph as it was
+                insert_concept(graph, Concept(SHORT_NAMES[name], SPACES[ns],
+                                              graph.kind_of(parent_q),
+                                              parent if flag else parent.rsplit(".", 1)[-1],
+                                              attributes=attrs))
+        except KdrError:  # a rejected concept or edge leaves the graph as it was
             pass
-        seen.append(graph)
         assert_lookups_match(graph)
-    for g in seen:
-        assert_lookups_match(g)
+    for kept, then in left:
+        assert state(kept) == then
+        assert_lookups_match(kept)
 
 
 # -- one parser of type tokens -------------------------------------------------------
@@ -512,3 +519,50 @@ def f(spec):
     parse_type_token
 '''
     assert parse_type_token_calls(source) == [3, 4]
+
+
+# -- one owner of graph mutation -------------------------------------------------------
+
+GRAPH_TABLES = ("concepts", "parents", "equivalences")
+
+
+def is_graph_table(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr in GRAPH_TABLES
+
+
+def graph_table_mutations(source: str) -> list[int]:
+    """Lines that assign into, or call setdefault/clear/pop on, a graph's tables."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Subscript) and is_graph_table(t.value) for t in targets):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("setdefault", "clear", "pop")
+              and is_graph_table(node.func.value)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_ontology_mutates_a_graph():
+    offenders = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                 if path.name != "ontology.py"
+                 for line in graph_table_mutations(path.read_text(encoding="utf-8"))]
+    assert offenders == []
+    assert graph_table_mutations((SRC / "ontology.py").read_text(encoding="utf-8"))
+
+
+def test_graph_mutation_finder_flags_each_kind_of_mutation():
+    source = '''
+def f(graph, q, c):
+    graph.concepts[q] = c
+    graph.parents[q] += "x"
+    graph.equivalences.setdefault(q, set())
+    graph.concepts.clear()
+    graph.parents.pop(q)
+    graph.concepts.get(q)
+    x = graph.parents[q]
+    store.objects[q] = c
+'''
+    assert graph_table_mutations(source) == [3, 4, 5, 6, 7]

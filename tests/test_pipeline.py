@@ -370,6 +370,36 @@ def test_merge_proposal_aligns_root_parented_concepts(tmp_path):
     assert any("aligned under A.Creature" in n for n in notes)
 
 
+def test_merge_proposal_keeps_its_equivalences(tmp_path):
+    base = onto.graph_from_document({"namespaces": {"A": [
+        {"name": "Creature", "kind": "entity", "parent": "Entity"}]}})
+    incoming = {"namespaces": {"A": [
+        {"name": "Creature", "kind": "entity", "parent": "Entity"}], "B": [
+        {"name": "Animal", "kind": "entity", "parent": "Entity",
+         "equivalents": ["A.Creature"]}]}}
+    graph, notes = pl._merge_proposal_into_graph(base, incoming, None)
+    assert graph.equivalences == {"A.Creature": {"B.Animal"}, "B.Animal": {"A.Creature"}}
+    assert notes == ["A.Creature already present; kept existing definition"]
+    assert base.equivalences == {} and "B.Animal" not in base.concepts
+    onto.save_ontology(graph, str(tmp_path / "ontology.json"))
+    saved = json.loads((tmp_path / "ontology.json").read_text())["namespaces"]
+    assert saved["A"][0]["equivalents"] == ["B.Animal"]
+    assert saved["B"][0]["equivalents"] == ["A.Creature"]
+
+
+def test_merge_proposal_notes_an_equivalence_it_cannot_keep():
+    base = onto.graph_from_document({"namespaces": {"A": [
+        {"name": "Gathering", "kind": "event", "parent": "Event"}]}})
+    incoming = {"namespaces": {"A": [
+        {"name": "Gathering", "kind": "entity", "parent": "Entity",
+         "equivalents": ["B.Crowd"]}], "B": [
+        {"name": "Crowd", "kind": "entity", "parent": "Entity"}]}}
+    graph, notes = pl._merge_proposal_into_graph(base, incoming, None)
+    assert graph.equivalences == {}
+    assert notes[-1].startswith("A.Gathering ~ B.Crowd skipped: ")
+    assert "different kinds" in notes[-1]
+
+
 # -- research -------------------------------------------------------------------------
 
 

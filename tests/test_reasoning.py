@@ -27,14 +27,14 @@ from kdr.websearch import FixtureSearchBackend
 
 def science_graph():
     g = onto.empty_graph()
-    g = onto.add_concept(g, onto.Concept(
+    onto.insert_concept(g, onto.Concept(
         "Person", "NER", "entity", "Entity", "A human being.",
         attributes=[onto.AttributeSpec("awards", "List[text]"),
                     onto.AttributeSpec("birth_year", "number")]))
-    g = onto.add_concept(g, onto.Concept(
+    onto.insert_concept(g, onto.Concept(
         "Scientist", "NER", "entity", "Person", "A person doing research.",
         attributes=[onto.AttributeSpec("field", "text")]))
-    g = onto.add_concept(g, onto.Concept(
+    onto.insert_concept(g, onto.Concept(
         "Work", "NER", "entity", "Entity", "A published piece.",
         attributes=[onto.AttributeSpec("author", "Person")]))
     return g
@@ -166,7 +166,8 @@ def test_ontology_search_finds_a_concept_inserted_after_a_search():
     graph = science_graph()
     with pytest.raises(NoConceptFound):
         rs.ontology_search("zeppelin", graph)
-    grown = onto.add_concept(graph, onto.Concept("Zeppelin", "NER", "entity", "Entity"))
+    grown = graph.copy()
+    onto.insert_concept(grown, onto.Concept("Zeppelin", "NER", "entity", "Entity"))
     assert [c.name for c, _ in rs.ontology_search("zeppelin", grown)] == ["Zeppelin"]
     with pytest.raises(NoConceptFound):
         rs.ontology_search("zeppelin", graph)
@@ -447,6 +448,18 @@ def test_computation_cycle_searches_the_ontology_once(tmp_path, monkeypatch):
     assert first.concepts and first.concepts == second.concepts
 
 
+def test_computation_cycle_asks_for_topic_entities_once(tmp_path):
+    graph = science_graph()
+    gw = scripted_cycle_gateway()
+    trace = rs.run_computation_cycle(
+        "mean birth year of the scientists", graph, science_store(graph), gw,
+        workdir=str(tmp_path / "run"))
+    assert len(trace.iterations) == 2
+    assert [c for c in gw.chat_backend.calls if "List the topic entities" in c] == [
+        gw.chat_backend.calls[0]]
+    assert trace.iterations[0].instance_count == trace.iterations[1].instance_count > 0
+
+
 def test_computation_cycle_feedback_flows_to_codegen(tmp_path):
     graph = science_graph()
     store = science_store(graph)
@@ -498,6 +511,23 @@ def test_computation_cycle_fails_without_instances(tmp_path):
         workdir=str(tmp_path / "run"))
     assert trace.final_status == "failed"
     assert "Zeppelin" in trace.reason
+    assert trace.iterations == []
+    assert not [c for c in gw.chat_backend.calls if "Write a Python script" in c]
+
+
+def test_computation_cycle_fails_without_topic_entities(tmp_path):
+    graph = science_graph()
+    gw = mock_gateway({"rules": [
+        {"match": "Write a Python script",
+         "responses": ["```python\nprint(len(search_results))\n```"]},
+        {"match": "List the topic entities", "responses": [""]},
+    ]})
+    trace = rs.run_computation_cycle(
+        "birth year of scientists", graph, science_store(graph), gw,
+        workdir=str(tmp_path / "run"))
+    assert (trace.final_status, trace.iterations) == ("failed", [])
+    assert "no topic entities" in trace.reason
+    assert not [c for c in gw.chat_backend.calls if "Write a Python script" in c]
 
 
 def test_computation_cycle_rejected_code_consumes_iteration(tmp_path):
