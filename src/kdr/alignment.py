@@ -287,25 +287,31 @@ def align_concept(
     return expand_ontology(query, verdicts, graph)
 
 
-def make_llm_aligner(gateway: LlmGateway, k: int = DEFAULT_K):
-    """Aligner closure (Concept, OntologyGraph) -> qualified parent name.
+def make_llm_placer(gateway: LlmGateway, k: int = DEFAULT_K):
+    """Placer closure (Concept, OntologyGraph) -> (parent, equivalent_to, note).
 
     Each graph it is given keeps its index as a view, rebuilt after an insert;
     a memo of embedded texts makes a graph grown by one concept embed one
-    text. It returns the parent align_concept would pick without growing the
-    graph, and is safe to call from several threads.
+    text. It returns the placement align_concept would pick without growing
+    the graph, and is safe to call from several threads.
     """
     memo: dict[str, np.ndarray] = {}
 
     def index_of(graph: onto.OntologyGraph) -> EmbeddingIndex:
         return embed_ontology(graph, gateway, memo)
 
-    def aligner(query: onto.Concept, graph: onto.OntologyGraph) -> str:
+    def placer(query: onto.Concept, graph: onto.OntologyGraph) -> tuple[str, str | None, str]:
         index = graph.view(index_of)
         verdicts = []
         if index:
             cands = retrieve_candidates(query, index, k, backend=gateway)
             verdicts = classify_relations(query, cands, graph, gateway)
-        return place_concept(query, verdicts, graph)[0]
+        return place_concept(query, verdicts, graph)
 
-    return aligner
+    return placer
+
+
+def make_llm_aligner(gateway: LlmGateway, k: int = DEFAULT_K):
+    """Aligner closure (Concept, OntologyGraph) -> the parent make_llm_placer picks."""
+    placer = make_llm_placer(gateway, k)
+    return lambda query, graph: placer(query, graph)[0]

@@ -66,19 +66,9 @@ def _gateway(args, config: dict) -> LlmGateway:
     if mock:
         return _mock_gateway_from_file(mock if isinstance(mock, str) else mock[0],
                                        transcript)
-    llm = config.get("llm", {})
-    chat = HttpChatBackend(
-        endpoint=llm.get("endpoint"),
-        api_key=llm.get("api_key"),
-        model=llm.get("model"),
-    )
-    embed = config.get("embed", {})
+    chat = HttpChatBackend(**config.get("llm", {}))  # load_config checked the keys
     try:
-        embedder = HttpEmbeddingBackend(
-            endpoint=embed.get("endpoint"),
-            api_key=embed.get("api_key"),
-            model=embed.get("model"),
-        )
+        embedder = HttpEmbeddingBackend(**config.get("embed", {}))
     except KdrError:
         embedder = None  # chat-only setups stay usable
     return LlmGateway(chat, embedder, transcript)
@@ -100,7 +90,6 @@ def _object_record(obj: ks.KnowledgeObject) -> dict:
 
 def cmd_organize(args) -> int:
     config = pl.load_config(args.config)
-    workers = pl.workers_from(config)
     gateway = _gateway(args, config)
     task = pl.ResearchTask(args.topic, "organize",
                            corpus_path=args.corpus, kb_path=args.kb)
@@ -127,7 +116,7 @@ def cmd_organize(args) -> int:
             return 1
 
     _, _, manifest = pl.run_organization(task, proposal, gateway,
-                                         run_dir=args.run_dir, workers=workers)
+                                         run_dir=args.run_dir, limits=config["limits"])
     _emit(manifest, args.pretty)
     return 0
 
@@ -137,7 +126,6 @@ def cmd_organize(args) -> int:
 
 def cmd_research(args) -> int:
     config = pl.load_config(args.config)
-    workers = pl.workers_from(config)
     gateway = _gateway(args, config)
     graph, store = _load_kb(args.kb, args.ontology)
     task = pl.ResearchTask(args.task, "research",
@@ -152,16 +140,8 @@ def cmd_research(args) -> int:
     else:
         search_backend = None
 
-    limits = pl.limits_from(config)
-    doc = pl.run_research(
-        task, graph, store, gateway,
-        search_backend=search_backend,
-        run_dir=args.out,
-        cfg=pl.cycle_config_from(config),
-        max_rounds=limits.get("max_rounds", 3),
-        search_hits=limits.get("search_hits", 3),
-        workers=workers,
-    )
+    doc = pl.run_research(task, graph, store, gateway, search_backend=search_backend,
+                          run_dir=args.out, limits=config["limits"])
     _emit({
         "report": str(Path(args.out) / "report.md"),
         "sections": [s.title for s in doc.sections],
@@ -225,11 +205,10 @@ def cmd_eval_taxonomy(args) -> int:
     from . import alignment as al
 
     config = pl.load_config(args.config)
-    workers = pl.workers_from(config)
     gateway = _gateway(args, config)
     dataset = read_json(args.dataset)
     result = ek.eval_taxonomy(dataset, al.make_llm_aligner(gateway, k=args.k),
-                              workers=workers)
+                              limits=config["limits"])
     _emit({
         "accuracy": result.accuracy,
         "mean_wu_palmer": result.mean_wu_palmer,
@@ -249,9 +228,7 @@ def cmd_eval_kbqa(args) -> int:
     config = pl.load_config(args.config)
     gateway = _gateway(args, config)
     records = [row for _, row in read_jsonl(args.dataset)]
-    result = ek.eval_kbqa(records, gateway,
-                          cfg=pl.cycle_config_from(config),
-                          workdir=args.workdir)
+    result = ek.eval_kbqa(records, gateway, limits=config["limits"], workdir=args.workdir)
     _emit({
         "hits_at_1": result.hits_at_1,
         "per_question": [list(row) for row in result.per_question],

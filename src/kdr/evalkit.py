@@ -23,8 +23,8 @@ from .errors import (
 )
 from .files import check_keys
 from .knowledge_store import KnowledgeStore
-from .pipeline import DEFAULT_WORKERS, ordered_map
-from .reasoning import CycleConfig, run_computation_cycle
+from .pipeline import ordered_map
+from .reasoning import Limits, run_computation_cycle
 
 log = logging.getLogger(__name__)
 
@@ -106,23 +106,23 @@ def eval_taxonomy(
     dataset: dict,
     aligner,
     graph_builder=build_taxonomy_graph,
-    workers: int = DEFAULT_WORKERS,
+    limits: Limits = Limits(),
 ) -> TaxonomyEvalResult:
     """Insert each held-out leaf with the aligner; score against gold parents.
 
     The aligner is any callable (Concept, OntologyGraph) -> qualified parent
     name; the leaf is presented with its dataset definition as description.
-    Up to `workers` leaves are placed at once, all against the same training
-    graph, so a custom aligner must be safe to call concurrently when
-    workers > 1. Scores are taken in leaf order; the first error in leaf
-    order propagates.
+    Up to `limits.workers` leaves are placed at once, all against the same
+    training graph, so a custom aligner must be safe to call concurrently
+    when limits.workers > 1. Scores are taken in leaf order; the first error
+    in leaf order propagates.
     """
     graph, gold = graph_builder(dataset)
     definitions = {row["name"]: row.get("definition", "") for row in dataset["concepts"]}
     leaves = dataset["test_leaves"]
     queries = [onto.Concept(taxonomy_concept_name(leaf), TAXONOMY_NAMESPACE,
                             "entity", "Entity", definitions.get(leaf, "")) for leaf in leaves]
-    predictions = ordered_map(lambda query: aligner(query, graph), queries, workers)
+    predictions = ordered_map(lambda query: aligner(query, graph), queries, limits.workers)
     per_query = []
     correct = 0
     wup_total = 0.0
@@ -278,7 +278,7 @@ def parse_answer_lines(stdout: str) -> list[str]:
 def eval_kbqa(
     records: list[dict],
     gateway,
-    cfg: CycleConfig | None = None,
+    limits: Limits = Limits(),
     graph: onto.OntologyGraph | None = None,
     workdir: str | None = None,
 ) -> KbqaEvalResult:
@@ -291,7 +291,6 @@ def eval_kbqa(
     if not records:
         raise SchemaViolation("QA dataset is empty")
     graph = graph or kbqa_graph()
-    cfg = cfg or CycleConfig()
     base = workdir or tempfile.mkdtemp(prefix="kdr-kbqa-")
     for i, record in enumerate(records):  # every record, before any question runs
         check_keys(record, f"QA record {i}",
@@ -311,9 +310,9 @@ def eval_kbqa(
             if not seeds:
                 raise SubgraphLoadFailure(
                     f"topic entity {record['topic_entity']!r} is not in the subgraph")
-            objects = store.subgraph([o.id for o in seeds], hops=cfg.hops)
+            objects = store.subgraph([o.id for o in seeds], hops=limits.hops)
             trace = run_computation_cycle(
-                record["question"], graph, store, gateway, cfg,
+                record["question"], graph, store, gateway, limits,
                 workdir=f"{base}/q{qid}",
                 objects_override=objects,
                 concepts_override=[f"{KBQA_NAMESPACE}.Thing"],

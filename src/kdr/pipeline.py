@@ -13,7 +13,6 @@ import functools
 import html.parser
 import json
 import logging
-import math
 import os
 import re
 import shutil
@@ -45,7 +44,6 @@ log = logging.getLogger(__name__)
 
 CONFIG_KEYS = {"llm", "embed", "search", "limits", "defaults"}
 ENV_CONFIG = "KDR_CONFIG"
-DEFAULT_WORKERS = 8
 
 
 @dataclass
@@ -234,13 +232,14 @@ def _merge_proposal_into_graph(
     gateway: LlmGateway | None,
 ) -> tuple[onto.OntologyGraph, list[str]]:
     """A copy of the graph with the proposed concepts and their equivalences
-    added; root-parented ones go through alignment when the graph already
-    holds same-kind concepts and a backend is available."""
+    added; root-parented ones go through alignment, and keep the equivalence
+    an `equivalent` verdict gives, when the graph already holds same-kind
+    concepts and a backend is available."""
     from . import alignment  # imports numpy, so it loads only when a proposal needs aligning
 
     notes: list[str] = []
     fresh = onto.graph_from_document(document)
-    aligner = alignment.make_llm_aligner(gateway) if gateway else None
+    placer = alignment.make_llm_placer(gateway) if gateway else None
     ordered = sorted(fresh.concepts, key=lambda q: len(fresh.root_path(q)))
     kinds = {c.kind for c in graph.concepts.values()}  # kinds that already have a concept
     graph = graph.copy()
@@ -250,11 +249,14 @@ def _merge_proposal_into_graph(
             notes.append(f"{qualified} already present; kept existing definition")
             continue
         try:
-            if concept.parent in onto.ROOTS and concept.kind in kinds and aligner is not None:
-                parent = aligner(concept, graph)
+            if concept.parent in onto.ROOTS and concept.kind in kinds and placer is not None:
+                parent, equivalent_to, _ = placer(concept, graph)
                 onto.insert_concept(graph, replace(concept, parent=parent))
                 if parent not in onto.ROOTS:
                     notes.append(f"{qualified} aligned under {parent}")
+                if equivalent_to is not None:
+                    graph.add_equivalence(qualified, equivalent_to)
+                    notes.append(f"{qualified} aligned as equivalent to {equivalent_to}")
             else:
                 onto.insert_concept(graph, concept)
             kinds.add(concept.kind)
@@ -277,13 +279,13 @@ def run_organization(
     base_graph: onto.OntologyGraph | None = None,
     store: KnowledgeStore | None = None,
     run_dir: str | None = None,
-    workers: int = DEFAULT_WORKERS,
+    limits: rs.Limits = rs.Limits(),
 ) -> tuple[onto.OntologyGraph, KnowledgeStore, dict]:
     """Sweep the corpus through extraction into a fresh or existing store.
 
     Per-document failures land in the manifest's error ledger; the run keeps
     going. The store and its ontology are saved next to task.kb_path. Up to
-    `workers` extraction jobs (one per passage and namespace) overlap; their
+    limits.workers extraction jobs (one per passage and namespace) overlap;
     results are ingested in corpus order, so the store does not depend on it.
     """
     if proposal.status not in ("approved", "edited"):
@@ -332,7 +334,7 @@ def run_organization(
 
     extracted = 0
     for (doc_name, pi, ns, _, _), (objects, report, error) in zip(
-            jobs, ordered_map(run_job, jobs, workers)):
+            jobs, ordered_map(run_job, jobs, limits.workers)):
         if error is not None:
             ledger.append({"document": doc_name, "passage": pi,
                            "namespace": ns, "error": str(error)})
@@ -403,25 +405,21 @@ def run_research(
     gateway: LlmGateway,
     search_backend=None,
     run_dir: str | None = None,
-    cfg: rs.CycleConfig | None = None,
-    max_rounds: int = 3,
-    search_hits: int = 3,
     generated_at: str | None = None,
-    workers: int = DEFAULT_WORKERS,
+    limits: rs.Limits = rs.Limits(),
 ) -> ReportDocument:
     """Plan, run per-section cycles, merge, revise, and assemble the report.
 
     Only a plan parse failure aborts the run; a failed computation cycle
     downgrades its section to the text-cycle content plus an inline caveat.
     Finished sections are cached in the run directory keyed by plan hash.
-    Three phases follow the plan, each overlapping up to `workers` jobs: the
-    requests of every section the cache does not serve, one merge per section
-    and one revise per section. Results are folded in plan and request order,
-    so the report does not depend on `workers`. An error that a request does
-    not turn into a caveat propagates before any merge, and the run then writes
-    no section result.
+    Three phases follow the plan, each overlapping up to `limits.workers`
+    jobs: the requests of every section the cache does not serve, one merge
+    per section and one revise per section. Results are folded in plan and
+    request order, so the report does not depend on `limits.workers`. An
+    error that a request does not turn into a caveat propagates before any
+    merge, and the run then writes no section result.
     """
-    cfg = cfg or rs.CycleConfig()
     run = Path(run_dir) if run_dir else Path("runs") / time.strftime("%Y%m%d-%H%M%S")
     make_dir(run, "run directory")  # before the plan call, so a bad location costs none
 
@@ -441,7 +439,7 @@ def run_research(
             # analysis request i > 0 of a section gets its own suffix, so artifacts do not collide
             suffix = f"_{data_index}" if data_index else ""
             trace = rs.run_computation_cycle(
-                request.query, graph, store, gateway, cfg,
+                request.query, graph, store, gateway, limits,
                 workdir=str(sections_dir / str(n) / f"work{suffix}"),
                 trace_path=str(sections_dir / str(n) / f"trace{suffix}.json"))
             if trace.final_status == "passed":
@@ -456,7 +454,7 @@ def run_research(
             return {"caveats": [f"*No search backend was configured for '{request.query}'.*"]}
         try:
             text_result = rs.run_text_cycle(
-                request.query, search_backend, gateway, max_rounds=max_rounds, limit=search_hits)
+                request.query, search_backend, gateway, limits.max_rounds, limits.search_hits)
         except SearchBackendUnavailable as exc:
             return {"caveats": [f"*Search failed for '{request.query}': {exc}.*"]}
         if text_result.text.strip():
@@ -468,7 +466,7 @@ def run_research(
     jobs = [(n, sum(r.kind == "data_analysis" for r in plan.requests[:i]), request)
             for n, plan in enumerate(plans, start=1) if cached[n - 1] is None
             for i, request in enumerate(plan.requests)]
-    outcomes = list(zip(jobs, ordered_map(run_request, jobs, workers)))
+    outcomes = list(zip(jobs, ordered_map(run_request, jobs, limits.workers)))
 
     def merge_section(n: int) -> tuple[Section, list]:
         plan, hit = plans[n - 1], cached[n - 1]
@@ -500,7 +498,7 @@ def run_research(
     all_sources: list[tuple[str, str]] = []
     seen_urls: set[str] = set()
     for section, section_sources in ordered_map(
-            merge_section, list(range(1, len(plans) + 1)), workers):
+            merge_section, list(range(1, len(plans) + 1)), limits.workers):
         sections.append(section)
         for title, url in section_sources:
             if url not in seen_urls:
@@ -508,7 +506,7 @@ def run_research(
                 all_sources.append((title, url))
 
     revised = rs.revise_report([s.body for s in sections], gateway,
-                               functools.partial(ordered_map, workers=workers))
+                               functools.partial(ordered_map, workers=limits.workers))
     for section, new_body in zip(sections, revised):
         if new_body.strip():
             section.body = new_body
@@ -582,41 +580,19 @@ def assemble_report(doc: ReportDocument, out_dir: str) -> str:
 # -- configuration -----------------------------------------------------------------------
 
 
+# The keys each endpoint section takes, every value a string: the keyword
+# arguments of the HTTP chat, embedding and search backends.
+_MODEL_KEYS = ("endpoint", "api_key", "model")
+ENDPOINT_KEYS = {"llm": _MODEL_KEYS, "embed": _MODEL_KEYS, "search": ("endpoint",)}
+
+
 def load_config(path: str | None = None) -> dict:
-    """JSON config with keys {llm, embed, search, limits, defaults}."""
+    """The JSON config at `path` (default: KDR_CONFIG), checked whole before
+    any model call, with "limits" as a Limits record (defaults when absent)."""
     path = path or os.environ.get(ENV_CONFIG)
-    if not path:
-        return {}
-    return check_keys(read_json(path), "config", allowed=CONFIG_KEYS)
-
-
-# Every limits key and the smallest integer it takes; wall_seconds instead
-# takes any number above 0.
-LIMIT_MINIMUMS = {"max_iterations": 1, "hops": 0, "wall_seconds": None, "output_bytes": 1,
-                  "search_limit": 1, "max_rounds": 1, "search_hits": 1, "workers": 1}
-
-
-def limits_from(config: dict) -> dict:
-    """The config's limits, each checked for type and range before any model call."""
-    limits = check_keys(config.get("limits", {}), "limits", allowed=LIMIT_MINIMUMS)
-    for key, value in limits.items():
-        low = LIMIT_MINIMUMS[key]
-        if low is None:
-            ok, wanted = isinstance(value, (int, float)) and 0 < value < math.inf, "a number > 0"
-        else:
-            ok, wanted = isinstance(value, int) and value >= low, f"an integer >= {low}"
-        if isinstance(value, bool) or not ok:
-            raise SchemaViolation(f"limits.{key} must be {wanted}, got {value!r}")
-    return limits
-
-
-def cycle_config_from(config: dict) -> rs.CycleConfig:
-    limits = limits_from(config)
-    return rs.CycleConfig(**{k: v for k, v in limits.items()
-                             if k in rs.CycleConfig.__dataclass_fields__})
-
-
-def workers_from(config: dict) -> int:
-    """limits.workers: how many extraction jobs, research requests, merges and
-    revises, or taxonomy leaves overlap."""
-    return limits_from(config).get("workers", DEFAULT_WORKERS)
+    config = check_keys(read_json(path), "config", allowed=CONFIG_KEYS) if path else {}
+    for section, keys in ENDPOINT_KEYS.items():
+        for key, value in check_keys(config.get(section, {}), section, allowed=keys).items():
+            if not isinstance(value, str):
+                raise SchemaViolation(f"{section}.{key} must be a string, got {value!r}")
+    return {**config, "limits": rs.Limits.from_config(config)}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import atexit
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -33,15 +34,55 @@ from .errors import (
     NoTopicEntity,
     RejectedCode,
     SandboxUnavailable,
+    SchemaViolation,
     UnbalancedTags,
 )
 from .extraction import strip_code_fence
-from .files import write_file, write_json
+from .files import check_keys, write_file, write_json
 from .knowledge_store import KnowledgeObject, KnowledgeStore
 from .llm_gateway import LlmGateway
 from .textindex import InvertedIndex, tokenize
 
 log = logging.getLogger(__name__)
+
+# -- run limits -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Limits:
+    """The config's `limits` section: the computation cycle's budgets, the
+    text cycle's rounds and hits, and `workers`, how many extraction jobs,
+    research requests, merges and revises, or taxonomy leaves overlap.
+
+    Each field's metadata holds the smallest integer it takes; a minimum of
+    None takes any number above 0. Frozen, so one default instance can be
+    every function's default.
+    """
+
+    max_iterations: int = field(default=3, metadata={"minimum": 1})
+    hops: int = field(default=2, metadata={"minimum": 0})
+    wall_seconds: float = field(default=30.0, metadata={"minimum": None})
+    output_bytes: int = field(default=64 * 1024, metadata={"minimum": 1})
+    search_limit: int = field(default=5, metadata={"minimum": 1})
+    max_rounds: int = field(default=3, metadata={"minimum": 1})
+    search_hits: int = field(default=3, metadata={"minimum": 1})
+    workers: int = field(default=8, metadata={"minimum": 1})
+
+    @classmethod
+    def from_config(cls, config: dict) -> Limits:
+        """The config's limits, each checked for type and range before any model call."""
+        fields = cls.__dataclass_fields__
+        limits = check_keys(config.get("limits", {}), "limits", allowed=fields)
+        for key, value in limits.items():
+            low = fields[key].metadata["minimum"]
+            if low is None:
+                ok, wanted = isinstance(value, (int, float)) and 0 < value < math.inf, "a number > 0"
+            else:
+                ok, wanted = isinstance(value, int) and value >= low, f"an integer >= {low}"
+            if isinstance(value, bool) or not ok:
+                raise SchemaViolation(f"limits.{key} must be {wanted}, got {value!r}")
+        return cls(**limits)
+
 
 # -- plan decomposition ---------------------------------------------------------
 
@@ -142,7 +183,7 @@ def _concept_index(graph: onto.OntologyGraph) -> InvertedIndex:
 
 
 def ontology_search(
-    query: str, graph: onto.OntologyGraph, limit: int = 5
+    query: str, graph: onto.OntologyGraph, limit: int = Limits.search_limit
 ) -> list[tuple[onto.Concept, str]]:
     """Full-text match over concept names, descriptions, and attribute names."""
     if not tokenize(query):
@@ -474,8 +515,8 @@ atexit.register(_SANDBOX.close)
 def execute_script(
     script: str,
     workdir: str,
-    wall_seconds: float = 30.0,
-    output_bytes: int = 64 * 1024,
+    wall_seconds: float = Limits.wall_seconds,
+    output_bytes: int = Limits.output_bytes,
 ) -> ExecutionResult:
     """Run the script in a child forked from a warm isolated interpreter.
 
@@ -548,7 +589,7 @@ def instance_query(
     store: KnowledgeStore,
     graph: onto.OntologyGraph,
     gateway: LlmGateway,
-    hops: int = 2,
+    hops: int = Limits.hops,
 ) -> list[KnowledgeObject]:
     """Topic entities from the model, then name lookup, then the neighborhood."""
     response = gateway.ask(templates.TOPIC_ENTITY_PROMPT.format(query=query), tag="topic-ner")
@@ -598,15 +639,6 @@ def evaluate_result(
 
 
 @dataclass
-class CycleConfig:
-    max_iterations: int = 3
-    hops: int = 2
-    wall_seconds: float = 30.0
-    output_bytes: int = 64 * 1024
-    search_limit: int = 5
-
-
-@dataclass
 class IterationRecord:
     concepts: list[str]
     code: str
@@ -633,7 +665,7 @@ def run_computation_cycle(
     graph: onto.OntologyGraph,
     store: KnowledgeStore,
     gateway: LlmGateway,
-    cfg: CycleConfig | None = None,
+    limits: Limits = Limits(),
     workdir: str | None = None,
     trace_path: str | None = None,
     objects_override: list[KnowledgeObject] | None = None,
@@ -647,7 +679,6 @@ def run_computation_cycle(
     the relevant concepts with concepts_override (skipping ontology search),
     which is how question-answering over a prepared subgraph drives the cycle.
     """
-    cfg = cfg or CycleConfig()
     base = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="kdr-cycle-"))
     trace = ComputationTrace(query=query)
     feedback: str | None = None
@@ -668,7 +699,7 @@ def run_computation_cycle(
         hit_codes = [onto.render_class_code(graph, q) for q in hit_names]
     else:
         try:
-            hits = ontology_search(query, graph, cfg.search_limit)
+            hits = ontology_search(query, graph, limits.search_limit)
         except NoConceptFound as exc:
             return finish("failed", str(exc))
         hit_names = [c.qualified for c, _ in hits]
@@ -677,13 +708,13 @@ def run_computation_cycle(
         objects = list(objects_override)
     else:
         try:
-            objects = instance_query(query, store, graph, gateway, cfg.hops)
+            objects = instance_query(query, store, graph, gateway, limits.hops)
         except (NoTopicEntity, NoInstancesFound) as exc:
             return finish("failed", str(exc))
     closure = class_closure(graph, hit_names + [o.concept for o in objects])
     class_codes = [onto.render_class_code(graph, q) for q in closure]
 
-    for iteration in range(1, cfg.max_iterations + 1):
+    for iteration in range(1, limits.max_iterations + 1):
         try:
             code = generate_analysis_code(query, hit_codes, feedback, gateway)
         except RejectedCode as exc:
@@ -695,7 +726,7 @@ def run_computation_cycle(
 
         script = assemble_script(class_codes, objects, code, graph, resolve)
         iter_dir = base / f"iter{iteration}"
-        result = execute_script(script, str(iter_dir), cfg.wall_seconds, cfg.output_bytes)
+        result = execute_script(script, str(iter_dir), limits.wall_seconds, limits.output_bytes)
         verdict, verdict_feedback = evaluate_result(query, result, gateway)
 
         trace.iterations.append(IterationRecord(
@@ -725,8 +756,8 @@ def run_text_cycle(
     query: str,
     search_backend,
     gateway: LlmGateway,
-    max_rounds: int = 3,
-    limit: int = 3,
+    max_rounds: int = Limits.max_rounds,
+    limit: int = Limits.search_hits,
 ) -> TextCycleResult:
     """Search, summarize, draft, and check sufficiency, up to max_rounds."""
     summaries: dict[str, tuple[str, str]] = {}

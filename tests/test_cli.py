@@ -455,6 +455,28 @@ def test_bad_config_is_user_error(capsys, tmp_path):
     assert "config" in err
 
 
+@pytest.mark.parametrize("section, message", [
+    ({"llm": "x"}, "llm must be a JSON object, got str"),
+    ({"embed": []}, "embed must be a JSON object, got list"),
+    ({"llm": {"endpiont": "http://localhost:1"}}, "unknown llm keys: ['endpiont']"),
+    ({"search": {"endpoint": "http://localhost:1", "model": "m"}},
+     "unknown search keys: ['model']"),
+    ({"search": {"endpoint": 5}}, "search.endpoint must be a string, got 5"),
+    ({"embed": {"api_key": None}}, "embed.api_key must be a string, got None"),
+])
+def test_bad_config_section_is_user_error_before_any_model_call(capsys, tmp_path,
+                                                                section, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(section))
+    transcript = tmp_path / "calls.jsonl"
+    rc, _, err = run(capsys, "extract", "--ontology", animal_ontology(tmp_path),
+                     "--namespace", "TAX", "--text", "A wolf.", "--mock", E2E_MOCK,
+                     "--config", str(config), "--transcript", str(transcript))
+    assert rc == 1
+    assert err == f"error: {message}\n"
+    assert not transcript.exists() or transcript.read_text() == ""
+
+
 def test_organize_transcript_pairs_each_model_call(capsys, tmp_path):
     transcript = tmp_path / "t.jsonl"
     rc, out, err = run(capsys, "organize", "--topic", "Early computing",
@@ -509,6 +531,25 @@ def test_research_bad_limit_is_user_error_before_any_model_call(capsys, tmp_path
                      "--config", str(config), "--transcript", str(transcript))
     assert rc == 1
     assert err.count("error:") == 1 and f"limits.{next(iter(limits))}" in err
+    assert not transcript.exists() or transcript.read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["extract", "align", "eval report"])
+def test_every_command_checks_limits_before_any_model_call(capsys, tmp_path, command):
+    ontology = animal_ontology(tmp_path)
+    report = tmp_path / "report.md"
+    report.write_text("# T\n\nBody.\n")
+    argv = {"extract": ["extract", "--ontology", ontology, "--namespace", "TAX",
+                        "--text", "A wolf."],
+            "align": ["align", "--ontology", ontology, "--name", "Wolf"],
+            "eval report": ["eval", "report", "--report", str(report)]}[command]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"limits": {"workers": 0}}))
+    transcript = tmp_path / "calls.jsonl"
+    rc, _, err = run(capsys, *argv, "--mock", E2E_MOCK, "--config", str(config),
+                     "--transcript", str(transcript))
+    assert rc == 1
+    assert err == "error: limits.workers must be an integer >= 1, got 0\n"
     assert not transcript.exists() or transcript.read_text() == ""
 
 def test_no_backend_configured_is_runtime_error(capsys, tmp_path, monkeypatch):

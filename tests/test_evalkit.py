@@ -13,6 +13,7 @@ from kdr import evalkit as ek
 from kdr import ontology as onto
 from kdr.errors import GoldParentMissing, SchemaViolation, ShapeMismatch
 from kdr.llm_gateway import mock_gateway
+from kdr.reasoning import Limits
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -137,7 +138,7 @@ def test_taxonomy_result_does_not_depend_on_workers():
 
     dataset = taxonomy_fixture()
     results = [ek.eval_taxonomy(dataset, make_llm_aligner(per_leaf_mock(dataset), k=5),
-                                workers=workers) for workers in (1, 8)]
+                                limits=Limits(workers=workers)) for workers in (1, 8)]
     assert results[0] == results[1]
     assert 0.0 < results[0].accuracy < 1.0
     assert [row[1] for row in results[0].per_query[:3]] == [
@@ -151,7 +152,7 @@ def test_taxonomy_aligner_error_propagates():
         return "tax.Animal"
 
     with pytest.raises(SchemaViolation, match="owl"):
-        ek.eval_taxonomy(taxonomy_fixture(), aligner, workers=8)
+        ek.eval_taxonomy(taxonomy_fixture(), aligner, limits=Limits(workers=8))
 
 
 # -- information extraction F1 ----------------------------------------------------
@@ -333,8 +334,7 @@ def test_kbqa_execution_failure_is_a_miss(tmp_path):
         {"match": "Who directed Inception",
          "responses": ["```python\nsearch_results\nraise ValueError('no')\n```"]},
     ]})
-    from kdr.reasoning import CycleConfig
-    result = ek.eval_kbqa(records, gw, cfg=CycleConfig(max_iterations=2),
+    result = ek.eval_kbqa(records, gw, limits=Limits(max_iterations=2),
                           workdir=str(tmp_path))
     assert result.hits_at_1 == 0.0
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import json
 import re
 import threading
@@ -29,6 +31,7 @@ from kdr.llm_gateway import (
     Transcript,
     mock_gateway,
 )
+from kdr.reasoning import Limits
 from kdr.websearch import FixtureSearchBackend
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -273,7 +276,7 @@ def test_run_organization_files_do_not_depend_on_workers(tmp_path):
         task = pl.ResearchTask(TOPIC, "organize", corpus_path=str(FIXTURES / "corpus"),
                                kb_path=str(out / "kb.jsonl"))
         pl.run_organization(task, proposal, e2e_gateway(), run_dir=str(out / "run"),
-                            workers=workers)
+                            limits=Limits(workers=workers))
         outputs.append([(out / name).read_bytes() for name in (
             "kb.jsonl", "kb.jsonl.ontology.json", "run/manifest.json")])
     assert outputs[0] == outputs[1]
@@ -322,7 +325,7 @@ def test_run_organization_ledger_order_does_not_depend_on_workers(tmp_path):
         task = pl.ResearchTask("t", "organize", corpus_path=str(corpus),
                                kb_path=str(tmp_path / f"kb{workers}.jsonl"))
         gateway = LlmGateway(_PassageBackend(), MockEmbeddingBackend(), Transcript(None))
-        _, store, manifest = pl.run_organization(task, proposal, gateway, workers=workers)
+        _, store, manifest = pl.run_organization(task, proposal, gateway, limits=Limits(workers=workers))
         manifests.append(manifest)
     assert manifests[0] == manifests[1]
     assert [e["document"] for e in manifests[0]["errors"]] == ["d04.txt", "d07.txt"]
@@ -368,6 +371,21 @@ def test_merge_proposal_aligns_root_parented_concepts(tmp_path):
     graph, notes = pl._merge_proposal_into_graph(base, incoming, gw)
     assert graph.parents["B.Animal"] == "A.Creature"
     assert any("aligned under A.Creature" in n for n in notes)
+
+
+def test_merge_proposal_keeps_an_aligned_equivalence():
+    base = onto.graph_from_document({"namespaces": {"A": [
+        {"name": "Creature", "kind": "entity", "parent": "Entity",
+         "description": "A living creature."}]}})
+    incoming = {"namespaces": {"B": [
+        {"name": "Animal", "kind": "entity", "parent": "Entity",
+         "description": "A living creature."}]}}
+    gw = mock_gateway({"rules": [
+        {"match": "state its relation", "responses": ["Creature: equivalent"]}]})
+    graph, notes = pl._merge_proposal_into_graph(base, incoming, gw)
+    assert graph.parents["B.Animal"] == "Entity"
+    assert graph.equivalences == {"A.Creature": {"B.Animal"}, "B.Animal": {"A.Creature"}}
+    assert notes == ["B.Animal aligned as equivalent to A.Creature"]
 
 
 def test_merge_proposal_keeps_its_equivalences(tmp_path):
@@ -474,7 +492,7 @@ def test_run_research_output_does_not_depend_on_workers(tmp_path):
         run_dir = tmp_path / f"w{workers}"
         pl.run_research(research_task(tmp_path), graph, store, e2e_gateway(),
                         search_backend=backend, run_dir=str(run_dir),
-                        generated_at="2026-01-01T00:00:00Z", workers=workers)
+                        generated_at="2026-01-01T00:00:00Z", limits=Limits(workers=workers))
         results = sorted((run_dir / "sections").glob("*/result.json"))
         outputs.append([(run_dir / "report.md").read_text()] + [
             p.read_text().replace(str(run_dir), "<run>") for p in results])
@@ -636,7 +654,7 @@ def test_run_research_output_does_not_depend_on_call_order(tmp_path):
         run_dir = tmp_path / f"w{workers}"
         pl.run_research(research_task(tmp_path), graph, store, gateway,
                         search_backend=backend, run_dir=str(run_dir),
-                        generated_at="2026-01-01T00:00:00Z", workers=workers)
+                        generated_at="2026-01-01T00:00:00Z", limits=Limits(workers=workers))
         results = sorted((run_dir / "sections").glob("*/result.json"))
         outputs.append([(run_dir / "report.md").read_bytes()] + [
             p.read_bytes().replace(bytes(run_dir), b"<run>") for p in results])
@@ -681,7 +699,7 @@ def test_run_research_overlaps_requests_and_revises_within_workers(tmp_path):
     gateway = LlmGateway(chat, MockEmbeddingBackend(), Transcript(None))
     doc = pl.run_research(research_task(tmp_path), graph, store, gateway,
                           search_backend=FixtureSearchBackend(str(FIXTURES / "webcorpus")),
-                          run_dir=str(tmp_path / "run"), workers=3)
+                          run_dir=str(tmp_path / "run"), limits=Limits(workers=3))
     assert [s.body for s in doc.sections] == ["polished"] * 4
     revises = [n for prompt, _, _, n in chat.spans if "Polish the section" in prompt]
     requests = [n for prompt, _, _, n in chat.spans
@@ -706,7 +724,7 @@ def test_run_research_overlaps_a_sections_analysis_and_web_requests(tmp_path):
     gateway = LlmGateway(chat, MockEmbeddingBackend(), Transcript(None))
     pl.run_research(research_task(tmp_path), graph, store, gateway,
                     search_backend=FixtureSearchBackend(str(FIXTURES / "webcorpus")),
-                    run_dir=str(tmp_path / "run"), workers=8)
+                    run_dir=str(tmp_path / "run"), limits=Limits(workers=8))
     analysis_marks = ("List the topic entities", "Write a Python script",
                       "Decide whether the analysis results")
     web_marks = ("Summarize the following source", "Write the answer to the research",
@@ -763,7 +781,7 @@ def test_run_research_request_error_propagates_and_writes_no_section(tmp_path, w
     with pytest.raises(BackendUnavailable, match="unreachable"):
         pl.run_research(research_task(tmp_path), graph, store, gateway,
                         search_backend=FixtureSearchBackend(str(FIXTURES / "webcorpus")),
-                        run_dir=str(run_dir), workers=workers)
+                        run_dir=str(run_dir), limits=Limits(workers=workers))
     assert not list(run_dir.glob("sections/*/result.json"))
     assert not (run_dir / "report.md").exists()
 
@@ -813,8 +831,8 @@ def test_load_config_from_env(tmp_path, monkeypatch):
     path.write_text(json.dumps(config))
     monkeypatch.setenv(pl.ENV_CONFIG, str(path))
     loaded = pl.load_config()
-    assert loaded == config
-    cfg = pl.cycle_config_from(loaded)
+    assert loaded == {"limits": Limits(max_iterations=5, wall_seconds=10)}
+    cfg = loaded["limits"]
     assert cfg.max_iterations == 5 and cfg.wall_seconds == 10
 
 
@@ -825,23 +843,32 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         pl.load_config(str(path))
     path.write_text(json.dumps({"limits": {"walls": 1}}))
     with pytest.raises(SchemaViolation):
-        pl.cycle_config_from(pl.load_config(str(path)))
+        pl.load_config(str(path))
+
+
+def test_load_config_keeps_checked_endpoint_sections(tmp_path):
+    config = {"llm": {"endpoint": "http://localhost:1", "api_key": "k", "model": "m"},
+              "embed": {"model": "e"}, "search": {"endpoint": "http://localhost:2"},
+              "defaults": {}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert pl.load_config(str(path)) == {**config, "limits": Limits()}
 
 
 def test_limits_workers_is_a_known_key_and_must_be_positive():
     config = {"limits": {"workers": 3, "max_iterations": 2}}
-    assert pl.cycle_config_from(config).max_iterations == 2
-    assert pl.workers_from(config) == 3
-    assert pl.workers_from({}) == pl.DEFAULT_WORKERS
+    assert Limits.from_config(config).max_iterations == 2
+    assert Limits.from_config(config).workers == 3
+    assert Limits.from_config({}).workers == Limits.workers
     for bad in (0, -2, 1.5, True, "4"):
         with pytest.raises(SchemaViolation):
-            pl.workers_from({"limits": {"workers": bad}})
+            Limits.from_config({"limits": {"workers": bad}})
 
 
 def test_load_config_missing_env_means_defaults(monkeypatch):
     monkeypatch.delenv(pl.ENV_CONFIG, raising=False)
-    assert pl.load_config() == {}
-    cfg = pl.cycle_config_from({})
+    assert pl.load_config() == {"limits": Limits()}
+    cfg = Limits.from_config({})
     assert cfg.max_iterations == 3
 
 
@@ -855,19 +882,73 @@ def test_load_config_missing_env_means_defaults(monkeypatch):
 def test_every_limit_is_checked_for_type_and_range(key, bad):
     config = {"limits": {key: bad}}
     with pytest.raises(SchemaViolation, match=f"limits.{key}"):
-        pl.cycle_config_from(config)
-    with pytest.raises(SchemaViolation, match=f"limits.{key}"):
-        pl.workers_from(config)
+        Limits.from_config(config)
 
 
 def test_limits_accept_their_smallest_values():
     config = {"limits": {"max_iterations": 1, "hops": 0, "wall_seconds": 0.5,
                          "output_bytes": 1, "search_limit": 1, "max_rounds": 1,
                          "search_hits": 1, "workers": 1}}
-    cfg = pl.cycle_config_from(config)
+    cfg = Limits.from_config(config)
     assert (cfg.max_iterations, cfg.hops, cfg.wall_seconds) == (1, 0, 0.5)
-    assert pl.workers_from(config) == 1
-    assert pl.cycle_config_from({"limits": {"wall_seconds": 7}}).wall_seconds == 7
+    assert cfg.workers == 1
+    assert Limits.from_config({"limits": {"wall_seconds": 7}}).wall_seconds == 7
+
+
+def test_readme_limits_table_lists_every_limit_with_its_default_and_minimum():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| (.+?) \| (.+?) \|$", readme, re.MULTILINE)
+    table = {key: (kind, default) for key, kind, default in rows}
+    expected = {f.name: ("number (integer or float) > 0" if f.metadata["minimum"] is None
+                         else f"integer >= {f.metadata['minimum']}", str(f.default))
+                for f in dataclasses.fields(Limits)}
+    assert table == expected
+
+
+class _RawLimitsFinder(ast.NodeVisitor):
+    """Flags each `.get("limits", ...)` call with its enclosing class and function."""
+
+    def __init__(self):
+        self.scope: list[str] = []
+        self.found: list[tuple[str, int]] = []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def visit_Call(self, node: ast.Call):
+        if (isinstance(node.func, ast.Attribute) and node.func.attr == "get" and node.args
+                and isinstance(node.args[0], ast.Constant) and node.args[0].value == "limits"):
+            self.found.append((".".join(self.scope), node.lineno))
+        self.generic_visit(node)
+
+
+def test_no_module_but_the_limits_record_reads_the_raw_limits_section():
+    offenders = []
+    for path in sorted(Path(pl.__file__).parent.glob("*.py")):
+        finder = _RawLimitsFinder()
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        offenders += [f"{path.name}:{line} in {scope or '<module>'}"
+                      for scope, line in finder.found
+                      if (path.name, scope) != ("reasoning.py", "Limits.from_config")]
+    assert offenders == []
+
+
+def test_raw_limits_finder_flags_each_get_of_the_section():
+    source = '''
+def f(config, limits):
+    config.get("limits", {})
+    config.get("limits")
+    config["limits"]
+    config.get("llm", {})
+    limits.get("workers", 8)
+'''
+    finder = _RawLimitsFinder()
+    finder.visit(ast.parse(source))
+    assert finder.found == [("f", 3), ("f", 4)]
 
 
 def test_run_research_unwritable_run_dir_fails_before_model_calls(tmp_path):

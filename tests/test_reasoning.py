@@ -485,7 +485,7 @@ def test_computation_cycle_exhausts_budget(tmp_path):
     ]})
     trace = rs.run_computation_cycle(
         "mean birth year of the scientists", graph, store, gw,
-        cfg=rs.CycleConfig(max_iterations=2), workdir=str(tmp_path / "run"))
+        limits=rs.Limits(max_iterations=2), workdir=str(tmp_path / "run"))
     assert trace.final_status == "exhausted"
     assert len(trace.iterations) == 2
 
