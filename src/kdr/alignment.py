@@ -178,7 +178,7 @@ def classify_relations(
         query_code=onto.render_concept_code(query),
         candidate_codes=candidate_codes,
     )
-    response = gateway.ask(prompt, tag="relation-classify")
+    response = gateway.chat(prompt, tag="relation-classify")
 
     answered: dict[str, tuple[str, str]] = {}
     for line in response.splitlines():
@@ -272,12 +272,10 @@ def align_concept(
     query: onto.Concept,
     graph: onto.OntologyGraph,
     gateway: LlmGateway,
-    index: Mapping[str, np.ndarray] | None = None,
     k: int = DEFAULT_K,
 ) -> AlignmentOutcome:
     """Full two-stage pass for one new concept."""
-    if index is None:
-        index = embed_ontology(graph, gateway)
+    index = embed_ontology(graph, gateway)
     if not index:
         outcome = expand_ontology(query, [], graph)
         outcome.note = "empty ontology; attached under the kind root"

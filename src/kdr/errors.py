@@ -63,10 +63,6 @@ class BackendUnavailable(KdrError):
     pass
 
 
-class ContextTooLong(KdrError):
-    pass
-
-
 # --- extraction -------------------------------------------------------------
 
 class NoImportsFound(KdrError):

@@ -279,7 +279,6 @@ def eval_kbqa(
     records: list[dict],
     gateway,
     limits: Limits = Limits(),
-    graph: onto.OntologyGraph | None = None,
     workdir: str | None = None,
 ) -> KbqaEvalResult:
     """Hits@1 over {id, question, topic_entity, triples, answers} records.
@@ -290,7 +289,7 @@ def eval_kbqa(
     """
     if not records:
         raise SchemaViolation("QA dataset is empty")
-    graph = graph or kbqa_graph()
+    graph = kbqa_graph()
     base = workdir or tempfile.mkdtemp(prefix="kdr-kbqa-")
     for i, record in enumerate(records):  # every record, before any question runs
         check_keys(record, f"QA record {i}",
@@ -367,7 +366,7 @@ _SCORE_LINE = re.compile(
 )
 
 
-def judge_report(report: str, gateways: list, rubric: str = DEFAULT_RUBRIC) -> ReportScore:
+def judge_report(report: str, gateways: list) -> ReportScore:
     """Average the five aspect scores over one or more judge backends.
 
     A judge whose response lacks a parseable line for an aspect contributes
@@ -378,7 +377,7 @@ def judge_report(report: str, gateways: list, rubric: str = DEFAULT_RUBRIC) -> R
     collected: dict[str, list[float]] = {aspect: [] for aspect in ASPECTS}
     dropped: list[str] = []
     for j, gateway in enumerate(gateways, start=1):
-        response = gateway.ask(rubric.format(report=report), tag="judge")
+        response = gateway.chat(DEFAULT_RUBRIC.format(report=report), tag="judge")
         seen = {}
         for m in _SCORE_LINE.finditer(response):
             seen.setdefault(m.group(1).casefold(), float(m.group(2)))

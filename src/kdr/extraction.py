@@ -20,7 +20,6 @@ from . import templates
 from .errors import (
     EmptyOutput,
     NoImportsFound,
-    ParseFailure,
     SchemaViolation,
     UnknownConcept,
     UnknownGoldType,
@@ -158,10 +157,9 @@ def _node_span(node: ast.AST, offsets: list[int]) -> tuple[int, int] | None:
 
 
 class _Parser:
-    def __init__(self, graph, namespace, tolerant):
+    def __init__(self, graph, namespace):
         self.graph = graph
         self.namespace = namespace
-        self.tolerant = tolerant
         self.issues: list[ParseIssue] = []
         self.bindings: dict[str, ParsedInstantiation] = {}
         self.order: list[ParsedInstantiation] = []
@@ -169,8 +167,6 @@ class _Parser:
         self.saw_call = False
 
     def fail(self, kind: str, message: str, span) -> None:
-        if not self.tolerant:
-            raise ParseFailure(message)
         self.issues.append(ParseIssue(kind, message, span))
 
     def literal(self, node: ast.AST, offsets, depth: int):
@@ -281,21 +277,18 @@ def parse_instantiation_code(
     response: str,
     graph: onto.OntologyGraph | None = None,
     namespace: str | None = None,
-    tolerant: bool = True,
 ) -> tuple[list[ParsedInstantiation], list[ParseIssue]]:
     """Parse constructor-call code into instantiation records.
 
     Accepts bare calls, `o1 = Call(...)` bindings, and result-list
-    assignments. In tolerant mode bad calls become ParseIssues; strict mode
-    raises on the first problem.
+    assignments. A bad call or statement is skipped and reported as a
+    ParseIssue; code that is not Python or holds no call raises EmptyOutput.
     """
     code = strip_code_fence(response)
-    parser = _Parser(graph, namespace, tolerant)
+    parser = _Parser(graph, namespace)
     try:
         parser.run(code)
     except SyntaxError as exc:
-        if not tolerant:
-            raise ParseFailure(f"not valid Python: {exc}") from exc
         raise EmptyOutput(f"response is not parseable code: {exc.msg}") from exc
     if not parser.saw_call:
         raise EmptyOutput("no constructor calls in response")
@@ -397,7 +390,7 @@ def extract(
     report = report if report is not None else ExtractionReport()
 
     importing_prompt = render_importing_prompt(req, graph)
-    response = gateway.ask(importing_prompt, tag="importing")
+    response = gateway.chat(importing_prompt, tag="importing")
     try:
         imported, dropped = parse_import_lines(response, graph, req.namespace)
     except NoImportsFound as exc:
@@ -416,9 +409,9 @@ def extract(
     report.imported = imported
 
     inst_prompt = render_instantiation_prompt(graph, req.namespace, imported, req.text)
-    inst_response = gateway.ask(inst_prompt, tag="instantiation")
+    inst_response = gateway.chat(inst_prompt, tag="instantiation")
     try:
-        parsed, issues = parse_instantiation_code(inst_response, graph, req.namespace, tolerant=True)
+        parsed, issues = parse_instantiation_code(inst_response, graph, req.namespace)
     except EmptyOutput as exc:
         report.reason = str(exc)
         return []

@@ -18,10 +18,10 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import BackendUnavailable, ContextTooLong, SchemaViolation
+from .errors import BackendUnavailable, SchemaViolation
 from .files import check_keys, read_json
 
 if TYPE_CHECKING:  # numpy is imported where vectors are made, so `import kdr.cli` skips it
@@ -50,7 +50,6 @@ class GenerationConfig:
 
     temperature: float = 0.0
     max_tokens: int = 2048
-    stop: list[str] = field(default_factory=list)
 
 
 class Transcript:
@@ -229,9 +228,14 @@ class HttpChatBackend(_HttpBackend, ChatBackend):
             "temperature": config.temperature,
             "max_tokens": config.max_tokens,
         }
-        if config.stop:
-            payload["stop"] = config.stop
-        return self._request(payload, lambda body: body["choices"][0]["message"]["content"])
+        return self._request(payload, _reply_text)
+
+
+def _reply_text(body: dict) -> str:
+    content = body["choices"][0]["message"]["content"]
+    if not isinstance(content, str):
+        raise TypeError(f"reply content is {type(content).__name__}, not a string")
+    return content
 
 
 # -- embedding backends -----------------------------------------------------------
@@ -273,13 +277,16 @@ class HttpEmbeddingBackend(_HttpBackend, EmbeddingBackend):
     kind, env_endpoint, env_model = "embedding", ENV_EMBED_ENDPOINT, ENV_EMBED_MODEL
 
     def embed(self, texts: list[str]) -> np.ndarray:
-        return self._request({"model": self.model, "input": texts}, _unit_rows)
+        return self._request({"model": self.model, "input": texts},
+                             functools.partial(_unit_rows, count=len(texts)))
 
 
-def _unit_rows(body: dict) -> np.ndarray:
+def _unit_rows(body: dict, count: int) -> np.ndarray:
     import numpy as np
 
     matrix = np.asarray([item["embedding"] for item in body["data"]], dtype=np.float64)
+    if matrix.ndim != 2 or len(matrix) != count:
+        raise ValueError(f"expected {count} embedding rows of one width, got shape {matrix.shape}")
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return matrix / norms
@@ -289,47 +296,39 @@ def _unit_rows(body: dict) -> np.ndarray:
 
 
 class LlmGateway:
-    """Front door for model calls: transcript logging plus prompt size guard."""
+    """Front door for model calls; every exchange goes to the transcript.
+
+    `chat(prompt, tag)` is the one way kdr calls the chat model: one prompt
+    out as a single user message with the default GenerationConfig, one
+    reply back. The tag names the pipeline step in the transcript.
+    """
 
     def __init__(
         self,
         chat: ChatBackend,
         embedder: EmbeddingBackend | None = None,
         transcript: Transcript | None = None,
-        max_prompt_chars: int | None = None,
     ):
         self.chat_backend = chat
         self.embedder = embedder
         self.transcript = transcript or Transcript(None)
-        self.max_prompt_chars = max_prompt_chars
 
-    def chat(
-        self,
-        messages: list[ChatMessage],
-        config: GenerationConfig | None = None,
-        tag: str = "",
-    ) -> str:
-        config = config or GenerationConfig()
-        total = sum(len(m.content) for m in messages)
-        if self.max_prompt_chars is not None and total > self.max_prompt_chars:
-            raise ContextTooLong(f"prompt is {total} chars, limit {self.max_prompt_chars}")
+    def chat(self, prompt: str, tag: str = "") -> str:
+        config = GenerationConfig()
         seq = self.transcript.next_seq()
         self.transcript.record("request", {
             "seq": seq,
             "tag": tag,
-            "messages": [{"role": m.role, "content": m.content} for m in messages],
+            "messages": [{"role": "user", "content": prompt}],
             "temperature": config.temperature,
         })
         try:
-            response = self.chat_backend.complete(messages, config)
+            response = self.chat_backend.complete([ChatMessage("user", prompt)], config)
         except Exception as exc:
             self.transcript.record("error", {"seq": seq, "tag": tag, "error": str(exc)})
             raise
         self.transcript.record("response", {"seq": seq, "tag": tag, "content": response})
         return response
-
-    def ask(self, prompt: str, tag: str = "") -> str:
-        return self.chat([ChatMessage("user", prompt)], tag=tag)
 
     def embed(self, texts: list[str]) -> np.ndarray:
         if self.embedder is None:
@@ -343,7 +342,6 @@ def mock_gateway(
     script: dict | None = None,
     default_response: str = "",
     transcript_path: str | None = None,
-    dim: int = 64,
 ) -> LlmGateway:
     """Offline gateway wired to the deterministic mocks; test convenience."""
     chat = MockChatBackend.from_script(script) if script else MockChatBackend(
@@ -351,6 +349,6 @@ def mock_gateway(
     )
     return LlmGateway(
         chat,
-        MockEmbeddingBackend(dim=dim),
+        MockEmbeddingBackend(),
         Transcript(transcript_path),
     )

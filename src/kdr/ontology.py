@@ -360,15 +360,13 @@ def validate_graph(graph: OntologyGraph) -> None:
 # -- hierarchy queries --------------------------------------------------------
 
 
-def depth(graph: OntologyGraph, name: str, namespace: str | None = None) -> int:
+def depth(graph: OntologyGraph, name: str) -> int:
     """Depth of a node with the roots at depth 1."""
-    return len(graph.root_path(graph.resolve(name, namespace)))
+    return len(graph.root_path(graph.resolve(name)))
 
 
-def lowest_common_ancestor(
-    graph: OntologyGraph, a: str, b: str, namespace: str | None = None
-) -> str:
-    qa, qb = graph.resolve(a, namespace), graph.resolve(b, namespace)
+def lowest_common_ancestor(graph: OntologyGraph, a: str, b: str) -> str:
+    qa, qb = graph.resolve(a), graph.resolve(b)
     if graph.kind_of(qa) != graph.kind_of(qb):
         raise KindMismatch(f"{qa} and {qb} have different kinds")
     path_a, path_b = graph.root_path(qa), graph.root_path(qb)
@@ -380,12 +378,10 @@ def lowest_common_ancestor(
     return lca
 
 
-def wu_palmer(graph: OntologyGraph, a: str, b: str, namespace: str | None = None) -> float:
+def wu_palmer(graph: OntologyGraph, a: str, b: str) -> float:
     """2 * depth(lca) / (depth(a) + depth(b)); 1.0 exactly when a is b."""
-    lca = lowest_common_ancestor(graph, a, b, namespace)
-    da = depth(graph, a, namespace)
-    db = depth(graph, b, namespace)
-    return 2.0 * depth(graph, lca) / (da + db)
+    lca = lowest_common_ancestor(graph, a, b)
+    return 2.0 * depth(graph, lca) / (depth(graph, a) + depth(graph, b))
 
 
 # -- attribute resolution -----------------------------------------------------

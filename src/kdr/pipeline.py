@@ -42,7 +42,7 @@ log = logging.getLogger(__name__)
 
 # -- tasks and proposals -------------------------------------------------------
 
-CONFIG_KEYS = {"llm", "embed", "search", "limits", "defaults"}
+CONFIG_KEYS = {"llm", "embed", "search", "limits"}
 ENV_CONFIG = "KDR_CONFIG"
 
 
@@ -75,10 +75,6 @@ class ProposedOntology:
         """The document's validated graph, parsed on first use only."""
         return onto.graph_from_document(self.document)
 
-    @property
-    def concept_count(self) -> int:
-        return sum(len(v) for v in self.document.get("namespaces", {}).values())
-
 
 def propose_ontology(
     topic: str,
@@ -89,7 +85,7 @@ def propose_ontology(
     """Ask the model for a concept schema; validate; write the review file."""
     if not topic.strip():
         raise ValueError("topic is empty")
-    response = gateway.ask(
+    response = gateway.chat(
         templates.PROPOSE_ONTOLOGY_PROMPT.format(topic=topic, sample=sample),
         tag="propose",
     )
@@ -423,7 +419,7 @@ def run_research(
     run = Path(run_dir) if run_dir else Path("runs") / time.strftime("%Y%m%d-%H%M%S")
     make_dir(run, "run directory")  # before the plan call, so a bad location costs none
 
-    plan_text = gateway.ask(
+    plan_text = gateway.chat(
         templates.PLAN_PROMPT.format(title=task.topic, request=task.topic), tag="plan")
     write_file(run / "plan.txt", plan_text)
     plans = rs.parse_decomposition(plan_text)

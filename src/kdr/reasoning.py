@@ -577,7 +577,7 @@ def generate_analysis_code(
         query=query,
         feedback=feedback_block,
     )
-    response = gateway.ask(prompt, tag="codegen")
+    response = gateway.chat(prompt, tag="codegen")
     code = strip_code_fence(response).strip("\n")
     if "search_results" not in code:
         raise RejectedCode("generated code never references search_results")
@@ -592,7 +592,7 @@ def instance_query(
     hops: int = Limits.hops,
 ) -> list[KnowledgeObject]:
     """Topic entities from the model, then name lookup, then the neighborhood."""
-    response = gateway.ask(templates.TOPIC_ENTITY_PROMPT.format(query=query), tag="topic-ner")
+    response = gateway.chat(templates.TOPIC_ENTITY_PROMPT.format(query=query), tag="topic-ner")
     names = []
     for line in response.splitlines():
         name = line.strip().lstrip("-*0123456789. \t")
@@ -624,7 +624,7 @@ def evaluate_result(
     prompt = templates.RESULT_EVALUATION_PROMPT.format(
         query=query, stdout=result.stdout, files=files
     )
-    response = gateway.ask(prompt, tag="evaluate")
+    response = gateway.chat(prompt, tag="evaluate")
     m = re.match(r"\s*([A-Za-z]+)", response)
     token = m.group(1).upper() if m else ""
     remainder = response[m.end():].lstrip(" :.-") if m else response
@@ -773,7 +773,7 @@ def run_text_cycle(
         for hit in hits:
             if hit.url in summaries:
                 continue
-            summary = gateway.ask(
+            summary = gateway.chat(
                 templates.SUMMARIZE_PROMPT.format(query=query, url=hit.url, body=hit.body),
                 tag="summarize",
             )
@@ -784,11 +784,11 @@ def run_text_cycle(
             f"[{i + 1}] {title}: {summary}"
             for i, (title, summary) in enumerate(summaries.values())
         ) or "none"
-        result.text = gateway.ask(
+        result.text = gateway.chat(
             templates.DRAFT_PROMPT.format(query=query, summaries=numbered), tag="draft"
         )
 
-        check = gateway.ask(
+        check = gateway.chat(
             templates.SUFFICIENCY_PROMPT.format(query=query, draft=result.text),
             tag="sufficiency",
         )
@@ -821,7 +821,7 @@ def merge_and_revise(
         computed="\n\n".join(computed),
         drafted=drafted or "none",
     )
-    return gateway.ask(prompt, tag="merge")
+    return gateway.chat(prompt, tag="merge")
 
 
 def revise_report(section_bodies: list[str], gateway: LlmGateway,
@@ -832,6 +832,6 @@ def revise_report(section_bodies: list[str], gateway: LlmGateway,
     order, and may overlap them.
     """
     full = "\n\n".join(section_bodies)
-    return map_each(lambda body: gateway.ask(
+    return map_each(lambda body: gateway.chat(
         templates.REVISE_SECTION_PROMPT.format(report=full, section=body), tag="revise"),
         section_bodies)

@@ -455,6 +455,20 @@ def test_bad_config_is_user_error(capsys, tmp_path):
     assert "config" in err
 
 
+def test_defaults_config_key_is_user_error_before_any_model_call(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"defaults": {}}))
+    transcript = tmp_path / "calls.jsonl"
+    rc, _, err = run(capsys, "organize", "--topic", "Early computing",
+                     "--corpus", str(FIXTURES / "corpus"),
+                     "--kb", str(tmp_path / "kb.jsonl"), "--auto-approve",
+                     "--mock", E2E_MOCK, "--config", str(config),
+                     "--transcript", str(transcript))
+    assert rc == 1
+    assert err == "error: unknown config keys: ['defaults']\n"
+    assert not transcript.exists() or transcript.read_text() == ""
+
+
 @pytest.mark.parametrize("section, message", [
     ({"llm": "x"}, "llm must be a JSON object, got str"),
     ({"embed": []}, "embed must be a JSON object, got list"),

@@ -5,7 +5,7 @@ import pytest
 from kdr import extraction as ex
 from kdr import knowledge_store as ks
 from kdr import ontology, templates
-from kdr.errors import EmptyOutput, NoImportsFound, ParseFailure, SchemaViolation, UnknownGoldType
+from kdr.errors import EmptyOutput, NoImportsFound, SchemaViolation, UnknownGoldType
 from kdr.llm_gateway import mock_gateway
 from kdr.ontology import AttributeSpec, Concept, empty_graph, insert_concept
 
@@ -131,8 +131,6 @@ def test_parse_instantiation_unknown_class_tolerant_vs_strict(graph):
     parsed, issues = ex.parse_instantiation_code('Dragon(name="x")', graph, "NER")
     assert parsed == []
     assert [i.kind for i in issues] == ["unknown_class"]
-    with pytest.raises(ParseFailure):
-        ex.parse_instantiation_code('Dragon(name="x")', graph, "NER", tolerant=False)
 
 
 def test_parse_instantiation_unknown_keyword_and_positional(graph):

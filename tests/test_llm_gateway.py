@@ -1,4 +1,4 @@
-"""Gateway behavior: scripted mocks, retries, transcripts, size guard."""
+"""Gateway behavior: scripted mocks, retries, reply shapes, transcripts."""
 
 import json
 import threading
@@ -7,8 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from kdr.errors import BackendUnavailable, ContextTooLong, SchemaViolation
+from kdr.errors import BackendUnavailable, SchemaViolation
 from kdr.llm_gateway import (
+    MAX_ATTEMPTS,
     ChatMessage,
     GenerationConfig,
     HttpChatBackend,
@@ -106,6 +107,55 @@ def test_http_embeddings_normalize():
     assert np.allclose(vec, [[0.6, 0.8]])
 
 
+@pytest.mark.parametrize("content", [None, 7, ["text"]])
+def test_http_chat_reply_without_text_content_is_a_failed_attempt(content):
+    attempts, sleeps = [], []
+
+    def post(url, payload):
+        attempts.append(payload)
+        return {"choices": [{"message": {"content": content}}]}
+
+    backend = HttpChatBackend(
+        endpoint="http://example.test/v1", model="m", post=post, sleep=sleeps.append
+    )
+    with pytest.raises(BackendUnavailable, match="not a string"):
+        backend.complete([ChatMessage("user", "hi")], GenerationConfig())
+    assert len(attempts) == MAX_ATTEMPTS
+    assert sleeps == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 0.0]],  # one row for three texts
+    [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]],  # one row too many
+    [[1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0]],  # rows of different widths
+])
+def test_http_embedding_reply_needs_one_row_per_text_of_one_width(rows):
+    attempts = []
+
+    def post(url, payload):
+        attempts.append(payload)
+        return {"data": [{"embedding": row} for row in rows]}
+
+    backend = HttpEmbeddingBackend(
+        endpoint="http://example.test/emb", model="m", post=post, sleep=lambda _: None
+    )
+    with pytest.raises(BackendUnavailable):
+        backend.embed(["a", "b", "c"])
+    assert len(attempts) == MAX_ATTEMPTS
+
+
+def test_http_embedding_retries_a_short_reply_then_succeeds():
+    replies = [[[1.0, 0.0]], [[3.0, 4.0], [0.0, 2.0]]]
+
+    def post(url, payload):
+        return {"data": [{"embedding": row} for row in replies.pop(0)]}
+
+    backend = HttpEmbeddingBackend(
+        endpoint="http://example.test/emb", model="m", post=post, sleep=lambda _: None
+    )
+    assert np.allclose(backend.embed(["a", "b"]), [[0.6, 0.8], [0.0, 1.0]])
+
+
 def test_transcript_records_request_response_and_retries(tmp_path):
     path = tmp_path / "transcript.jsonl"
     gateway = LlmGateway(
@@ -113,7 +163,7 @@ def test_transcript_records_request_response_and_retries(tmp_path):
         MockEmbeddingBackend(),
         Transcript(str(path)),
     )
-    gateway.ask("ping", tag="unit")
+    gateway.chat("ping", tag="unit")
     gateway.embed(["a"])
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     kinds = [r["kind"] for r in rows]
@@ -126,8 +176,8 @@ def test_transcript_pairs_rows_of_one_call_by_seq(tmp_path):
     path = tmp_path / "transcript.jsonl"
     gateway = LlmGateway(MockChatBackend(default_response="pong"), MockEmbeddingBackend(),
                          Transcript(str(path)))
-    gateway.ask("one", tag="a")
-    gateway.ask("two", tag="b")
+    gateway.chat("one", tag="a")
+    gateway.chat("two", tag="b")
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert [(r["kind"], r["seq"], r["tag"]) for r in rows] == [
         ("request", 1, "a"), ("response", 1, "a"),
@@ -162,17 +212,10 @@ def test_mock_queue_hands_each_concurrent_caller_its_own_reply():
     assert len(backend.calls) == n
 
 
-def test_prompt_size_guard():
-    gateway = LlmGateway(MockChatBackend(default_response="x"), max_prompt_chars=10)
-    with pytest.raises(ContextTooLong):
-        gateway.ask("a" * 11)
-    assert gateway.ask("short") == "x"
-
-
 def test_mock_gateway_temperature_defaults_to_zero():
     assert GenerationConfig().temperature == 0.0
     gw = mock_gateway(default_response="y")
-    assert gw.ask("anything") == "y"
+    assert gw.chat("anything") == "y"
 
 
 @pytest.mark.parametrize("script", [

@@ -78,7 +78,7 @@ def test_propose_ontology_writes_review_file(tmp_path):
     proposal = pl.propose_ontology(TOPIC, "sample", gw,
                                    review_path=str(tmp_path / "p.json"))
     assert proposal.status == "proposed"
-    assert proposal.concept_count == 2
+    assert len(proposal.graph.concepts) == 2
     saved = json.loads((tmp_path / "p.json").read_text())
     assert set(saved["namespaces"]) == {"STUDY"}
 
@@ -500,6 +500,25 @@ def test_run_research_output_does_not_depend_on_workers(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("workers", [1, 8])
+def test_every_model_call_goes_through_gateway_chat(tmp_path, workers):
+    transcript = tmp_path / "t.jsonl"
+    backend = MockChatBackend.from_script(json.loads((FIXTURES / "e2e_mock.json").read_text()))
+    gw = LlmGateway(backend, MockEmbeddingBackend(), Transcript(str(transcript)))
+    limits = Limits(workers=workers)
+    graph, store, _ = pl.run_organization(organize_task(tmp_path),
+                                          approved_proposal(gw, tmp_path), gw, limits=limits)
+    pl.run_research(research_task(tmp_path), graph, store, gw,
+                    search_backend=FixtureSearchBackend(str(FIXTURES / "webcorpus")),
+                    run_dir=str(tmp_path / "run"), generated_at="2026-01-01T00:00:00Z",
+                    limits=limits)
+    rows = [json.loads(line) for line in transcript.read_text().splitlines()]
+    requests = [row for row in rows if row["kind"] == "request"]
+    assert len(requests) == len(backend.calls) > 5
+    assert all(row["tag"] for row in requests)
+    assert sorted(row["messages"][0]["content"] for row in requests) == sorted(backend.calls)
+
+
 def test_run_research_reuses_cached_sections(tmp_path):
     graph, store = organized(tmp_path)
     backend = FixtureSearchBackend(str(FIXTURES / "webcorpus"))
@@ -846,10 +865,16 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         pl.load_config(str(path))
 
 
+def test_load_config_rejects_the_defaults_key(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"defaults": {}}))
+    with pytest.raises(SchemaViolation, match=r"unknown config keys: \['defaults'\]"):
+        pl.load_config(str(path))
+
+
 def test_load_config_keeps_checked_endpoint_sections(tmp_path):
     config = {"llm": {"endpoint": "http://localhost:1", "api_key": "k", "model": "m"},
-              "embed": {"model": "e"}, "search": {"endpoint": "http://localhost:2"},
-              "defaults": {}}
+              "embed": {"model": "e"}, "search": {"endpoint": "http://localhost:2"}}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert pl.load_config(str(path)) == {**config, "limits": Limits()}
