@@ -204,15 +204,6 @@ def classify_relations(
     return verdicts
 
 
-@dataclass
-class AlignmentOutcome:
-    graph: onto.OntologyGraph
-    parent: str  # qualified name or a root
-    equivalent_to: str | None
-    verdicts: list[RelationVerdict]
-    note: str = ""
-
-
 def place_concept(
     query: onto.Concept,
     verdicts: list[RelationVerdict],
@@ -239,7 +230,8 @@ def place_concept(
         parent = max(parents, key=lambda v: v.score).candidate
     else:
         parent = root
-        note = "no informative verdicts; attached under the kind root"
+        why = "no informative verdicts" if graph.concepts else "empty ontology"
+        note = f"{why}; attached under the kind root"
 
     try:
         onto.check_concept(graph, replace(query, parent=parent))
@@ -254,44 +246,15 @@ def place_concept(
     return parent, equivalent_to, note
 
 
-def expand_ontology(
-    query: onto.Concept,
-    verdicts: list[RelationVerdict],
-    graph: onto.OntologyGraph,
-) -> AlignmentOutcome:
-    """Attach the query concept where place_concept puts it, in a copy of the graph."""
-    parent, equivalent_to, note = place_concept(query, verdicts, graph)
-    grown = graph.copy()
-    onto.insert_concept(grown, replace(query, parent=parent))
-    if equivalent_to is not None:
-        grown.add_equivalence(query.qualified, equivalent_to)
-    return AlignmentOutcome(grown, parent, equivalent_to, verdicts, note)
-
-
-def align_concept(
-    query: onto.Concept,
-    graph: onto.OntologyGraph,
-    gateway: LlmGateway,
-    k: int = DEFAULT_K,
-) -> AlignmentOutcome:
-    """Full two-stage pass for one new concept."""
-    index = embed_ontology(graph, gateway)
-    if not index:
-        outcome = expand_ontology(query, [], graph)
-        outcome.note = "empty ontology; attached under the kind root"
-        return outcome
-    cands = retrieve_candidates(query, index, k, backend=gateway)
-    verdicts = classify_relations(query, cands, graph, gateway)
-    return expand_ontology(query, verdicts, graph)
-
-
 def make_llm_placer(gateway: LlmGateway, k: int = DEFAULT_K):
     """Placer closure (Concept, OntologyGraph) -> (parent, equivalent_to, note).
 
-    Each graph it is given keeps its index as a view, rebuilt after an insert;
-    a memo of embedded texts makes a graph grown by one concept embed one
-    text. It returns the placement align_concept would pick without growing
-    the graph, and is safe to call from several threads.
+    The one placement path: `kdr align`, organize's proposal merge and
+    `eval taxonomy` all call it, and `ontology.attach` grows a graph by what
+    it returns; the placer itself never grows the graph. Each graph it is
+    given keeps its index as a view, rebuilt after an insert; a memo of
+    embedded texts makes a graph grown by one concept embed one text. It is
+    safe to call from several threads.
     """
     memo: dict[str, np.ndarray] = {}
 

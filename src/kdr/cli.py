@@ -163,14 +163,15 @@ def cmd_align(args) -> int:
     query = onto.Concept(name=args.name, namespace=args.namespace,
                          kind=args.kind, parent=root,
                          description=args.description)
-    outcome = al.align_concept(query, graph, gateway, k=args.k)
+    parent, equivalent_to, note = al.make_llm_placer(gateway, k=args.k)(query, graph)
     if args.save:
-        onto.save_ontology(outcome.graph, args.save)
+        onto.attach(graph, query, parent, equivalent_to)
+        onto.save_ontology(graph, args.save)
     _emit({
         "concept": query.qualified,
-        "parent": outcome.parent,
-        "equivalent_to": outcome.equivalent_to,
-        "note": outcome.note,
+        "parent": parent,
+        "equivalent_to": equivalent_to,
+        "note": note,
     }, args.pretty)
     return 0
 

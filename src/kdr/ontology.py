@@ -6,20 +6,21 @@ class-definition code, renders import clauses, and answers hierarchy queries
 (depth, lowest common ancestor, Wu&Palmer similarity).
 
 A graph grows in place, by whoever owns it, through two paths only:
-``insert_concept`` (via ``_insert``) and ``OntologyGraph.add_equivalence``. A
-caller that must leave its input unchanged takes ``graph.copy()`` once and
-grows the copy. Equivalence exists only as a graph edge. Lookups are derived
-here once: an AttributeSpec parses its type token when built; a graph keeps a
-short-name map and memoised slot lists (shared with a copy: their values
-never change) and views such as the concept-search index (built once by
-``view``, dropped by ``_insert``).
+``insert_concept`` (via ``_insert``) and ``OntologyGraph.add_equivalence``;
+``attach`` applies an alignment placement through both. A caller that must
+leave its input unchanged takes ``graph.copy()`` once and grows the copy.
+Equivalence exists only as a graph edge. Lookups are derived here once: an
+AttributeSpec parses its type token when built; a graph keeps a short-name
+map and memoised slot lists (shared with a copy: their values never change)
+and views such as the concept-search index (built once by ``view``, dropped
+by ``_insert``).
 """
 
 from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     AmbiguousName,
@@ -319,6 +320,14 @@ def _insert(graph: OntologyGraph, c: Concept, parent_q: str) -> None:
 def insert_concept(graph: OntologyGraph, c: Concept) -> None:
     """Check a concept and insert it into the graph in place."""
     _insert(graph, c, check_concept(graph, c))
+
+
+def attach(graph: OntologyGraph, c: Concept, parent: str, equivalent_to: str | None) -> None:
+    """Grow the graph in place by a placement: the concept under `parent`,
+    plus its equivalence edge to `equivalent_to` when there is one."""
+    insert_concept(graph, replace(c, parent=parent))
+    if equivalent_to is not None:
+        graph.add_equivalence(c.qualified, equivalent_to)
 
 
 def place_in_passes(items: list, place) -> list:

@@ -17,7 +17,7 @@ import os
 import re
 import shutil
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import knowledge_store as ks
@@ -25,6 +25,7 @@ from . import ontology as onto
 from . import reasoning as rs
 from . import templates
 from .errors import (
+    BackendUnavailable,
     CorruptRecord,
     DanglingArtifact,
     IoFailure,
@@ -224,17 +225,17 @@ def ordered_map(fn, items: list, workers: int) -> list:
 
 def _merge_proposal_into_graph(
     graph: onto.OntologyGraph,
-    document: dict,
+    fresh: onto.OntologyGraph,
     gateway: LlmGateway | None,
 ) -> tuple[onto.OntologyGraph, list[str]]:
-    """A copy of the graph with the proposed concepts and their equivalences
+    """A copy of the graph with the proposal graph's concepts and equivalences
     added; root-parented ones go through alignment, and keep the equivalence
     an `equivalent` verdict gives, when the graph already holds same-kind
-    concepts and a backend is available."""
+    concepts and a backend is available. A concept that cannot be added is
+    noted and skipped; a backend outage propagates."""
     from . import alignment  # imports numpy, so it loads only when a proposal needs aligning
 
     notes: list[str] = []
-    fresh = onto.graph_from_document(document)
     placer = alignment.make_llm_placer(gateway) if gateway else None
     ordered = sorted(fresh.concepts, key=lambda q: len(fresh.root_path(q)))
     kinds = {c.kind for c in graph.concepts.values()}  # kinds that already have a concept
@@ -244,20 +245,21 @@ def _merge_proposal_into_graph(
         if qualified in graph.concepts:
             notes.append(f"{qualified} already present; kept existing definition")
             continue
+        parent, equivalent_to = concept.parent, None
         try:
             if concept.parent in onto.ROOTS and concept.kind in kinds and placer is not None:
                 parent, equivalent_to, _ = placer(concept, graph)
-                onto.insert_concept(graph, replace(concept, parent=parent))
-                if parent not in onto.ROOTS:
-                    notes.append(f"{qualified} aligned under {parent}")
-                if equivalent_to is not None:
-                    graph.add_equivalence(qualified, equivalent_to)
-                    notes.append(f"{qualified} aligned as equivalent to {equivalent_to}")
-            else:
-                onto.insert_concept(graph, concept)
-            kinds.add(concept.kind)
+            onto.attach(graph, concept, parent, equivalent_to)
+        except BackendUnavailable:
+            raise
         except KdrError as exc:
             notes.append(f"{qualified} skipped: {exc}")
+            continue
+        kinds.add(concept.kind)
+        if parent != concept.parent:
+            notes.append(f"{qualified} aligned under {parent}")
+        if equivalent_to is not None:
+            notes.append(f"{qualified} aligned as equivalent to {equivalent_to}")
     for a, others in fresh.equivalences.items():
         for b in sorted(others):
             if a < b and a in graph.concepts and b in graph.concepts:
@@ -280,9 +282,11 @@ def run_organization(
     """Sweep the corpus through extraction into a fresh or existing store.
 
     Per-document failures land in the manifest's error ledger; the run keeps
-    going. The store and its ontology are saved next to task.kb_path. Up to
-    limits.workers extraction jobs (one per passage and namespace) overlap;
-    results are ingested in corpus order, so the store does not depend on it.
+    going. A backend outage (BackendUnavailable) stops it before anything is
+    saved, so an existing KB stays as it was. The store and its ontology are
+    saved next to task.kb_path. Up to limits.workers extraction jobs (one per
+    passage and namespace) overlap; results are ingested in corpus order, so
+    the store does not depend on it.
     """
     if proposal.status not in ("approved", "edited"):
         raise ValueError(f"ontology proposal is {proposal.status}; review it first")
@@ -294,7 +298,7 @@ def run_organization(
         graph = proposal.graph
         notes: list[str] = []
     else:
-        graph, notes = _merge_proposal_into_graph(base_graph, proposal.document, gateway)
+        graph, notes = _merge_proposal_into_graph(base_graph, proposal.graph, gateway)
 
     if store is None:
         store = KnowledgeStore(graph)
@@ -325,6 +329,8 @@ def run_organization(
         report = ExtractionReport()
         try:
             return extract(request, graph, gateway, timestamp=stamp, report=report), report, None
+        except BackendUnavailable:
+            raise
         except KdrError as exc:
             return [], report, exc
 

@@ -124,13 +124,21 @@ def test_classify_relations_garbage_defaults_all_unrelated():
     assert [v.relation for v in verdicts] == ["unrelated"]
 
 
+def place_and_attach(query, verdicts, g):
+    """place_concept's placement, attached to a copy of the graph."""
+    parent, equivalent_to, note = al.place_concept(query, verdicts, g)
+    grown = g.copy()
+    ontology.attach(grown, query, parent, equivalent_to)
+    return parent, equivalent_to, note, grown
+
+
 def test_expand_attaches_under_parent_verdict():
     g = base_graph()
     query = Concept("Novelist", "tax", "entity", "Entity", "Writes novels.")
     verdicts = [al.RelationVerdict("tax.Person", "parent_of_query", score=0.9)]
-    outcome = al.expand_ontology(query, verdicts, g)
-    assert outcome.parent == "tax.Person"
-    assert outcome.graph.parents["tax.Novelist"] == "tax.Person"
+    parent, _, _, grown = place_and_attach(query, verdicts, g)
+    assert parent == "tax.Person"
+    assert grown.parents["tax.Novelist"] == "tax.Person"
     assert "tax.Novelist" not in g.concepts
 
 
@@ -141,20 +149,20 @@ def test_expand_equivalent_wins_and_copies_parent():
         al.RelationVerdict("tax.Person", "parent_of_query", score=0.95),
         al.RelationVerdict("tax.Author", "equivalent", score=0.8),
     ]
-    outcome = al.expand_ontology(query, verdicts, g)
-    assert outcome.equivalent_to == "tax.Author"
-    assert outcome.parent == "tax.Person"  # Author's parent
-    assert outcome.graph.equivalences["tax.Writer"] == {"tax.Author"}
-    assert outcome.graph.canonical_concept("tax.Writer") == "tax.Author"
+    parent, equivalent_to, _, grown = place_and_attach(query, verdicts, g)
+    assert equivalent_to == "tax.Author"
+    assert parent == "tax.Person"  # Author's parent
+    assert grown.equivalences["tax.Writer"] == {"tax.Author"}
+    assert grown.canonical_concept("tax.Writer") == "tax.Author"
 
 
 def test_expand_falls_back_to_kind_root():
     g = base_graph()
     query = Concept("Meeting", "tax", "event", "Event", "People convene.")
-    outcome = al.expand_ontology(query, [], g)
-    assert outcome.parent == "Event"
-    assert outcome.graph.parents["tax.Meeting"] == "Event"
-    assert "kind root" in outcome.note
+    parent, _, note, grown = place_and_attach(query, [], g)
+    assert parent == "Event"
+    assert grown.parents["tax.Meeting"] == "Event"
+    assert "kind root" in note
 
 
 def test_expand_picks_highest_cosine_among_parents():
@@ -164,8 +172,8 @@ def test_expand_picks_highest_cosine_among_parents():
         al.RelationVerdict("tax.Building", "parent_of_query", score=0.2),
         al.RelationVerdict("tax.Person", "parent_of_query", score=0.7),
     ]
-    outcome = al.expand_ontology(query, verdicts, g)
-    assert outcome.parent == "tax.Person"
+    parent, _, _, _ = place_and_attach(query, verdicts, g)
+    assert parent == "tax.Person"
 
 
 @given(st.lists(st.tuples(st.sampled_from(["tax.Person", "tax.Author", "tax.Building"]),
@@ -177,9 +185,9 @@ def test_expand_preserves_forest_under_adversarial_verdicts(raw):
     g = base_graph()
     query = Concept("Fuzz", "tax", "entity", "Entity")
     verdicts = [al.RelationVerdict(c, r, score=s) for c, r, s in raw]
-    outcome = al.expand_ontology(query, verdicts, g)
-    ontology.validate_graph(outcome.graph)
-    assert "tax.Fuzz" in outcome.graph.concepts
+    _, _, _, grown = place_and_attach(query, verdicts, g)
+    ontology.validate_graph(grown)
+    assert "tax.Fuzz" in grown.concepts
 
 
 def test_align_concept_full_pass_with_scripted_parent():
@@ -189,16 +197,18 @@ def test_align_concept_full_pass_with_scripted_parent():
         "responses": ["Person: parent_of_query"],
     }]})
     query = Concept("Novelist", "tax", "entity", "Entity", "Writes novels.")
-    outcome = al.align_concept(query, g, gw, k=3)
-    assert outcome.parent == "tax.Person"
+    parent, _, _ = al.make_llm_placer(gw, k=3)(query, g)
+    assert parent == "tax.Person"
 
 
 def test_align_concept_empty_graph_goes_to_root():
     gw = mock_gateway(default_response="unused")
     query = Concept("First", "tax", "entity", "Entity")
-    outcome = al.align_concept(query, empty_graph(), gw)
-    assert outcome.parent == "Entity"
-    assert outcome.graph.parents["tax.First"] == "Entity"
+    g = empty_graph()
+    parent, equivalent_to, _ = al.make_llm_placer(gw)(query, g)
+    assert parent == "Entity"
+    ontology.attach(g, query, parent, equivalent_to)
+    assert g.parents["tax.First"] == "Entity"
 
 
 def test_make_llm_aligner_returns_parent_name():
@@ -289,14 +299,13 @@ def test_aligner_gives_each_graph_its_own_candidates():
     assert "class Thing" not in gw.chat_backend.calls[-1]
 
 
-def test_aligner_matches_align_concept_without_growing_the_graph():
+def test_aligner_takes_the_equivalents_parent_without_growing_the_graph():
     g = base_graph()
     script = {"rules": [{"match": "state its relation",
                          "responses": ["Author: equivalent\nPerson: parent_of_query"]}]}
     query = Concept("Writer", "tax", "entity", "Entity", "Writes.")
-    outcome = al.align_concept(query, g, mock_gateway(script), k=3)
     aligner = al.make_llm_aligner(mock_gateway(script), k=3)
-    assert aligner(query, g) == outcome.parent == "tax.Person"
+    assert aligner(query, g) == "tax.Person"
     assert "tax.Writer" not in g.concepts
 
 
@@ -314,7 +323,7 @@ def test_align_without_an_embedding_backend_raises_before_any_model_call():
     gw = LlmGateway(MockChatBackend(default_response="Person: parent_of_query"))
     query = Concept("Poet", "tax", "entity", "Entity", "Writes poems.")
     with pytest.raises(BackendUnavailable, match="no embedding backend configured"):
-        al.align_concept(query, base_graph(), gw)
+        al.make_llm_placer(gw)(query, base_graph())
     with pytest.raises(BackendUnavailable, match="no embedding backend configured"):
         al.make_llm_aligner(gw)(query, base_graph())
     assert gw.chat_backend.calls == []

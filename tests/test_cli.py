@@ -15,6 +15,7 @@ from kdr import cli
 from kdr import errors
 from kdr import knowledge_store as ks
 from kdr import ontology as onto
+from kdr.llm_gateway import ChatBackend, LlmGateway, MockEmbeddingBackend, Transcript
 
 FIXTURES = Path(__file__).parent / "fixtures"
 E2E_MOCK = str(FIXTURES / "e2e_mock.json")
@@ -73,6 +74,23 @@ def test_organize_auto_approve_builds_kb(capsys, tmp_path):
     assert Path(kb).exists()
     assert Path(f"{kb}.ontology.json").exists()
     assert Path(f"{kb}.proposal.json").exists()
+
+
+def test_organize_during_an_outage_exits_two_and_keeps_the_kb(capsys, tmp_path, monkeypatch):
+    kb, _ = organize(capsys, tmp_path)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    class Down(ChatBackend):
+        def complete(self, messages, config):
+            raise errors.BackendUnavailable("chat endpoint failed after 3 attempts")
+
+    monkeypatch.setattr(cli, "_gateway", lambda args, config: LlmGateway(
+        Down(), MockEmbeddingBackend(), Transcript(None)))
+    rc, out, err = run(capsys, "organize", "--topic", "Early computing",
+                       "--corpus", str(FIXTURES / "corpus"), "--kb", kb,
+                       "--ontology", f"{kb}.ontology.json")
+    assert (rc, out, err) == (2, "", "error: chat endpoint failed after 3 attempts\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_organize_missing_corpus_dir(capsys, tmp_path):
@@ -240,6 +258,35 @@ def test_align_save_creates_a_missing_directory(capsys, tmp_path):
                      "--save", str(saved), "--mock", str(mock))
     assert rc == 0, err
     assert "NEW.Wolf" in onto.load_ontology(str(saved)).concepts
+
+
+def test_align_equivalent_verdict_saves_the_equivalence(capsys, tmp_path):
+    ontology = animal_ontology(tmp_path)
+    mock = tmp_path / "mock.json"
+    mock.write_text(json.dumps({"rules": [
+        {"match": "class Wolf", "responses": ["Mammal: equivalent"]}]}))
+    saved = str(tmp_path / "expanded.json")
+    rc, out, err = run(capsys, "align", "--ontology", ontology,
+                       "--name", "Wolf", "--description", "A wild canid.",
+                       "--save", saved, "--mock", str(mock))
+    assert rc == 0, err
+    assert json.loads(out) == {"concept": "NEW.Wolf", "parent": "TAX.Animal",
+                               "equivalent_to": "TAX.Mammal", "note": ""}
+    expanded = onto.load_ontology(saved)
+    assert expanded.parents["NEW.Wolf"] == "TAX.Animal"
+    assert expanded.equivalences == {"NEW.Wolf": {"TAX.Mammal"}, "TAX.Mammal": {"NEW.Wolf"}}
+
+
+def test_align_into_an_empty_ontology_goes_under_the_kind_root(capsys, tmp_path):
+    ontology = str(tmp_path / "empty.json")
+    onto.save_ontology(onto.empty_graph(), ontology)
+    saved = str(tmp_path / "expanded.json")
+    rc, out, err = run(capsys, "align", "--ontology", ontology, "--name", "Wolf",
+                       "--save", saved, "--mock", E2E_MOCK)
+    assert rc == 0, err
+    assert json.loads(out) == {"concept": "NEW.Wolf", "parent": "Entity", "equivalent_to": None,
+                               "note": "empty ontology; attached under the kind root"}
+    assert onto.load_ontology(saved).parents == {"NEW.Wolf": "Entity"}
 
 
 def test_align_rejects_bad_name(capsys, tmp_path):

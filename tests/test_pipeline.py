@@ -19,6 +19,7 @@ from kdr.errors import (
     BackendUnavailable,
     DanglingArtifact,
     IoFailure,
+    ParseFailure,
     SchemaViolation,
     UnbalancedTags,
     UnparseableProposal,
@@ -296,14 +297,15 @@ def test_run_organization_unwritable_kb_location_fails_before_model_calls(tmp_pa
 class _PassageBackend(ChatBackend):
     """Answers extraction prompts from the passage's number. Earlier passages
     answer later, so overlapped calls finish out of corpus order; passage 4's
-    call fails and passage 7 imports nothing."""
+    reply fails to parse (a ledger line; an outage would stop the run) and
+    passage 7 imports nothing."""
 
     def complete(self, messages, config):
         prompt = messages[-1].content
         n = int(re.search(r"Person (\d+) was born", prompt).group(1))
         time.sleep((12 - n) * 0.002)
         if n == 4:
-            raise BackendUnavailable("passage 4 unreachable")
+            raise ParseFailure("passage 4 unreachable")
         if n == 7:
             return "nothing to import"
         if "Please import" in prompt:
@@ -332,6 +334,31 @@ def test_run_organization_ledger_order_does_not_depend_on_workers(tmp_path):
     assert "passage 4 unreachable" in manifests[1]["errors"][0]["error"]
     assert manifests[1]["stored_objects"] == 10
     assert (tmp_path / "kb1.jsonl").read_bytes() == (tmp_path / "kb8.jsonl").read_bytes()
+
+
+class _OutageBackend(ChatBackend):
+    """A chat endpoint that is down: every call fails as the HTTP backend's
+    retry loop reports it."""
+
+    def complete(self, messages, config):
+        raise BackendUnavailable("chat endpoint failed after 3 attempts: connection refused")
+
+
+def outage_gateway():
+    return LlmGateway(_OutageBackend(), MockEmbeddingBackend(), Transcript(None))
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_run_organization_during_an_outage_raises_and_keeps_the_kb(tmp_path, workers):
+    gw = e2e_gateway()
+    task = organize_task(tmp_path)
+    proposal = approved_proposal(gw, tmp_path)
+    pl.run_organization(task, proposal, gw)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert before["kb.jsonl"] and before["kb.jsonl.ontology.json"]
+    with pytest.raises(BackendUnavailable, match="connection refused"):
+        pl.run_organization(task, proposal, outage_gateway(), limits=Limits(workers=workers))
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_ordered_map_keeps_item_order():
@@ -368,7 +395,7 @@ def test_merge_proposal_aligns_root_parented_concepts(tmp_path):
          "description": "A living creature."}]}}
     gw = mock_gateway({"rules": [
         {"match": "state its relation", "responses": ["Creature: parent_of_query"]}]})
-    graph, notes = pl._merge_proposal_into_graph(base, incoming, gw)
+    graph, notes = pl._merge_proposal_into_graph(base, onto.graph_from_document(incoming), gw)
     assert graph.parents["B.Animal"] == "A.Creature"
     assert any("aligned under A.Creature" in n for n in notes)
 
@@ -382,10 +409,22 @@ def test_merge_proposal_keeps_an_aligned_equivalence():
          "description": "A living creature."}]}}
     gw = mock_gateway({"rules": [
         {"match": "state its relation", "responses": ["Creature: equivalent"]}]})
-    graph, notes = pl._merge_proposal_into_graph(base, incoming, gw)
+    graph, notes = pl._merge_proposal_into_graph(base, onto.graph_from_document(incoming), gw)
     assert graph.parents["B.Animal"] == "Entity"
     assert graph.equivalences == {"A.Creature": {"B.Animal"}, "B.Animal": {"A.Creature"}}
     assert notes == ["B.Animal aligned as equivalent to A.Creature"]
+
+
+def test_merge_proposal_raises_during_an_outage():
+    base = onto.graph_from_document({"namespaces": {"A": [
+        {"name": "Creature", "kind": "entity", "parent": "Entity",
+         "description": "A living creature."}]}})
+    incoming = {"namespaces": {"B": [
+        {"name": "Animal", "kind": "entity", "parent": "Entity",
+         "description": "A living creature."}]}}
+    fresh = onto.graph_from_document(incoming)
+    with pytest.raises(BackendUnavailable, match="connection refused"):
+        pl._merge_proposal_into_graph(base, fresh, outage_gateway())
 
 
 def test_merge_proposal_keeps_its_equivalences(tmp_path):
@@ -395,7 +434,7 @@ def test_merge_proposal_keeps_its_equivalences(tmp_path):
         {"name": "Creature", "kind": "entity", "parent": "Entity"}], "B": [
         {"name": "Animal", "kind": "entity", "parent": "Entity",
          "equivalents": ["A.Creature"]}]}}
-    graph, notes = pl._merge_proposal_into_graph(base, incoming, None)
+    graph, notes = pl._merge_proposal_into_graph(base, onto.graph_from_document(incoming), None)
     assert graph.equivalences == {"A.Creature": {"B.Animal"}, "B.Animal": {"A.Creature"}}
     assert notes == ["A.Creature already present; kept existing definition"]
     assert base.equivalences == {} and "B.Animal" not in base.concepts
@@ -412,7 +451,7 @@ def test_merge_proposal_notes_an_equivalence_it_cannot_keep():
         {"name": "Gathering", "kind": "entity", "parent": "Entity",
          "equivalents": ["B.Crowd"]}], "B": [
         {"name": "Crowd", "kind": "entity", "parent": "Entity"}]}}
-    graph, notes = pl._merge_proposal_into_graph(base, incoming, None)
+    graph, notes = pl._merge_proposal_into_graph(base, onto.graph_from_document(incoming), None)
     assert graph.equivalences == {}
     assert notes[-1].startswith("A.Gathering ~ B.Crowd skipped: ")
     assert "different kinds" in notes[-1]
