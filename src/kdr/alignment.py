@@ -211,17 +211,23 @@ def place_concept(
 ) -> tuple[str, str | None, str]:
     """(parent, equivalent_to, note) for the query, without growing the graph.
 
-    Equivalence beats parenthood: the highest-cosine equivalent candidate
-    donates its parent and an equivalence edge. Otherwise the highest-cosine
-    parent_of_query candidate becomes the parent. Otherwise the kind root.
-    Raises whatever inserting the query under that parent would raise.
+    Verdicts on candidates of the other kind are ignored, with a note:
+    retrieval does not filter by kind. Equivalence beats parenthood: the
+    highest-cosine equivalent candidate donates its parent and an equivalence
+    edge. Otherwise the highest-cosine parent_of_query candidate becomes the
+    parent. Otherwise the kind root. Raises whatever inserting the query
+    under that parent would raise.
     """
     root = onto.ENTITY_ROOT if query.kind == "entity" else onto.EVENT_ROOT
     equivalent_to: str | None = None
-    note = ""
+    informative = [v for v in verdicts if v.relation in ("equivalent", "parent_of_query")]
+    ignored = sorted({v.candidate for v in informative
+                      if graph.kind_of(v.candidate) != query.kind})
+    notes = [f"ignored the verdicts on {', '.join(ignored)}, of another kind"] if ignored else []
 
-    equivalents = [v for v in verdicts if v.relation == "equivalent"]
-    parents = [v for v in verdicts if v.relation == "parent_of_query"]
+    usable = [v for v in informative if v.candidate not in ignored]
+    equivalents = [v for v in usable if v.relation == "equivalent"]
+    parents = [v for v in usable if v.relation == "parent_of_query"]
     if equivalents:
         best = max(equivalents, key=lambda v: v.score)
         equivalent_to = best.candidate
@@ -231,7 +237,8 @@ def place_concept(
     else:
         parent = root
         why = "no informative verdicts" if graph.concepts else "empty ontology"
-        note = f"{why}; attached under the kind root"
+        notes.append(f"{why}; attached under the kind root")
+    note = "; ".join(notes)
 
     try:
         onto.check_concept(graph, replace(query, parent=parent))

@@ -417,7 +417,9 @@ def run_research(
     Finished sections are cached in the run directory keyed by plan hash.
     Three phases follow the plan, each overlapping up to `limits.workers`
     jobs: the requests of every section the cache does not serve, one merge
-    per section and one revise per section. Results are folded in plan and
+    per section and one revise per section. When an analysis request is left
+    to run, the sandbox server starts before the requests, so its interpreter
+    boots while their first model calls are out. Results are folded in plan and
     request order, so the report does not depend on `limits.workers`. An
     error that a request does not turn into a caveat propagates before any
     merge, and the run then writes no section result.
@@ -468,6 +470,8 @@ def run_research(
     jobs = [(n, sum(r.kind == "data_analysis" for r in plan.requests[:i]), request)
             for n, plan in enumerate(plans, start=1) if cached[n - 1] is None
             for i, request in enumerate(plan.requests)]
+    if any(request.kind == "data_analysis" for _, _, request in jobs):
+        rs.start_sandbox()
     outcomes = list(zip(jobs, ordered_map(run_request, jobs, limits.workers)))
 
     def merge_section(n: int) -> tuple[Section, list]:

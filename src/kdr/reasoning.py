@@ -334,23 +334,84 @@ def _with_guard(script: str) -> str:
 
 # The sandbox server: one warm `python -I` per kdr process. For each request
 # it forks a waiter, and the waiter forks the runner that executes the script
-# as `python -I script.py` would. Fork only happens here, in a process that
+# as `python -I script.py` would. The interpreter ends the runner as it ends a
+# script up to its atexit handlers; the runner's last handler then frees what
+# teardown would free while output still works and leaves by os._exit, so the
+# interpreter is never torn down. Fork only happens here, in a process that
 # never starts a thread.
 _SERVER_SOURCE = r'''
-import atexit, builtins, gc, json, os, select, signal, socket, sys, types
+import atexit, builtins, gc, json, operator, os, select, signal, socket, sys, types
 import __future__, inspect, typing  # what PRELUDE and the network guard import, loaded once
 
+MISSING = object()
 
-def run(path):
+
+def exit_code(status):
+    """What the interpreter exits with for SystemExit(status)."""
+    if status is None:
+        return 0
+    return status & 0xFF if isinstance(status, int) else 1
+
+
+def release(loaded):
+    """Free what teardown frees while stdout still works: what the script
+    bound on the modules loaded before it, then the modules it imported,
+    the latest first, with each module's `_`-names set to None before the
+    rest. sys is left alone: teardown wipes it after stdout is gone."""
+    for module, saved in loaded.values():
+        namespace = vars(module)
+        # values first: iterating the items would also write to every name's refcount,
+        # and each write to a page shared with the server copies that page
+        if len(namespace) == len(saved) and all(map(operator.is_, namespace.values(),
+                                                    saved.values())):
+            continue
+        for name in [n for n, value in namespace.items() if saved.get(n, MISSING) is not value]:
+            if name in saved:
+                namespace[name] = saved[name]
+            else:
+                namespace.pop(name, None)
+    imported = [module for name, module in sys.modules.items()
+                if name not in loaded and name not in ("sys", "__main__")
+                and isinstance(module, types.ModuleType)]
+    for module in reversed(imported):
+        namespace = vars(module)
+        names = [name for name in namespace if isinstance(name, str)]
+        for name in [n for n in names if n[:1] == "_" and n[1:2] != "_"] + names:
+            if name != "__builtins__" and namespace.get(name) is not None:
+                namespace[name] = None
+
+
+def run(loaded, path, workdir, out, err):
     """The runner: execute path as __main__ and leave by SystemExit, so the
-    interpreter shuts down as after a script (threads joined, atexit run)."""
+    interpreter ends it as after a script: the exit message printed, threads
+    joined, atexit run (the script's __main__ cleared last). Its first atexit
+    handler, the last to run, ends the process before teardown."""
+    code = 1
+
+    def end():
+        try:
+            release(loaded)
+            gc.collect()
+            for stream in (sys.stdout, sys.stderr, sys.__stdout__, sys.__stderr__):
+                try:
+                    stream.flush()
+                except Exception:  # None or closed: the interpreter skips it too
+                    pass
+        finally:
+            os._exit(code)
+
+    atexit.register(end)
+    os.dup2(out, 1)  # stdin stays the server's /dev/null
+    os.dup2(err, 2)
+    os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+    os.chdir(workdir)
     main = types.ModuleType("__main__")
     main.__file__ = path
     main.__builtins__ = builtins
     main.__cached__ = None
     sys.modules["__main__"] = main
     sys.argv = [path]
-    atexit.register(main.__dict__.clear)  # runs last, so module-level __del__ still prints
+    atexit.register(main.__dict__.clear)  # runs next to last, so module-level __del__ still prints
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -358,27 +419,25 @@ def run(path):
     sys.setrecursionlimit(sys.getrecursionlimit() + depth + 1)
     try:
         with open(path, "rb") as handle:
-            code = compile(handle.read(), path, "exec", dont_inherit=True)
-        exec(code, main.__dict__)
-    except SystemExit:
+            script = compile(handle.read(), path, "exec", dont_inherit=True)
+        exec(script, main.__dict__)
+    except SystemExit as exc:
+        code = exit_code(exc.code)
         raise
     except BaseException as exc:
         tb = exc.__traceback__.tb_next  # cut this frame; the C hook reads __traceback__
         sys.excepthook(type(exc), exc.with_traceback(tb), tb)
         raise SystemExit(1)
+    code = 0
     raise SystemExit
 
 
-def supervise(path, workdir, wall_seconds, out, err, status):
+def supervise(loaded, path, workdir, wall_seconds, out, err, status):
     """The waiter: fork the runner, kill it at the wall-clock limit, report."""
     signal.signal(signal.SIGCHLD, signal.SIG_DFL)
     pid = os.fork()
-    if pid == 0:  # stdin stays the server's /dev/null
-        os.dup2(out, 1)
-        os.dup2(err, 2)
-        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-        os.chdir(workdir)
-        run(path)
+    if pid == 0:
+        run(loaded, path, workdir, out, err)
     try:
         os.close(out)
         os.close(err)
@@ -392,6 +451,9 @@ def supervise(path, workdir, wall_seconds, out, err, status):
 
 
 def serve(control):
+    # every module's names as the scripts find them, sys and the server aside
+    loaded = {name: (module, dict(vars(module))) for name, module in sys.modules.items()
+              if name not in ("sys", "__main__") and isinstance(module, types.ModuleType)}
     signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # the kernel reaps the waiters
     while True:
         message, fds, _, _ = socket.recv_fds(control, 1 << 16, 3)
@@ -400,7 +462,7 @@ def serve(control):
         gc.freeze()  # keep the collector off the shared pages in the children
         if os.fork() == 0:
             control.close()
-            supervise(*json.loads(message), *fds)
+            supervise(loaded, *json.loads(message), *fds)
         for fd in fds:
             os.close(fd)
 
@@ -436,17 +498,26 @@ def _drain(fds: list[int]) -> list[bytes]:
 
 
 class _SandboxServer:
-    """The kdr side of the sandbox server: started on first use, restarted if
-    it died, ended when its control socket closes."""
+    """The kdr side of the sandbox server: started by `start` or on first use,
+    restarted if it died, ended when its control socket closes."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._proc: subprocess.Popen | None = None
         self._control = None
 
-    def _start(self) -> None:
+    def start(self) -> None:
+        """Launch the server unless it is running; returns before it has booted."""
+        with self._lock:
+            self._start()
+
+    def _start(self, restart: bool = False) -> None:
+        """Launch the server unless it is running or, to restart, always; the
+        caller holds the lock."""
         import socket
 
+        if not restart and self._proc is not None and self._proc.poll() is None:
+            return
         self.close()
         ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         with theirs:
@@ -479,8 +550,7 @@ class _SandboxServer:
         try:
             try:
                 with self._lock:
-                    if restart or self._proc is None or self._proc.poll() is not None:
-                        self._start()
+                    self._start(restart)
                     socket.send_fds(self._control, [request], list(writes))
             except OSError:  # the server died after the check
                 return None
@@ -512,6 +582,13 @@ _SANDBOX = _SandboxServer()
 atexit.register(_SANDBOX.close)
 
 
+def start_sandbox() -> None:
+    """Launch the sandbox server unless it is running, without waiting for it:
+    a caller that knows scripts will follow lets the server's interpreter
+    boot while its model calls are out."""
+    _SANDBOX.start()
+
+
 def execute_script(
     script: str,
     workdir: str,
@@ -520,11 +597,16 @@ def execute_script(
 ) -> ExecutionResult:
     """Run the script in a child forked from a warm isolated interpreter.
 
-    One `python -I` sandbox server per kdr process starts on the first call
-    (and again if it died); it forks a fresh child per script, which runs it
-    as `python -I script.py` would: as `__main__`, with the workdir as its
-    working directory and stdin on /dev/null. The child is killed at the
-    wall-clock limit. Children share the server's string-hash seed and the
+    One `python -I` sandbox server per kdr process starts on the first call,
+    unless `start_sandbox` started it earlier (`run_research` does, after
+    its plan call, when an analysis request is left to run), and again if it
+    died. It forks a fresh child per script, which runs it as
+    `python -I script.py` would: as `__main__`, with the workdir as its
+    working directory and stdin on /dev/null. The child ends as the
+    interpreter ends a script (exit message, threads joined, atexit run,
+    what teardown would free freed while output still works), then exits
+    without tearing the interpreter down. It is killed at the wall-clock
+    limit. Children share the server's string-hash seed and the
     environment it started with; `random` reseeds at fork. The child gets a
     network-disabling shim, which is a courtesy guard against accidental
     calls, not a security boundary. The workdir's path reads as "." in the

@@ -6,6 +6,9 @@ concept search. Scoring is pinned so rankings stay reproducible:
     score(d) = sum over distinct query tokens t present in d of
                tf(t, d) * (1 + ln(N / df(t)))
 
+The sum runs in sorted token order, so tied documents get the same float in
+every process, whatever its string-hash seed.
+
 Only documents containing at least one query token are returned, ordered by
 score descending with document id as the tiebreak. A limit keeps the first
 `limit` of that order, selected with a heap: the same as sorting, then slicing.
@@ -54,7 +57,7 @@ class InvertedIndex:
         if n == 0:
             return []
         scores: dict[str, float] = {}
-        for token in set(tokenize(query)):
+        for token in sorted(set(tokenize(query))):
             docs = self.postings.get(token)
             if not docs:
                 continue

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kdr import alignment as al
 from kdr import ontology
-from kdr.errors import BackendUnavailable, DuplicateName, KindMismatch
+from kdr.errors import BackendUnavailable, DuplicateName
 from kdr.llm_gateway import (
     LlmGateway,
     MockChatBackend,
@@ -165,6 +165,23 @@ def test_expand_falls_back_to_kind_root():
     assert "kind root" in note
 
 
+def test_expand_ignores_verdicts_on_candidates_of_the_other_kind():
+    g = base_graph()
+    insert_concept(g, Concept("Gathering", "tax", "event", "Event", "People come together."))
+    query = Concept("Meeting", "tax", "event", "Event", "People convene.")
+    person = al.RelationVerdict("tax.Person", "parent_of_query", score=0.9)
+    author = al.RelationVerdict("tax.Author", "equivalent", score=0.8)
+    gathering = al.RelationVerdict("tax.Gathering", "parent_of_query", score=0.5)
+    parent, equivalent_to, note, grown = place_and_attach(query, [person, author, gathering], g)
+    assert (parent, equivalent_to) == ("tax.Gathering", None)
+    assert grown.parents["tax.Meeting"] == "tax.Gathering"
+    assert note == "ignored the verdicts on tax.Author, tax.Person, of another kind"
+    parent, equivalent_to, note, _ = place_and_attach(query, [person, author], g)
+    assert (parent, equivalent_to) == ("Event", None)
+    assert note == ("ignored the verdicts on tax.Author, tax.Person, of another kind; "
+                    "no informative verdicts; attached under the kind root")
+
+
 def test_expand_picks_highest_cosine_among_parents():
     g = base_graph()
     query = Concept("Novelist", "tax", "entity", "Entity")
@@ -315,8 +332,8 @@ def test_aligner_keeps_expand_errors():
     aligner = al.make_llm_aligner(gw, k=3)
     with pytest.raises(DuplicateName):
         aligner(Concept("Author", "tax", "entity", "Entity", "A person who writes."), g)
-    with pytest.raises(KindMismatch):
-        aligner(Concept("Meeting", "tax", "event", "Event", "People convene."), g)
+    # a verdict on a candidate of the other kind is ignored, not a KindMismatch
+    assert aligner(Concept("Meeting", "tax", "event", "Event", "People convene."), g) == "Event"
 
 
 def test_align_without_an_embedding_backend_raises_before_any_model_call():

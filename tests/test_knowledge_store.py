@@ -3,16 +3,19 @@
 import copy
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdr import knowledge_store as ks
-from kdr import ontology
+from kdr import ontology, textindex
 from kdr.errors import CorruptRecord, KeyMismatch, TypeMismatch, UnknownId, UnrenderableValue
 from kdr.ontology import AttributeSpec, Concept, empty_graph, insert_concept
 from kdr.textindex import InvertedIndex, tokenize
@@ -346,6 +349,22 @@ def test_index_rejects_a_duplicate_after_many_inserts():
         index.add("d7", "again")
     assert len(index) == 500
     assert index.search("word7") == [("d7", 1.0 + math.log(500))]
+
+
+def test_index_ranking_does_not_depend_on_the_string_hash_seed():
+    # idf(x) == idf(y), so a (x x z z) and b (x y z z) tie; summed in another
+    # token order, b's score can land an ulp away from a's and flip the tiebreak
+    code = ("from kdr.textindex import InvertedIndex\n"
+            "index = InvertedIndex()\n"
+            "for doc in ['a x x z z', 'b x y z z', 'c y', 'd z', 'e w']:\n"
+            "    index.add(doc[0], doc[2:])\n"
+            "print([doc for doc, _ in index.search('x y z')])\n")
+    src = str(Path(textindex.__file__).resolve().parent.parent)
+    rankings = {subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)).stdout
+        for seed in range(8)}
+    assert rankings == {"['a', 'b', 'c', 'd']\n"}
 
 
 @given(docs=st.lists(st.lists(st.sampled_from(["ada", "engine", "notes", "loom", "x1"]),

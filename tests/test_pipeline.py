@@ -15,6 +15,7 @@ import pytest
 from kdr import knowledge_store as ks
 from kdr import ontology as onto
 from kdr import pipeline as pl
+from kdr import reasoning as rs
 from kdr.errors import (
     BackendUnavailable,
     DanglingArtifact,
@@ -413,6 +414,22 @@ def test_merge_proposal_keeps_an_aligned_equivalence():
     assert graph.parents["B.Animal"] == "Entity"
     assert graph.equivalences == {"A.Creature": {"B.Animal"}, "B.Animal": {"A.Creature"}}
     assert notes == ["B.Animal aligned as equivalent to A.Creature"]
+
+
+def test_merge_proposal_ignores_a_verdict_on_a_candidate_of_the_other_kind():
+    base = onto.graph_from_document({"namespaces": {"A": [
+        {"name": "Creature", "kind": "entity", "parent": "Entity",
+         "description": "A living creature."},
+        {"name": "Gathering", "kind": "event", "parent": "Event",
+         "description": "People come together."}]}})
+    incoming = {"namespaces": {"B": [
+        {"name": "Meeting", "kind": "event", "parent": "Event",
+         "description": "People convene."}]}}
+    gw = mock_gateway({"rules": [
+        {"match": "state its relation", "responses": ["Creature: parent_of_query"]}]})
+    graph, notes = pl._merge_proposal_into_graph(base, onto.graph_from_document(incoming), gw)
+    assert graph.parents["B.Meeting"] == "Event"
+    assert notes == []
 
 
 def test_merge_proposal_raises_during_an_outage():
@@ -818,6 +835,85 @@ def test_run_research_reruns_only_uncached_sections(tmp_path):
     # section 2 ran again
     assert any("mean birth year of every person on record" in c for c in calls)
     assert (run_dir / "sections" / "2" / "result.json").exists()
+
+
+class _Marked(ChatBackend):
+    """Appends "plan" to a shared event list for each plan call."""
+
+    def __init__(self, inner, events: list):
+        self.inner, self.events = inner, events
+
+    def complete(self, messages, config):
+        if "You are planning a research report" in prompt_of(messages):
+            self.events.append("plan")
+        return self.inner.complete(messages, config)
+
+
+@pytest.fixture
+def sandbox_events(monkeypatch):
+    """A sandbox server not yet running, whose process launches ("launch") and
+    scripts ("script") land in the list this yields."""
+    events: list[str] = []
+    server = rs._SandboxServer()
+    monkeypatch.setattr(rs, "_SANDBOX", server)
+    popen, execute = rs.subprocess.Popen, rs.execute_script
+
+    def launch(*args, **kwargs):
+        events.append("launch")
+        return popen(*args, **kwargs)
+
+    def script(*args, **kwargs):
+        events.append("script")
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(rs.subprocess, "Popen", launch)
+    monkeypatch.setattr(rs, "execute_script", script)
+    yield events
+    server.close()
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_run_research_starts_the_sandbox_after_the_plan_call(tmp_path, sandbox_events, workers):
+    graph, store = organized(tmp_path)
+    gateway = LlmGateway(_Marked(e2e_gateway().chat_backend, sandbox_events),
+                         MockEmbeddingBackend(), Transcript(None))
+    pl.run_research(research_task(tmp_path), graph, store, gateway,
+                    search_backend=FixtureSearchBackend(str(FIXTURES / "webcorpus")),
+                    run_dir=str(tmp_path / "run"), limits=Limits(workers=workers))
+    assert sandbox_events[:3] == ["plan", "launch", "script"]
+    assert sandbox_events.count("launch") == 1
+
+
+def test_run_research_starts_no_sandbox_for_web_requests(tmp_path, sandbox_events):
+    graph, store = organized(tmp_path)
+    gw = mock_gateway({"rules": [
+        {"match": "You are planning a research report", "responses": [
+            "# Only web\n<begin_web_search>anything<end_web_search>"]},
+    ]})
+    pl.run_research(research_task(tmp_path), graph, store, gw, run_dir=str(tmp_path / "run"))
+    assert sandbox_events == []
+
+
+def test_run_research_starts_no_sandbox_when_the_plan_fails(tmp_path, sandbox_events):
+    graph, store = organized(tmp_path)
+    gw = mock_gateway({"rules": [
+        {"match": "You are planning a research report",
+         "responses": ["# S\n<begin_data_analysis>q"]}]})
+    with pytest.raises(UnbalancedTags):
+        pl.run_research(research_task(tmp_path), graph, store, gw,
+                        run_dir=str(tmp_path / "run"))
+    assert sandbox_events == []
+
+
+def test_run_research_starts_no_sandbox_for_a_cached_rerun(tmp_path, sandbox_events):
+    graph, store = organized(tmp_path)
+    backend = FixtureSearchBackend(str(FIXTURES / "webcorpus"))
+    run_dir = str(tmp_path / "run")
+    for _ in range(2):
+        pl.run_research(research_task(tmp_path), graph, store, e2e_gateway(),
+                        search_backend=backend, run_dir=run_dir)
+        rs._SANDBOX.close()  # so a start on the rerun would launch a process again
+    assert sandbox_events.count("launch") == 1
 
 
 class _WebDown(ChatBackend):

@@ -40,6 +40,9 @@ def run_sandboxed(script: str, workdir: Path) -> tuple:
     return result.exit_status, result.stdout, result.stderr, produced
 
 
+# an object whose __del__ prints, left where only interpreter teardown frees it
+_HELD = "class D:\n    def __del__(self):\n        print('deleted')\n\n\n"
+
 PARITY = {
     "traceback": "def f():\n    raise ValueError('boom')\n\nf()\n",
     "explicit chain": (
@@ -60,6 +63,38 @@ PARITY = {
         "print('main done')\n"),
     "names": "import sys\nprint(__name__, __file__, sys.argv)\n",
     "open fds": "import os\nprint(sorted(os.listdir('/proc/self/fd')))\n",
+    "exit with 256": "import sys\nsys.exit(256)\n",
+    "exit with -1": "import sys\nsys.exit(-1)\n",
+    "exit with True": "import sys\nsys.exit(True)\n",
+    "exit with a list": "import sys\nprint('before')\nsys.exit([1, 2])\n",
+    "exit in a thread": (
+        "import sys, threading\n\nthread = threading.Thread(target=sys.exit, args=(4,))\n"
+        "thread.start()\nthread.join()\nprint('main done')\n"),
+    "keyboard interrupt": "print('before')\nraise KeyboardInterrupt\n",
+    "atexit raises SystemExit": "import atexit, sys\natexit.register(sys.exit, 5)\nprint('hi')\n",
+    "__del__ in a reference cycle": (
+        "class D:\n    def __del__(self):\n        print('collected')\n\n\n"
+        "d = D()\nd.me = d\ndel d\nprint('end')\n"),
+    "no trailing newline": "import sys\nsys.stdout.write('out')\nsys.stderr.write('err')\n",
+    "replaced stdout": (
+        "import sys\nprint('before')\nsys.stdout = open('log.txt', 'w')\n"
+        "print('into the file')\n"),
+    "weakref.finalize": (
+        "import weakref\n\n\nclass A:\n    pass\n\n\na = A()\n"
+        "weakref.finalize(a, print, 'finalized')\nprint('end')\n"),
+    "daemon thread asleep": (
+        "import threading, time\n\n"
+        "threading.Thread(target=time.sleep, args=(60,), daemon=True).start()\n"
+        "print('main done')\n"),
+    "logging file handler": (
+        "import logging\n\nlogging.basicConfig(filename='log.txt', level=logging.INFO)\n"
+        "logging.info('logged')\nprint('end')\n"),
+    "__del__ on builtins": f"import builtins\n\n\n{_HELD}builtins.held = D()\nprint('end')\n",
+    "__del__ on json": f"import json\n\n\n{_HELD}json.held = D()\nprint('end')\n",
+    "__del__ on a rebound name of json": (
+        f"import json\n\n\n{_HELD}json.dumps = D()\nprint('end')\n"),
+    "__del__ on an imported module": f"import csv\n\n\n{_HELD}csv.held = D()\nprint('end')\n",
+    "__del__ on sys": f"import sys\n\n\n{_HELD}sys.held = D()\nprint('end')\n",
 }
 
 
