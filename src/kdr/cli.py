@@ -1,8 +1,8 @@
 """Command-line surface: organize, research, align, extract, eval, kb.
 
 Exit codes: 0 success, 1 user error (bad flags, unreadable or malformed
-inputs), 2 runtime failure (backend trouble, plan parse failure, sandbox
-problems). Metrics and manifests are printed to stdout as JSON; pass
+inputs), 2 runtime failure (a backend or sandbox outage, an unusable model
+reply). Metrics and manifests are printed to stdout as JSON; pass
 --pretty for an indented rendering.
 """
 
@@ -18,7 +18,7 @@ from . import evalkit as ek
 from . import knowledge_store as ks
 from . import ontology as onto
 from . import pipeline as pl
-from .errors import KdrError, UserError
+from .errors import IoFailure, KdrError, UserError
 from .extraction import ExtractionRequest, extract
 from .files import read_json, read_jsonl, read_text
 from .llm_gateway import (
@@ -61,11 +61,9 @@ def _mock_gateway_from_file(path: str, transcript: Transcript) -> LlmGateway:
 
 def _gateway(args, config: dict) -> LlmGateway:
     """Scripted backend when --mock is given, HTTP from config/env otherwise."""
-    mock = getattr(args, "mock", None)
     transcript = Transcript(getattr(args, "transcript", None))
-    if mock:
-        return _mock_gateway_from_file(mock if isinstance(mock, str) else mock[0],
-                                       transcript)
+    if getattr(args, "mock", None):
+        return _mock_gateway_from_file(args.mock, transcript)
     chat = HttpChatBackend(**config.get("llm", {}))  # load_config checked the keys
     try:
         embedder = HttpEmbeddingBackend(**config.get("embed", {}))
@@ -133,7 +131,7 @@ def cmd_research(args) -> int:
 
     if args.web_corpus:
         if not Path(args.web_corpus).is_dir():
-            raise FileNotFoundError(f"web corpus directory {args.web_corpus!r} does not exist")
+            raise IoFailure(f"web corpus directory {args.web_corpus!r} does not exist")
         search_backend = FixtureSearchBackend(args.web_corpus)
     elif config.get("search", {}).get("endpoint"):
         search_backend = HttpSearchBackend(config["search"]["endpoint"])
@@ -184,7 +182,7 @@ def cmd_extract(args) -> int:
     gateway = _gateway(args, config)
     graph = onto.load_ontology(args.ontology)
     if bool(args.text) == bool(args.file):
-        raise ValueError("pass exactly one of --text or --file")
+        raise UserError("pass exactly one of --text or --file")
     text = args.text if args.text else read_text(args.file)
 
     if args.types:
@@ -416,12 +414,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UserError, ValueError, OSError) as exc:  # ValueError: bad flag combinations
+    except KdrError as exc:  # anything else is a bug, and its traceback shows it
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except KdrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UserError) else 2
 
 
 if __name__ == "__main__":

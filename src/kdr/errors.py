@@ -1,11 +1,19 @@
 """Exception types shared across the engine.
 
-Every error raised by kdr derives from KdrError so callers can catch the
-whole family at an API boundary. Errors caused by what the operator handed
-in (malformed documents, unknown names, unreadable paths) derive from
-UserError; the CLI exits 1 for those and 2 for every other KdrError. Errors
-that carry extra context (positions, line numbers, dropped names) expose it
-as attributes.
+Every error kdr raises for a bad input or a failed backend derives from
+KdrError; a builtin error such as ValueError marks a bug in kdr itself. The
+class alone decides what a failure does:
+
+- a UserError (a malformed document, an unknown name, a path the operator
+  chose that cannot be read or written) stops the command with exit 1;
+- an Outage (the chat or embedding backend, or the analysis sandbox, is
+  gone) stops the run before any persisted write, with exit 2;
+- any other KdrError is the fault of one item (a passage, a concept, a
+  request) and is recorded against that item, with exit 2 if it escapes a
+  command.
+
+Errors that carry extra context (positions, line numbers, dropped names)
+expose it as attributes.
 """
 
 from __future__ import annotations
@@ -17,6 +25,10 @@ class KdrError(Exception):
 
 class UserError(KdrError):
     """An error in the operator's input rather than in the machinery."""
+
+
+class Outage(KdrError):
+    """A service every item needs is down, so no item can succeed."""
 
 
 # --- ontology ---------------------------------------------------------------
@@ -59,7 +71,7 @@ class SchemaViolation(UserError):
 
 # --- llm gateway ------------------------------------------------------------
 
-class BackendUnavailable(KdrError):
+class BackendUnavailable(Outage):
     pass
 
 
@@ -104,7 +116,7 @@ class UnknownId(UserError):
 
 
 class IoFailure(UserError):
-    pass
+    """A file or directory kdr was told to read or write, named in the message."""
 
 
 class CorruptRecord(UserError):
@@ -152,12 +164,12 @@ class NoInstancesFound(KdrError):
     pass
 
 
-class SandboxUnavailable(KdrError):
+class SandboxUnavailable(Outage):
     pass
 
 
 class SearchBackendUnavailable(KdrError):
-    pass
+    """Not an Outage: a section without web text is still a report."""
 
 
 class EmptyCorpus(KdrError):

@@ -23,8 +23,7 @@ from .errors import (
 )
 from .files import check_keys
 from .knowledge_store import KnowledgeStore
-from .pipeline import ordered_map
-from .reasoning import Limits, run_computation_cycle
+from .reasoning import Limits, ordered_map, run_computation_cycle
 
 log = logging.getLogger(__name__)
 

@@ -19,6 +19,7 @@ from . import ontology as onto
 from . import templates
 from .errors import (
     EmptyOutput,
+    KdrError,
     NoImportsFound,
     SchemaViolation,
     UnknownConcept,
@@ -122,7 +123,7 @@ def parse_import_lines(
             try:
                 graph.resolve(name, namespace)
                 names.append(name)
-            except Exception:
+            except KdrError:
                 dropped.append(name)
     if not names:
         raise NoImportsFound("no valid Import lines in response", dropped=dropped)
@@ -208,7 +209,7 @@ class _Parser:
             try:
                 q = self.graph.resolve(class_name, self.namespace)
                 allowed_attrs = {a.name for a in onto.effective_attributes(self.graph, q)}
-            except Exception:
+            except KdrError:
                 self.fail("unknown_class", f"unknown class {class_name!r}", span)
                 return None
         if node.args:
@@ -329,7 +330,9 @@ def to_knowledge_objects(
     """Turn parse records into store objects, children before parents.
 
     Nested instantiations become their own objects; the parent slot holds a
-    reference computed from the child's identity.
+    reference computed from the child's identity. A record without a usable
+    name, or with a value its attribute does not take, is a ParseIssue and
+    is skipped alone (a parent keeps its other slots).
     """
     ts = time.time() if timestamp is None else timestamp
     issues = issues if issues is not None else []
@@ -365,7 +368,11 @@ def to_knowledge_objects(
                 slots[attr] = converted
             else:
                 slots[attr] = value
-        obj = make_object(graph, p.concept, display, slots, [(source_id, ts)], namespace)
+        try:
+            obj = make_object(graph, p.concept, display, slots, [(source_id, ts)], namespace)
+        except KdrError as exc:
+            issues.append(ParseIssue("bad_value", str(exc), p.source_span))
+            return None
         if obj.id not in emitted:
             emitted.add(obj.id)
             out.append(obj)

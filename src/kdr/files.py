@@ -1,5 +1,6 @@
-"""The one way kdr persists or loads a file: writes replace the whole file,
-and every read error names the file (and the line, for malformed JSON)."""
+"""The one way kdr persists or loads a file: writes replace the whole file
+(a log only appends), and every error names the file (and the line, for
+malformed JSON)."""
 
 import itertools
 import json
@@ -38,6 +39,16 @@ def write_json(path: str | os.PathLike, document) -> None:
     """write_file of `document` as indented JSON plus a trailing newline."""
     pieces = json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(document)
     write_file(path, itertools.chain(pieces, ["\n"]))
+
+
+def append_text(path: str | os.PathLike, text: str) -> None:
+    """Append the UTF-8 `text` to `path`, creating the file but not its
+    directory; for logs, which grow and are never replaced. OSError -> IoFailure."""
+    try:
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise IoFailure(f"cannot append to {path}: {exc}") from exc
 
 
 def make_dir(path: str | os.PathLike, what: str) -> None:

@@ -504,8 +504,11 @@ _ROW_KEYS = ("id", "concept", "display_name", "slots", "provenance", "updated_at
 
 
 def load(path: str, graph: onto.OntologyGraph) -> KnowledgeStore:
-    """The store saved at `path`, each row checked against `graph` as ingest checks it."""
+    """The store saved at `path`, each row checked against `graph` as ingest
+    checks it; a repeated id, or a reference to an id no row holds, is a
+    CorruptRecord naming the line."""
     store = KnowledgeStore(graph)
+    line_of: dict[str, int] = {}
     for n, row in read_jsonl(path):
         try:
             check_keys(row, "KB row", required=_ROW_KEYS, allowed=_ROW_KEYS)
@@ -521,5 +524,14 @@ def load(path: str, graph: onto.OntologyGraph) -> KnowledgeStore:
             validate_object(graph, obj)
         except (KdrError, TypeError, ValueError, KeyError) as exc:
             raise CorruptRecord(str(exc), n, path) from exc
+        if obj.id in line_of:
+            raise CorruptRecord(f"repeated id {obj.id!r}", n, path)
+        line_of[obj.id] = n
         store.objects[obj.id] = obj
+    for obj in store.objects.values():  # a reference may point to a later row
+        for values in obj.slots.values():
+            for sv in values:
+                if isinstance(sv.value, Ref) and sv.value.id not in line_of:
+                    raise CorruptRecord(f"reference to unknown id {sv.value.id!r}",
+                                        line_of[obj.id], path)
     return store

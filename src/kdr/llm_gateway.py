@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import BackendUnavailable, SchemaViolation
-from .files import check_keys, read_json
+from .files import append_text, check_keys, read_json
 
 if TYPE_CHECKING:  # numpy is imported where vectors are made, so `import kdr.cli` skips it
     import numpy as np
@@ -63,6 +63,8 @@ class Transcript:
         self.path = path
         self._lock = threading.Lock()
         self._seq = itertools.count(1)
+        if path:  # a bad path fails here, before any model call
+            append_text(path, "")
 
     def next_seq(self) -> int:
         return next(self._seq)
@@ -73,8 +75,7 @@ class Transcript:
         row = {"kind": kind, "ts": time.time(), **payload}
         line = json.dumps(row, ensure_ascii=False, default=str)
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            append_text(self.path, line + "\n")
 
 
 # -- HTTP plumbing ---------------------------------------------------------------

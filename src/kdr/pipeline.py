@@ -25,11 +25,11 @@ from . import ontology as onto
 from . import reasoning as rs
 from . import templates
 from .errors import (
-    BackendUnavailable,
     CorruptRecord,
     DanglingArtifact,
     IoFailure,
     KdrError,
+    Outage,
     SchemaViolation,
     SearchBackendUnavailable,
     UnparseableProposal,
@@ -38,6 +38,7 @@ from .extraction import ExtractionReport, ExtractionRequest, extract, strip_code
 from .files import check_keys, make_dir, read_json, read_text, write_file, write_json
 from .knowledge_store import KnowledgeStore
 from .llm_gateway import LlmGateway
+from .reasoning import ordered_map
 
 log = logging.getLogger(__name__)
 
@@ -57,13 +58,13 @@ class ResearchTask:
 
     def __post_init__(self) -> None:
         if not self.topic.strip():
-            raise ValueError("task topic is empty")
+            raise SchemaViolation("task topic is empty")
         if self.mode not in ("organize", "research"):
-            raise ValueError(f"unknown task mode {self.mode!r}")
+            raise SchemaViolation(f"unknown task mode {self.mode!r}")
         if self.mode == "organize" and not self.corpus_path:
-            raise ValueError("organize tasks need a corpus_path")
+            raise SchemaViolation("organize tasks need a corpus_path")
         if self.mode == "research" and not self.kb_path:
-            raise ValueError("research tasks need a kb_path")
+            raise SchemaViolation("research tasks need a kb_path")
 
 
 @dataclass
@@ -85,7 +86,7 @@ def propose_ontology(
 ) -> ProposedOntology:
     """Ask the model for a concept schema; validate; write the review file."""
     if not topic.strip():
-        raise ValueError("topic is empty")
+        raise SchemaViolation("topic is empty")
     response = gateway.chat(
         templates.PROPOSE_ONTOLOGY_PROMPT.format(topic=topic, sample=sample),
         tag="propose",
@@ -161,12 +162,13 @@ _READERS = {
 
 def read_corpus(corpus_dir: str) -> tuple[list[tuple[str, str]], list[str]]:
     """(doc id, plain text) pairs in name order, plus skipped file names."""
-    root = Path(corpus_dir)
-    if not root.is_dir():
-        raise FileNotFoundError(f"corpus directory {corpus_dir!r} does not exist")
+    try:
+        paths = sorted(p for p in Path(corpus_dir).iterdir() if p.is_file())
+    except OSError as exc:  # absent, not a directory, or unreadable
+        raise IoFailure(f"cannot read corpus directory {corpus_dir!r}: {exc.strerror}") from exc
     docs: list[tuple[str, str]] = []
     skipped: list[str] = []
-    for path in sorted(p for p in root.iterdir() if p.is_file()):
+    for path in paths:
         reader = _READERS.get(path.suffix.lower())
         if reader is None:
             skipped.append(path.name)
@@ -201,25 +203,6 @@ def split_passages(text: str, max_words: int = 400) -> list[str]:
     return passages
 
 
-def ordered_map(fn, items: list, workers: int) -> list:
-    """[fn(item) for item in items], overlapped on a bounded thread pool.
-
-    Results come back in item order whatever order the calls finish in. With
-    workers <= 1 or at most one item it is a plain loop. If a call raises,
-    calls not yet started are cancelled and the first error in item order
-    propagates once the running ones finish.
-    """
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor  # lazy: `import kdr.cli` stays lean
-
-    pool = ThreadPoolExecutor(max_workers=min(workers, len(items)))
-    try:
-        return list(pool.map(fn, items))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 # -- organization phase --------------------------------------------------------------
 
 
@@ -232,7 +215,7 @@ def _merge_proposal_into_graph(
     added; root-parented ones go through alignment, and keep the equivalence
     an `equivalent` verdict gives, when the graph already holds same-kind
     concepts and a backend is available. A concept that cannot be added is
-    noted and skipped; a backend outage propagates."""
+    noted and skipped; an Outage propagates."""
     from . import alignment  # imports numpy, so it loads only when a proposal needs aligning
 
     notes: list[str] = []
@@ -250,7 +233,7 @@ def _merge_proposal_into_graph(
             if concept.parent in onto.ROOTS and concept.kind in kinds and placer is not None:
                 parent, equivalent_to, _ = placer(concept, graph)
             onto.attach(graph, concept, parent, equivalent_to)
-        except BackendUnavailable:
+        except Outage:
             raise
         except KdrError as exc:
             notes.append(f"{qualified} skipped: {exc}")
@@ -281,8 +264,8 @@ def run_organization(
 ) -> tuple[onto.OntologyGraph, KnowledgeStore, dict]:
     """Sweep the corpus through extraction into a fresh or existing store.
 
-    Per-document failures land in the manifest's error ledger; the run keeps
-    going. A backend outage (BackendUnavailable) stops it before anything is
+    Per-passage failures and parse issues land in the manifest's error
+    ledger; the run keeps going. An Outage stops it before anything is
     saved, so an existing KB stays as it was. The store and its ontology are
     saved next to task.kb_path. Up to limits.workers extraction jobs (one per
     passage and namespace) overlap; results are ingested in corpus order, so
@@ -329,7 +312,7 @@ def run_organization(
         report = ExtractionReport()
         try:
             return extract(request, graph, gateway, timestamp=stamp, report=report), report, None
-        except BackendUnavailable:
+        except Outage:
             raise
         except KdrError as exc:
             return [], report, exc
@@ -337,13 +320,10 @@ def run_organization(
     extracted = 0
     for (doc_name, pi, ns, _, _), (objects, report, error) in zip(
             jobs, ordered_map(run_job, jobs, limits.workers)):
-        if error is not None:
-            ledger.append({"document": doc_name, "passage": pi,
-                           "namespace": ns, "error": str(error)})
-            continue
-        if not objects and report.reason:
-            ledger.append({"document": doc_name, "passage": pi,
-                           "namespace": ns, "error": report.reason})
+        reason = str(error) if error is not None else report.reason  # set when it returned []
+        messages = ([reason] if reason else []) + [f"{i.kind}: {i.message}" for i in report.issues]
+        ledger += [{"document": doc_name, "passage": pi, "namespace": ns, "error": message}
+                   for message in messages]
         extracted += len(objects)
         store.ingest_all(objects)
     resolved = store.settle()
@@ -412,8 +392,9 @@ def run_research(
 ) -> ReportDocument:
     """Plan, run per-section cycles, merge, revise, and assemble the report.
 
-    Only a plan parse failure aborts the run; a failed computation cycle
-    downgrades its section to the text-cycle content plus an inline caveat.
+    Only a plan parse failure or an Outage aborts the run; a failed
+    computation cycle downgrades its section to the text-cycle content plus
+    an inline caveat.
     Finished sections are cached in the run directory keyed by plan hash.
     Three phases follow the plan, each overlapping up to `limits.workers`
     jobs: the requests of every section the cache does not serve, one merge
@@ -511,8 +492,7 @@ def run_research(
                 seen_urls.add(url)
                 all_sources.append((title, url))
 
-    revised = rs.revise_report([s.body for s in sections], gateway,
-                               functools.partial(ordered_map, workers=limits.workers))
+    revised = rs.revise_report([s.body for s in sections], gateway, limits.workers)
     for section, new_body in zip(sections, revised):
         if new_body.strip():
             section.body = new_body

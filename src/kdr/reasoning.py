@@ -84,6 +84,25 @@ class Limits:
         return cls(**limits)
 
 
+def ordered_map(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items], overlapped on a bounded thread pool.
+
+    Results come back in item order whatever order the calls finish in. With
+    workers <= 1 or at most one item it is a plain loop. If a call raises,
+    calls not yet started are cancelled and the first error in item order
+    propagates once the running ones finish.
+    """
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # lazy: `import kdr.cli` stays lean
+
+    pool = ThreadPoolExecutor(max_workers=min(workers, len(items)))
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 # -- plan decomposition ---------------------------------------------------------
 
 BEGIN_DATA = "<begin_data_analysis>"
@@ -415,8 +434,9 @@ def run(loaded, path, workdir, out, err):
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
-    # the script gets the headroom it has at top level; the call to exec counts too
-    sys.setrecursionlimit(sys.getrecursionlimit() + depth + 1)
+    # the script gets the headroom it has at top level; before 3.12 the call
+    # to exec is a counted frame too, from 3.12 on only Python frames count
+    sys.setrecursionlimit(sys.getrecursionlimit() + depth + (sys.version_info < (3, 12)))
     try:
         with open(path, "rb") as handle:
             script = compile(handle.read(), path, "exec", dont_inherit=True)
@@ -907,13 +927,10 @@ def merge_and_revise(
 
 
 def revise_report(section_bodies: list[str], gateway: LlmGateway,
-                  map_each=lambda fn, items: [fn(item) for item in items]) -> list[str]:
-    """Global polish: each section is revised in view of the whole report.
-
-    `map_each(fn, items)` makes the calls; it must return results in item
-    order, and may overlap them.
-    """
+                  workers: int = 1) -> list[str]:
+    """Global polish: each section is revised in view of the whole report,
+    up to `workers` calls overlapping."""
     full = "\n\n".join(section_bodies)
-    return map_each(lambda body: gateway.chat(
+    return ordered_map(lambda body: gateway.chat(
         templates.REVISE_SECTION_PROMPT.format(report=full, section=body), tag="revise"),
-        section_bodies)
+        section_bodies, workers)

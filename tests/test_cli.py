@@ -681,6 +681,35 @@ def test_research_missing_web_corpus_is_user_error(capsys, tmp_path):
     assert "nonexistent" in err
 
 
+
+@pytest.mark.parametrize("case", ["empty topic", "missing corpus", "missing web corpus",
+                                  "text and file", "transcript directory"])
+def test_operator_mistakes_exit_one_with_one_error_line(capsys, tmp_path, case):
+    script = json.loads((FIXTURES / "e2e_mock.json").read_text())
+    ontology = str(tmp_path / "schema.json")
+    onto.save_ontology(onto.graph_from_document(json.loads(script["rules"][0]["responses"][0])),
+                       ontology)
+    kb = tmp_path / "new" / "kb.jsonl"
+    organize = ["organize", "--kb", str(kb), "--ontology", ontology]
+    corpus = ["--corpus", str(FIXTURES / "corpus")]
+    argv, named = {
+        "empty topic": (organize + corpus + ["--topic", ""], "topic"),
+        "missing corpus": (organize + ["--topic", "t", "--corpus", str(tmp_path / "nope")],
+                           "nope"),
+        "missing web corpus": (["research", "--task", "t", "--kb", colliding_kb(tmp_path),
+                                "--out", str(tmp_path / "run"),
+                                "--web-corpus", str(tmp_path / "nope")], "nope"),
+        "text and file": (["extract", "--ontology", ontology, "--namespace", "STUDY",
+                           "--text", "Ada.", "--file", ontology], "--text or --file"),
+        "transcript directory": (organize + corpus + ["--topic", "t", "--transcript",
+                                                      str(tmp_path / "nope" / "t.jsonl")],
+                                 "nope"),
+    }[case]
+    rc, out, err = run(capsys, *argv, "--mock", E2E_MOCK)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert not kb.exists()
+
 @pytest.mark.parametrize("script", [
     {"rules": [5]},
     {"rules": [{"match": "([", "regex": True, "responses": ["x"]}]},

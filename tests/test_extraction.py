@@ -219,6 +219,28 @@ def test_extract_nested_instance_becomes_reference(graph):
     assert work.scalar("person") == ks.Ref(objects[0].id)
 
 
+
+def test_extract_drops_only_the_object_with_a_mistyped_value():
+    g = empty_graph()
+    insert_concept(g, Concept("Person", "NER", "entity", "Entity", "A human.",
+                              attributes=[AttributeSpec("born", "text"),
+                                          AttributeSpec("age", "number"),
+                                          AttributeSpec("advisor", "Person")]))
+    gw = mock_gateway({"rules": [
+        {"match": "Please import all the possible", "responses": ["Import Person"]},
+        {"match": "Please instantiate all the possible", "responses": [
+            'results = [Person(name="Ann", born="1990"), Person(name="Bob", age="old"),\n'
+            '           Person(name="Cy", advisor=Person(name="Di", age="old"))]']},
+    ]})
+    req = ex.ExtractionRequest("Ann, Bob and Cy.", "NER", "closed", ["Person"])
+    report = ex.ExtractionReport()
+    objects = ex.extract(req, g, gw, timestamp=1.0, report=report)
+    assert [o.display_name for o in objects] == ["Ann", "Cy"]
+    assert objects[1].slots == {}  # its advisor was the mistyped Di
+    assert [i.kind for i in report.issues] == ["bad_value", "bad_value"]
+    assert "expects a number, got 'old'" in report.issues[0].message
+    assert report.issues[0].span is not None
+
 def ie_dataset():
     return [
         {"id": "s1", "text": "Ada works at MIT.",

@@ -141,7 +141,7 @@ def test_write_json_layout(tmp_path):
 
 _WRITE_MODE_CHARS = set("wxa+")
 # (module, enclosing function) pairs allowed to write outside files.py
-_ALLOWED = {("llm_gateway.py", "Transcript.record")}
+_ALLOWED = set()
 
 
 class _WriteFinder(ast.NodeVisitor):

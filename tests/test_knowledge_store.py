@@ -667,3 +667,37 @@ def test_load_keeps_a_line_separator_inside_a_value(tmp_path, graph, store):
     path = tmp_path / "kb.jsonl"
     ks.save(store, str(path))
     assert ks.load(str(path), graph).objects == store.objects
+
+
+def _append_row(path, obj):
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(ks.object_row(obj)) + "\n")
+
+
+def test_load_rejects_a_reference_to_an_id_the_file_lacks(tmp_path, graph, store):
+    store.ingest(person(graph, "Ada", age=36))
+    path = tmp_path / "kb.jsonl"
+    ks.save(store, str(path))
+    _append_row(path, person(graph, "Charles", advisor=ks.Ref("nope")))
+    with pytest.raises(CorruptRecord, match="'nope'") as err:
+        ks.load(str(path), graph)
+    assert err.value.line_number == 2 and str(path) in str(err.value)
+
+
+def test_load_accepts_a_reference_to_a_later_row(tmp_path, graph, store):
+    ada = person(graph, "Ada")
+    store.ingest(person(graph, "Charles", advisor=ks.Ref(ada.id)))
+    store.ingest(ada)
+    path = tmp_path / "kb.jsonl"
+    ks.save(store, str(path))
+    assert ks.load(str(path), graph).objects == store.objects
+
+
+def test_load_rejects_a_repeated_id(tmp_path, graph, store):
+    store.ingest(person(graph, "Ada", age=36))
+    path = tmp_path / "kb.jsonl"
+    ks.save(store, str(path))
+    _append_row(path, person(graph, "Ada", age=40))
+    with pytest.raises(CorruptRecord, match="repeated id") as err:
+        ks.load(str(path), graph)
+    assert err.value.line_number == 2 and str(path) in str(err.value)

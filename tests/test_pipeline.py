@@ -62,13 +62,13 @@ def approved_proposal(gateway, tmp_path):
 
 
 def test_task_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaViolation):
         pl.ResearchTask("", "organize", corpus_path="x")
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaViolation):
         pl.ResearchTask("t", "summarize")
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaViolation):
         pl.ResearchTask("t", "organize")
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaViolation):
         pl.ResearchTask("t", "research")
 
 
@@ -177,7 +177,7 @@ def test_read_corpus_reads_known_formats_and_skips_others(tmp_path):
 
 
 def test_read_corpus_missing_dir():
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(IoFailure, match="/nonexistent/corpus"):
         pl.read_corpus("/nonexistent/corpus")
 
 
@@ -336,6 +336,28 @@ def test_run_organization_ledger_order_does_not_depend_on_workers(tmp_path):
     assert manifests[1]["stored_objects"] == 10
     assert (tmp_path / "kb1.jsonl").read_bytes() == (tmp_path / "kb8.jsonl").read_bytes()
 
+
+
+def test_run_organization_writes_each_parse_issue_to_the_ledger(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "d1.txt").write_text("Ann was born in 1990; Bob is old.")
+    document = {"namespaces": {"NS": [
+        {"name": "Person", "kind": "entity", "parent": "Entity",
+         "attributes": [{"name": "age", "type": "number"}]}]}}
+    proposal = pl.ProposedOntology(document, status="approved")
+    gw = mock_gateway({"rules": [
+        {"match": "Please import", "responses": ["From NS Import Person"]},
+        {"match": "Please instantiate", "responses": [
+            'results = [Person(name="Ann", age=33), Person(name="Bob", age="old")]']},
+    ]})
+    task = pl.ResearchTask("t", "organize", corpus_path=str(corpus),
+                           kb_path=str(tmp_path / "kb.jsonl"))
+    _, store, manifest = pl.run_organization(task, proposal, gw)
+    assert [o.display_name for o in store.objects.values()] == ["Ann"]
+    assert manifest["errors"] == [{
+        "document": "d1.txt", "passage": 0, "namespace": "NS",
+        "error": "bad_value: NS.Person.age expects a number, got 'old'"}]
 
 class _OutageBackend(ChatBackend):
     """A chat endpoint that is down: every call fails as the HTTP backend's
