@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import functools
 import logging
+import os
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import EmptyCorpus, SearchBackendUnavailable
+from .errors import EmptyCorpus, SchemaViolation, SearchBackendUnavailable
 from .files import check_keys, read_json
 from .llm_gateway import post_json
 from .textindex import InvertedIndex
@@ -28,6 +28,18 @@ class SearchHit:
     score: float = 0.0
 
 
+_FIELDS = ("title", "url", "body")
+
+
+def _hit(what: str, title, url, body, score: float = 0.0) -> SearchHit:
+    """The hit, if title, url and body are strings; SchemaViolation naming `what` if not."""
+    for key, value in zip(_FIELDS, (title, url, body)):
+        if not isinstance(value, str):
+            raise SchemaViolation(f"{what} field {key!r} must be a string, "
+                                  f"got {type(value).__name__}")
+    return SearchHit(title, url, body, score)
+
+
 class SearchBackend:
     def search(self, query: str, limit: int = 5) -> list[SearchHit]:
         raise NotImplementedError
@@ -36,21 +48,26 @@ class SearchBackend:
 class FixtureSearchBackend(SearchBackend):
     """Ranked full-text search over a local directory of JSON documents.
 
-    Each ``*.json`` file holds one record: {"title", "url", "body"}.
+    Each ``*.json`` file holds one record, {"title", "url", "body"}, all
+    three strings. Files load in name order; a document's id is its file
+    name without ``.json``.
     """
 
     def __init__(self, corpus_dir: str):
         self.corpus_dir = corpus_dir
         self.documents: dict[str, SearchHit] = {}
         self._index = InvertedIndex()
-        root = Path(corpus_dir)
-        if not root.is_dir():
-            raise SearchBackendUnavailable(f"{corpus_dir!r} is not a directory")
-        for path in sorted(root.glob("*.json")):
-            record = check_keys(read_json(path), f"web record {path}",
-                                required=("title", "url", "body"))
-            doc_id = path.stem
-            self.documents[doc_id] = SearchHit(record["title"], record["url"], record["body"])
+        try:
+            names = sorted(n for n in os.listdir(corpus_dir) if n.endswith(".json"))
+        except OSError as exc:  # absent, not a directory, or unreadable
+            raise SearchBackendUnavailable(f"cannot list {corpus_dir!r}: {exc.strerror}") from exc
+        folder = os.path.join(corpus_dir, "")  # with one trailing separator
+        for name in names:
+            path = folder + name
+            what = f"web record {path}"
+            record = check_keys(read_json(path), what, required=_FIELDS)
+            doc_id = name.removesuffix(".json")
+            self.documents[doc_id] = _hit(what, record["title"], record["url"], record["body"])
             self._index.add(doc_id, f"{record['title']} {record['body']}")
 
     def search(self, query: str, limit: int = 5) -> list[SearchHit]:
@@ -76,7 +93,8 @@ class HttpSearchBackend(SearchBackend):
         try:
             body = self._post(self.endpoint, {"query": query, "limit": limit})
             return [
-                SearchHit(r["title"], r["url"], r.get("body", ""), float(r.get("score", 0.0)))
+                _hit("search result", r["title"], r["url"], r.get("body", ""),
+                     float(r.get("score", 0.0)))
                 for r in body["results"]
             ]
         except Exception as exc:  # noqa: BLE001 - transport and shape errors alike

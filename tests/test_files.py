@@ -222,6 +222,24 @@ def test_read_text_names_a_missing_or_undecodable_file(tmp_path):
         files.read_text(latin)
 
 
+@pytest.mark.parametrize("raw", [b"a\r\nb\rc\n", b"\r", b"x\r\r\n\n\ry\r",
+                                 "caf\u00e9\r\n\u2028\r\u00e9".encode("utf-8")])
+def test_read_text_reads_crlf_and_a_lone_cr_as_lf_like_text_mode(tmp_path, raw):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(raw)
+    with open(path, encoding="utf-8") as handle:
+        expected = handle.read()
+    assert files.read_text(path) == expected
+    assert "\r" not in expected
+
+
+def test_read_text_of_a_directory_is_io_failure_naming_it(tmp_path):
+    folder = tmp_path / "x.json"
+    folder.mkdir()
+    with pytest.raises(IoFailure, match=f"cannot read {folder}"):
+        files.read_text(folder)
+
+
 def test_read_json_names_the_path_and_line(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text('{\n  "a": 1,\n}\n')

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
-from kdr.errors import EmptyCorpus, SchemaViolation, SearchBackendUnavailable
+from kdr.errors import EmptyCorpus, IoFailure, SchemaViolation, SearchBackendUnavailable
 from kdr.websearch import FixtureSearchBackend, HttpSearchBackend, SearchHit
 
 
@@ -47,6 +48,46 @@ def test_fixture_backend_missing_key_is_schema_violation(tmp_path):
         FixtureSearchBackend(str(tmp_path))
 
 
+@pytest.mark.parametrize("record, field", [
+    ({"title": None, "url": "https://x/a", "body": "loom"}, "title"),
+    ({"title": "t", "url": 7, "body": "loom"}, "url"),
+    ({"title": "t", "url": "https://x/a", "body": {"text": "loom"}}, "body"),
+])
+def test_fixture_backend_rejects_a_field_that_is_not_a_string(tmp_path, record, field):
+    (tmp_path / "bad.json").write_text(json.dumps(record), encoding="utf-8")
+    with pytest.raises(SchemaViolation, match=rf"bad\.json field '{field}' must be a string"):
+        FixtureSearchBackend(str(tmp_path))
+
+
+def test_fixture_backend_loads_only_json_files_in_name_order(tmp_path):
+    for name in ("b.json", "a.json", ".h.json"):
+        write_doc(tmp_path, name, name, f"https://x/{name}", "shared")
+    (tmp_path / "notes.txt").write_text("shared", encoding="utf-8")
+    (tmp_path / "c.json.bak").write_text("not json", encoding="utf-8")
+    backend = FixtureSearchBackend(str(tmp_path))
+    assert list(backend.documents) == [".h", "a", "b"]
+    assert [hit.title for hit in backend.search("shared")] == [".h.json", "a.json", "b.json"]
+
+
+def test_fixture_backend_directory_named_like_a_record_is_io_failure(tmp_path):
+    write_doc(tmp_path, "a.json", "t", "https://x/a", "body")
+    (tmp_path / "x.json").mkdir()
+    with pytest.raises(IoFailure, match=r"x\.json"):
+        FixtureSearchBackend(str(tmp_path))
+
+
+def test_fixture_corpus_rankings_are_pinned():
+    backend = FixtureSearchBackend(str(Path(__file__).parent / "fixtures" / "webcorpus"))
+    ranked = {query: [(hit.url, hit.score) for hit in backend.search(query)]
+              for query in ("analytical engine", "Lovelace program", "computer", "zz")}
+    assert ranked == {
+        "analytical engine": [("https://w/engine", 4.0), ("https://w/ada", 2.0)],
+        "Lovelace program": [("https://w/ada", 3.386294361119891)],  # tf 2
+        "computer": [("https://w/engine", 1.6931471805599454)],
+        "zz": [],
+    }
+
+
 def test_fixture_backend_missing_dir_unavailable(tmp_path):
     with pytest.raises(SearchBackendUnavailable):
         FixtureSearchBackend(str(tmp_path / "nope"))
@@ -70,4 +111,16 @@ def test_http_backend_wraps_transport_failure():
 
     backend = HttpSearchBackend("https://search.example", post=post)
     with pytest.raises(SearchBackendUnavailable):
+        backend.search("q")
+
+
+@pytest.mark.parametrize("result", [
+    {"title": None, "url": "https://x", "body": "b"},
+    {"title": "t", "url": 7, "body": "b"},
+    {"title": "t", "url": "https://x", "body": {"text": "b"}},
+])
+def test_http_backend_result_field_that_is_not_a_string_is_unavailable(result):
+    backend = HttpSearchBackend("https://search.example",
+                                post=lambda url, payload: {"results": [result]})
+    with pytest.raises(SearchBackendUnavailable, match="must be a string"):
         backend.search("q")
