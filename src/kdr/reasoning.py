@@ -352,14 +352,17 @@ def _with_guard(script: str) -> str:
 
 
 # The sandbox server: one warm `python -I` per kdr process. For each request
-# it forks a waiter, and the waiter forks the runner that executes the script
-# as `python -I script.py` would. The interpreter ends the runner as it ends a
-# script up to its atexit handlers; the runner's last handler then frees what
-# teardown would free while output still works and leaves by os._exit, so the
-# interpreter is never torn down. Fork only happens here, in a process that
-# never starts a thread.
+# it forks one runner, which executes the script as `python -I script.py`
+# would, writing to the caller's memory files. The server polls its control
+# socket and the runners' pidfds: it kills a runner at its wall-clock limit,
+# reaps it and reports, and kills the runners left when the socket closes.
+# The interpreter ends the runner as it ends a script up to its atexit
+# handlers; the runner's last handler then frees what teardown would free
+# while output still works and leaves by os._exit, so the interpreter is
+# never torn down. Fork only happens here, in a process that never starts a
+# thread.
 _SERVER_SOURCE = r'''
-import atexit, builtins, gc, json, operator, os, select, signal, socket, sys, types
+import atexit, builtins, gc, json, operator, os, select, signal, socket, sys, time, types
 import __future__, inspect, typing  # what PRELUDE and the network guard import, loaded once
 
 MISSING = object()
@@ -452,69 +455,54 @@ def run(loaded, path, workdir, out, err):
     raise SystemExit
 
 
-def supervise(loaded, path, workdir, wall_seconds, out, err, status):
-    """The waiter: fork the runner, kill it at the wall-clock limit, report."""
-    signal.signal(signal.SIGCHLD, signal.SIG_DFL)
-    pid = os.fork()
-    if pid == 0:
-        run(loaded, path, workdir, out, err)
-    try:
-        os.close(out)
-        os.close(err)
-        exited = select.select([os.pidfd_open(pid)], [], [], wall_seconds)[0]
-        if not exited:
-            os.kill(pid, signal.SIGKILL)
-        _, code = os.waitpid(pid, 0)
-        os.write(status, json.dumps([not exited, os.waitstatus_to_exitcode(code)]).encode())
-    finally:
-        os._exit(0)
-
-
 def serve(control):
     # every module's names as the scripts find them, sys and the server aside
     loaded = {name: (module, dict(vars(module))) for name, module in sys.modules.items()
               if name not in ("sys", "__main__") and isinstance(module, types.ModuleType)}
-    signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # the kernel reaps the waiters
+    poller = select.poll()
+    poller.register(control, select.POLLIN)
+    runners = {}  # pidfd -> [pid, status fd, deadline, timed out]
     while True:
-        message, fds, _, _ = socket.recv_fds(control, 1 << 16, 3)
-        if not message:  # the kdr process closed its end
-            return
-        gc.freeze()  # keep the collector off the shared pages in the children
-        if os.fork() == 0:
-            control.close()
-            supervise(loaded, *json.loads(message), *fds)
-        for fd in fds:
-            os.close(fd)
+        now = time.monotonic()
+        for runner in runners.values():
+            if not runner[3] and runner[2] <= now:  # the wall-clock limit
+                os.kill(runner[0], signal.SIGKILL)
+                runner[3] = True
+        deadlines = [runner[2] for runner in runners.values() if not runner[3]]
+        timeout = (min(deadlines) - now) * 1000 if deadlines else None
+        for fd, _ in poller.poll(timeout):
+            if fd in runners:  # a runner ended: reap it, then report
+                pid, status, _, timed_out = runners.pop(fd)
+                poller.unregister(fd)
+                os.close(fd)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                try:
+                    os.write(status, json.dumps([timed_out, code]).encode())
+                except OSError:  # the caller is gone
+                    pass
+                os.close(status)
+                continue
+            message, fds, _, _ = socket.recv_fds(control, 1 << 16, 3)
+            if not message:  # the kdr process closed its end: end what it left running
+                for pid, *_ in runners.values():
+                    os.kill(pid, signal.SIGKILL)
+                return
+            path, workdir, wall_seconds = json.loads(message)
+            out, err, status = fds
+            gc.freeze()  # keep the collector off the shared pages in the runner
+            pid = os.fork()
+            if pid == 0:
+                control.close()
+                run(loaded, path, workdir, out, err)
+            os.close(out)
+            os.close(err)
+            pidfd = os.pidfd_open(pid)
+            poller.register(pidfd, select.POLLIN)
+            runners[pidfd] = [pid, status, time.monotonic() + wall_seconds, False]
 
 
 serve(socket.socket(fileno=int(sys.argv[1])))
 '''
-
-
-def _drain(fds: list[int]) -> list[bytes]:
-    """Read stdout, stderr and status to EOF. When the status pipe closes the
-    runner is gone; output a grandchild it left behind may still write is not
-    waited for."""
-    import selectors
-
-    chunks: dict[int, list[bytes]] = {fd: [] for fd in fds}
-    timeout = None
-    with selectors.DefaultSelector() as selector:
-        for fd in fds:
-            selector.register(fd, selectors.EVENT_READ)
-        while selector.get_map():
-            ready = selector.select(timeout)
-            if not ready:
-                break
-            for key, _ in ready:
-                data = os.read(key.fd, 1 << 16)
-                if data:
-                    chunks[key.fd].append(data)
-                else:
-                    selector.unregister(key.fd)
-                    if key.fd == fds[2]:
-                        timeout = 0
-    return [b"".join(chunks[fd]) for fd in fds]
 
 
 class _SandboxServer:
@@ -566,22 +554,26 @@ class _SandboxServer:
     def _run_once(self, request: bytes, restart: bool) -> tuple[list, bytes, bytes] | None:
         import socket
 
-        reads, writes = zip(*(os.pipe() for _ in range(3)))
+        out, err = os.memfd_create("stdout"), os.memfd_create("stderr")
+        read, write = os.pipe()
         try:
             try:
                 with self._lock:
                     self._start(restart)
-                    socket.send_fds(self._control, [request], list(writes))
+                    socket.send_fds(self._control, [request], [out, err, write])
             except OSError:  # the server died after the check
                 return None
             finally:
-                for fd in writes:
-                    os.close(fd)
-            stdout, stderr, status = _drain(list(reads))
+                os.close(write)
+            status = os.read(read, 64)  # b"" if the server died before reporting
+            if not status:
+                return None
+            # the runner is gone; output a process it left behind writes later is not read
+            return (json.loads(status), *(os.pread(fd, os.fstat(fd).st_size, 0)
+                                          for fd in (out, err)))
         finally:
-            for fd in reads:
+            for fd in (out, err, read):
                 os.close(fd)
-        return (json.loads(status), stdout, stderr) if status else None
 
     def run(self, path: str, workdir: str, wall_seconds: float) -> tuple[list, bytes, bytes]:
         """([timed out, exit code], stdout, stderr) of one script."""
@@ -620,18 +612,20 @@ def execute_script(
     One `python -I` sandbox server per kdr process starts on the first call,
     unless `start_sandbox` started it earlier (`run_research` does, after
     its plan call, when an analysis request is left to run), and again if it
-    died. It forks a fresh child per script, which runs it as
+    died. Each script is one process, forked by the server, which runs it as
     `python -I script.py` would: as `__main__`, with the workdir as its
-    working directory and stdin on /dev/null. The child ends as the
-    interpreter ends a script (exit message, threads joined, atexit run,
-    what teardown would free freed while output still works), then exits
-    without tearing the interpreter down. It is killed at the wall-clock
-    limit. Children share the server's string-hash seed and the
-    environment it started with; `random` reseeds at fork. The child gets a
-    network-disabling shim, which is a courtesy guard against accidental
-    calls, not a security boundary. The workdir's path reads as "." in the
-    output. New or rewritten files under the workdir (by size and
-    modification time) are cataloged with a kind guess.
+    working directory, stdin on /dev/null and output to memory files. The
+    child ends as the interpreter ends a script (exit message, threads
+    joined, atexit run, what teardown would free freed while output still
+    works), then exits without tearing the interpreter down. The server
+    kills it at the wall-clock limit or when the kdr process ends. Linux
+    `pidfd_open` and `memfd_create` are required. Children share the
+    server's string-hash seed and the environment it started with; `random`
+    reseeds at fork. The child gets a network-disabling shim, which is a
+    courtesy guard against accidental calls, not a security boundary. The
+    workdir's path reads as "." in the output. New or rewritten files under
+    the workdir (by size and modification time) are cataloged with a kind
+    guess.
     """
     root = Path(workdir).absolute()  # the child runs inside it, so relative paths would break
     script_path = root / "script.py"
@@ -686,6 +680,9 @@ def generate_analysis_code(
     return code
 
 
+_LIST_MARKER = re.compile(r"^(?:[-*]|\d+[.)])\s*")
+
+
 def instance_query(
     query: str,
     store: KnowledgeStore,
@@ -697,7 +694,7 @@ def instance_query(
     response = gateway.chat(templates.TOPIC_ENTITY_PROMPT.format(query=query), tag="topic-ner")
     names = []
     for line in response.splitlines():
-        name = line.strip().lstrip("-*0123456789. \t")
+        name = _LIST_MARKER.sub("", line.strip())
         if name:
             names.append(name)
     if not names:

@@ -359,6 +359,21 @@ def test_instance_query_finds_neighborhood():
     assert "Notes on the Analytical Engine" in names  # in-reference, 1 hop
 
 
+def test_instance_query_strips_one_list_marker_and_keeps_leading_digits():
+    graph = science_graph()
+    store = science_store(graph)
+    for name in ("1984", "3M"):
+        store.ingest(ks.make_object(graph, "NER.Work", name, {}, [("doc3", 1.0)]))
+    store.settle()
+    gw = mock_gateway({"rules": [
+        {"match": "List the topic entities",
+         "responses": ["1984\n3M\n- Ada Lovelace\n1. Charles Babbage\n"]},
+    ]})
+    objects = rs.instance_query("q", store, graph, gw, hops=0)
+    assert sorted(o.display_name for o in objects) == [
+        "1984", "3M", "Ada Lovelace", "Charles Babbage"]
+
+
 def test_instance_query_no_topic_entity():
     gw = mock_gateway(default_response="\n\n")
     with pytest.raises(NoTopicEntity):

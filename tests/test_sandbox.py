@@ -3,7 +3,10 @@
 
 from __future__ import annotations
 
+import json
 import os
+import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -151,6 +154,23 @@ def test_concurrent_calls_each_get_their_own_output(tmp_path):
         assert results[i].produced_files == [(f"w{i}.txt", "data")]
 
 
+def test_interleaved_output_comes_back_whole(tmp_path):
+    # about 300 KB on each stream, written in turns: neither may stall the other
+    script = (
+        "import sys\n\nfor i in range(3000):\n"
+        "    sys.stdout.write(f'out {i:05} ' + 'o' * 88 + '\\n')\n    sys.stdout.flush()\n"
+        "    sys.stderr.write(f'err {i:05} ' + 'e' * 88 + '\\n')\n    sys.stderr.flush()\n")
+    result = rs.execute_script(script, str(tmp_path / "w"), output_bytes=1 << 20)
+    assert result.exit_status == "ok"
+    assert result.stdout == "".join(f"out {i:05} {'o' * 88}\n" for i in range(3000))
+    assert result.stderr == "".join(f"err {i:05} {'e' * 88}\n" for i in range(3000))
+
+
+def test_each_script_is_one_fork_of_the_server(tmp_path):
+    result = rs.execute_script("import os\nprint(os.getppid())\n", str(tmp_path / "w"))
+    assert int(result.stdout) == rs._SANDBOX._proc.pid
+
+
 def test_a_killed_server_is_replaced(tmp_path):
     rs.execute_script("print(1)\n", str(tmp_path / "a"))
     server = rs._SANDBOX._proc
@@ -167,6 +187,31 @@ def _gone_or_zombie(pid: int) -> bool:
     except FileNotFoundError:
         return True
     return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def test_the_server_outlives_a_caller_that_stopped_waiting(tmp_path):
+    rs.execute_script("print(1)\n", str(tmp_path / "a"))
+    server = rs._SANDBOX._proc
+    # a request whose status pipe has no reader left when the runner ends
+    workdir, pid_file = tmp_path / "b", tmp_path / "runner.pid"
+    workdir.mkdir()
+    (workdir / "script.py").write_text(
+        f"import os\n\nwith open({str(pid_file)!r}, 'w') as f:\n    f.write(str(os.getpid()))\n")
+    out, err = os.memfd_create("stdout"), os.memfd_create("stderr")
+    read, write = os.pipe()
+    os.close(read)
+    request = json.dumps([str(workdir / "script.py"), str(workdir), 30]).encode()
+    socket.send_fds(rs._SANDBOX._control, [request], [out, err, write])
+    for fd in (out, err, write):
+        os.close(fd)
+    deadline = time.monotonic() + 10
+    while not (pid_file.exists() and pid_file.read_text()) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    while Path(f"/proc/{pid_file.read_text()}").exists() and time.monotonic() < deadline:
+        time.sleep(0.01)  # the server reaps the runner, then writes the status
+    result = rs.execute_script("print(3)\n", str(tmp_path / "c"))
+    assert result.stdout == "3\n"
+    assert rs._SANDBOX._proc is server and server.poll() is None
 
 
 @pytest.mark.parametrize("ending", ["sys.exit(0)", "os._exit(0)"])
@@ -192,3 +237,29 @@ def test_no_process_outlives_its_caller(tmp_path, ending):
     while not _gone_or_zombie(int(pid)) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert _gone_or_zombie(int(pid))
+
+
+def test_no_runner_outlives_a_caller_that_dies_mid_script(tmp_path):
+    # the script records its pid and sleeps; the caller dies as soon as the pid is there
+    pid_file = tmp_path / "runner.pid"
+    script = (f"import os, time\n\nwith open({str(pid_file)!r}, 'w') as f:\n"
+              "    f.write(str(os.getpid()))\ntime.sleep(60)\n")
+    caller = (
+        f"import os, sys, threading, time\nsys.path.insert(0, {SRC!r})\n"
+        "from kdr import reasoning as rs\n"
+        f"threading.Thread(target=rs.execute_script, args=({script!r}, "
+        f"{str(tmp_path / 'w')!r}), daemon=True).start()\n"
+        f"path, deadline = {str(pid_file)!r}, time.monotonic() + 10\n"
+        "while not (os.path.exists(path) and os.path.getsize(path)) "
+        "and time.monotonic() < deadline:\n    time.sleep(0.01)\n"
+        "os._exit(0)\n")
+    subprocess.run([sys.executable, "-c", caller], stdin=subprocess.DEVNULL, timeout=30)
+    pid = int(pid_file.read_text())
+    try:
+        deadline = time.monotonic() + 5
+        while not _gone_or_zombie(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _gone_or_zombie(pid)
+    finally:
+        if not _gone_or_zombie(pid):
+            os.kill(pid, signal.SIGKILL)
