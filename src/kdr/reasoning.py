@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -507,7 +508,8 @@ serve(socket.socket(fileno=int(sys.argv[1])))
 
 class _SandboxServer:
     """The kdr side of the sandbox server: started by `start` or on first use,
-    restarted if it died, ended when its control socket closes."""
+    restarted if it died. The server leads a process group that its runners
+    join, so ending the group also ends what a dead server left running."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -519,12 +521,14 @@ class _SandboxServer:
         with self._lock:
             self._start()
 
-    def _start(self, restart: bool = False) -> None:
-        """Launch the server unless it is running or, to restart, always; the
+    def _start(self, failed: subprocess.Popen | None = None) -> None:
+        """Launch the server unless one is running that is not `failed`; the
         caller holds the lock."""
         import socket
 
-        if not restart and self._proc is not None and self._proc.poll() is None:
+        # waitid leaves a dead server unreaped, so its pid still names its group for close
+        if self._proc not in (None, failed) and self._proc.returncode is None and os.waitid(
+                os.P_PID, self._proc.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
             return
         self.close()
         ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
@@ -533,55 +537,52 @@ class _SandboxServer:
                 self._proc = subprocess.Popen(
                     [sys.executable, "-I", "-c", _SERVER_SOURCE, str(theirs.fileno())],
                     stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL, pass_fds=[theirs.fileno()])
+                    stderr=subprocess.DEVNULL, pass_fds=[theirs.fileno()], start_new_session=True)
             except OSError as exc:
                 ours.close()
                 raise SandboxUnavailable(f"cannot launch interpreter: {exc}") from exc
         self._control = ours
 
     def close(self) -> None:
+        """End the server and every runner in its group."""
         if self._control is not None:
             self._control.close()
             self._control = None
         if self._proc is not None:
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+            if self._proc.returncode is None:  # not reaped, so its pid still names its group
+                os.killpg(self._proc.pid, signal.SIGKILL)
+            self._proc.wait()
             self._proc = None
 
-    def _run_once(self, request: bytes, restart: bool) -> tuple[list, bytes, bytes] | None:
+    def run(self, path: str, workdir: str, wall_seconds: float) -> tuple[list, bytes, bytes]:
+        """([timed out, exit code], stdout, stderr) of one script. If its server
+        dies first, the script runs once more, on a new server unless another
+        call has launched one already."""
         import socket
 
-        out, err = os.memfd_create("stdout"), os.memfd_create("stderr")
-        read, write = os.pipe()
-        try:
+        request = json.dumps([path, workdir, wall_seconds]).encode()
+        failed = None
+        for _ in range(2):
+            out, err = os.memfd_create("stdout"), os.memfd_create("stderr")
+            read, write = os.pipe()
             try:
                 with self._lock:
-                    self._start(restart)
-                    socket.send_fds(self._control, [request], [out, err, write])
-            except OSError:  # the server died after the check
-                return None
+                    try:
+                        self._start(failed)
+                        failed = self._proc
+                        socket.send_fds(self._control, [request], [out, err, write])
+                    except OSError:  # the server died after the check
+                        continue
+                    finally:
+                        os.close(write)
+                status = os.read(read, 64)  # b"" if the server died before reporting
+                if status:
+                    # the runner is gone; output a process it left behind writes later is not read
+                    return (json.loads(status), *(os.pread(fd, os.fstat(fd).st_size, 0)
+                                                  for fd in (out, err)))
             finally:
-                os.close(write)
-            status = os.read(read, 64)  # b"" if the server died before reporting
-            if not status:
-                return None
-            # the runner is gone; output a process it left behind writes later is not read
-            return (json.loads(status), *(os.pread(fd, os.fstat(fd).st_size, 0)
-                                          for fd in (out, err)))
-        finally:
-            for fd in (out, err, read):
-                os.close(fd)
-
-    def run(self, path: str, workdir: str, wall_seconds: float) -> tuple[list, bytes, bytes]:
-        """([timed out, exit code], stdout, stderr) of one script."""
-        request = json.dumps([path, workdir, wall_seconds]).encode()
-        for restart in (False, True):
-            outcome = self._run_once(request, restart)
-            if outcome is not None:
-                return outcome
+                for fd in (out, err, read):
+                    os.close(fd)
         raise SandboxUnavailable("the sandbox server ended before reporting a result")
 
 
@@ -618,7 +619,8 @@ def execute_script(
     child ends as the interpreter ends a script (exit message, threads
     joined, atexit run, what teardown would free freed while output still
     works), then exits without tearing the interpreter down. The server
-    kills it at the wall-clock limit or when the kdr process ends. Linux
+    kills it at the wall-clock limit or when the kdr process ends; if the
+    server dies first, kdr kills it before the script runs again. Linux
     `pidfd_open` and `memfd_create` are required. Children share the
     server's string-hash seed and the environment it started with; `random`
     reseeds at fork. The child gets a network-disabling shim, which is a

@@ -189,6 +189,62 @@ def _gone_or_zombie(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] == "Z"
 
 
+def _wait_for_lines(path: Path, count: int) -> None:
+    deadline = time.monotonic() + 10
+    while (not path.exists() or path.read_text().count("\n") < count) \
+            and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def test_a_script_whose_server_died_runs_to_its_end_once(tmp_path):
+    # the first runner records its pid, then its server is killed while it sleeps
+    started, ended = tmp_path / "started", tmp_path / "ended"
+    script = (f"import os, time\n\nwith open({str(started)!r}, 'a') as f:\n"
+              "    f.write(f'{os.getpid()}\\n')\ntime.sleep(1)\n"
+              f"with open({str(ended)!r}, 'a') as f:\n    f.write(f'{{os.getpid()}}\\n')\n"
+              "print(os.getpid())\n")
+    rs.execute_script("print(1)\n", str(tmp_path / "a"))
+    server = rs._SANDBOX._proc
+
+    def kill_server() -> None:
+        _wait_for_lines(started, 1)
+        server.kill()
+
+    killer = threading.Thread(target=kill_server)
+    killer.start()
+    result = rs.execute_script(script, str(tmp_path / "w"))
+    killer.join()
+    first, second = map(int, started.read_text().split())
+    assert result.exit_status == "ok" and int(result.stdout) == second
+    assert _gone_or_zombie(first)
+    time.sleep(1)  # time enough for a first runner left alive to reach its end
+    assert ended.read_text().split() == [str(second)]
+
+
+def test_every_caller_survives_the_death_of_a_shared_server(tmp_path):
+    rs.execute_script("print(1)\n", str(tmp_path / "a"))
+    server = rs._SANDBOX._proc
+    started = tmp_path / "started"
+    results: dict[int, rs.ExecutionResult] = {}
+
+    def call(i: int) -> None:
+        script = (f"import time\n\nwith open({str(started)!r}, 'a') as f:\n"
+                  f"    f.write('{i}\\n')\ntime.sleep(1)\nprint({i})\n")
+        results[i] = rs.execute_script(script, str(tmp_path / f"w{i}"))
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    _wait_for_lines(started, 4)
+    server.kill()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert [(r.exit_status, r.stdout) for _, r in sorted(results.items())] == [
+        ("ok", f"{i}\n") for i in range(4)]
+    assert rs._SANDBOX._proc is not server
+
+
 def test_the_server_outlives_a_caller_that_stopped_waiting(tmp_path):
     rs.execute_script("print(1)\n", str(tmp_path / "a"))
     server = rs._SANDBOX._proc
