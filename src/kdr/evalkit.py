@@ -7,6 +7,7 @@ a result dataclass with both the aggregate metric and the per-item detail.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 import tempfile
@@ -72,13 +73,14 @@ def build_taxonomy_graph(dataset: dict) -> tuple[onto.OntologyGraph, dict[str, s
         raise SchemaViolation("taxonomy dataset has no test leaves")
     definitions = {row["name"]: row.get("definition", "") for row in dataset["concepts"]}
     parent_of = {child: parent for child, parent in dataset["edges"]}
+    concept_name = functools.cache(taxonomy_concept_name)  # place() may try a term in many sweeps
 
     gold: dict[str, str] = {}
     for leaf in dataset["test_leaves"]:
         parent = parent_of.get(leaf)
         if parent is None or parent in held_out:
             raise GoldParentMissing(f"held-out leaf {leaf!r} has no usable gold parent")
-        gold[leaf] = f"{TAXONOMY_NAMESPACE}.{taxonomy_concept_name(parent)}"
+        gold[leaf] = f"{TAXONOMY_NAMESPACE}.{concept_name(parent)}"
 
     graph = onto.empty_graph()
 
@@ -87,11 +89,11 @@ def build_taxonomy_graph(dataset: dict) -> tuple[onto.OntologyGraph, dict[str, s
         if parent in onto.ROOTS:
             parent_name = parent
         else:
-            parent_name = taxonomy_concept_name(parent)
+            parent_name = concept_name(parent)
             if f"{TAXONOMY_NAMESPACE}.{parent_name}" not in graph.concepts:
                 return False
         onto.insert_concept(graph, onto.Concept(
-            taxonomy_concept_name(term), TAXONOMY_NAMESPACE, "entity",
+            concept_name(term), TAXONOMY_NAMESPACE, "entity",
             parent_name, definitions.get(term, "")))
         return True
 

@@ -8,6 +8,7 @@ import os
 import threading
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .errors import CorruptRecord, IoFailure, SchemaViolation
@@ -36,9 +37,73 @@ def write_file(path: str | os.PathLike, text: str | Iterable[str]) -> None:
 
 
 def write_json(path: str | os.PathLike, document) -> None:
-    """write_file of `document` as indented JSON plus a trailing newline."""
-    pieces = json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(document)
-    write_file(path, itertools.chain(pieces, ["\n"]))
+    """write_file of json.dumps(document, indent=2, ensure_ascii=False) plus a
+    trailing newline. The items of the containers in the top three levels are
+    written one at a time, so a large document is never held whole as text."""
+    write_file(path, itertools.chain(_json_pieces(document, "", 3), ["\n"]))
+
+
+def _json_pieces(value, indent: str, levels: int) -> Iterator[str]:
+    """_json_text(value, indent) in pieces, one per item of a container down
+    `levels` levels of containers."""
+    if not (levels and isinstance(value, (dict, list, tuple)) and value):
+        yield _json_text(value, indent)
+        return
+    if isinstance(value, dict):
+        items = ((_json_key(k) + ": ", v) for k, v in value.items())
+        opening, closing = "{", "}"
+    else:
+        items = (("", v) for v in value)
+        opening, closing = "[", "]"
+    inner = indent + "  "
+    separator = opening + "\n" + inner
+    for prefix, item in items:
+        yield separator + prefix
+        yield from _json_pieces(item, inner, levels - 1)
+        separator = ",\n" + inner
+    yield "\n" + indent + closing
+
+
+def _json_text(value, indent: str) -> str:
+    """json.dumps(value, indent=2, ensure_ascii=False) for a value nested at
+    `indent`, joined from one flat list of pieces per container: the stdlib
+    yields a token at a time when it indents, at several times the cost."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    # str items, the most common, are encoded inline: a call costs more
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        parts = []
+        for k, v in value.items():
+            parts += (",\n", inner, encode_basestring(k) if isinstance(k, str) else _json_key(k),
+                      ": ", encode_basestring(v) if isinstance(v, str) else _json_text(v, inner))
+        parts[0] = "{\n"  # the first separator opens the container
+        parts += ("\n", indent, "}")
+        return "".join(parts)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        parts = []
+        for v in value:
+            parts += (",\n", inner,
+                      encode_basestring(v) if isinstance(v, str) else _json_text(v, inner))
+        parts[0] = "[\n"  # the first separator opens the container
+        parts += ("\n", indent, "]")
+        return "".join(parts)
+    return json.dumps(value)  # None, a bool or a number; TypeError for anything else
+
+
+def _json_key(key) -> str:
+    """A dict key as the stdlib writes it: a str as it is, a number, bool or
+    None as its JSON text, in quotes."""
+    if isinstance(key, str):
+        return encode_basestring(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def append_text(path: str | os.PathLike, text: str) -> None:
@@ -92,12 +157,15 @@ def read_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, object]]:
 
 def check_keys(document, what: str, required=(), allowed=None) -> dict:
     """`document` if it is a JSON object with every `required` key and, when
-    `allowed` is given, no other key; SchemaViolation naming `what` if not."""
+    `allowed` is given, no other key; SchemaViolation naming `what` if not.
+    An `allowed` that is not a set is made one on each call, so a caller that
+    checks many documents passes a set."""
     if not isinstance(document, dict):
         raise SchemaViolation(f"{what} must be a JSON object, got {type(document).__name__}")
     missing = [key for key in required if key not in document]
     if missing:
         raise SchemaViolation(f"{what} lacks {missing}")
-    if allowed is not None and not document.keys() <= set(allowed):
+    if allowed is not None and not document.keys() <= (
+            allowed if isinstance(allowed, (set, frozenset)) else set(allowed)):
         raise SchemaViolation(f"unknown {what} keys: {sorted(document.keys() - set(allowed))}")
     return document

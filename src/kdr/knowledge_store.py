@@ -469,6 +469,9 @@ def _slot_to_json(values: list[SlotValue]) -> list[dict]:
     return out
 
 
+_REF_KEYS = frozenset({"ref"})
+
+
 def _slot_from_json(raw: list, attr: str) -> list[SlotValue]:
     values = []
     for item in raw:
@@ -476,7 +479,7 @@ def _slot_from_json(raw: list, attr: str) -> list[SlotValue]:
             raise ValueError(f"bad slot value under {attr!r}")
         value = item["value"]
         if isinstance(value, dict):
-            check_keys(value, f"reference under {attr!r}", required=("ref",), allowed=("ref",))
+            check_keys(value, f"reference under {attr!r}", required=("ref",), allowed=_REF_KEYS)
             value = Ref(value["ref"])
         values.append(SlotValue(value, int(item.get("provenance_index", 0))))
     return values
@@ -501,6 +504,7 @@ def save(store: KnowledgeStore, path: str) -> None:
 
 
 _ROW_KEYS = ("id", "concept", "display_name", "slots", "provenance", "updated_at", "history")
+_ROW_KEY_SET = frozenset(_ROW_KEYS)
 
 
 def load(path: str, graph: onto.OntologyGraph) -> KnowledgeStore:
@@ -511,7 +515,7 @@ def load(path: str, graph: onto.OntologyGraph) -> KnowledgeStore:
     line_of: dict[str, int] = {}
     for n, row in read_jsonl(path):
         try:
-            check_keys(row, "KB row", required=_ROW_KEYS, allowed=_ROW_KEYS)
+            check_keys(row, "KB row", required=_ROW_KEYS, allowed=_ROW_KEY_SET)
             obj = KnowledgeObject(
                 id=row["id"],
                 concept=row["concept"],

@@ -18,8 +18,10 @@ by ``_insert``).
 
 from __future__ import annotations
 
+import heapq
 import re
 import threading
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -174,12 +176,17 @@ class OntologyGraph:
         Lookup order: roots, explicit qualification, the given namespace, then
         a unique global match.
         """
+        q = self.find(name, namespace)
+        if q is None:
+            raise UnknownConcept(f"unknown concept {name!r}")
+        return q
+
+    def find(self, name: str, namespace: str | None = None) -> str | None:
+        """resolve, but None for a name that is not in the graph (yet)."""
         if name in ROOTS:
             return name
         if "." in name:
-            if name in self.concepts:
-                return name
-            raise UnknownConcept(f"unknown concept {name!r}")
+            return name if name in self.concepts else None
         if namespace is not None:
             q = f"{namespace}.{name}"
             if q in self.concepts:
@@ -188,7 +195,7 @@ class OntologyGraph:
         if len(matches) == 1:
             return matches[0]
         if not matches:
-            raise UnknownConcept(f"unknown concept {name!r}")
+            return None
         raise AmbiguousName(f"{name!r} exists in several namespaces: {sorted(matches)}")
 
     def view(self, build):
@@ -274,16 +281,30 @@ def empty_graph() -> OntologyGraph:
 def check_concept(graph: OntologyGraph, c: Concept) -> str:
     """Every check insert_concept makes, without inserting; returns the qualified parent."""
     _validate_concept_fields(c)
+    found = _placement(graph, c)
+    if found is None:
+        raise UnknownParent(f"unknown concept {c.parent!r}")
+    if isinstance(found, AttributeSpec):
+        raise UnknownConcept(
+            f"attribute {found.name!r} of {c.name} references unknown concept {found.base!r}"
+        )
+    return found
+
+
+def _placement(graph: OntologyGraph, c: Concept) -> str | AttributeSpec | None:
+    """check_concept's checks that read the graph, for a concept whose fields
+    are valid. Returns the qualified parent or, for a name not in the graph
+    yet, None when it is the parent's and the attribute when it is an
+    attribute's type. Every other fault raises."""
     q = c.qualified
     if q in graph.concepts:
         raise DuplicateName(f"{q} already defined")
 
     if c.parent == c.name or c.parent == q:
         raise CycleDetected(f"{c.name} cannot be its own parent")
-    try:
-        parent_q = graph.resolve(c.parent, c.namespace)
-    except UnknownConcept as exc:
-        raise UnknownParent(str(exc)) from exc
+    parent_q = graph.find(c.parent, c.namespace)
+    if parent_q is None:
+        return None
     if graph.kind_of(parent_q) != c.kind:
         raise KindMismatch(
             f"parent {parent_q} is a {graph.kind_of(parent_q)}, {c.name} is a {c.kind}"
@@ -299,12 +320,8 @@ def check_concept(graph: OntologyGraph, c: Concept) -> str:
     for attr in c.attributes:
         if attr.base in SCALAR_BASES or attr.base == c.name:
             continue
-        try:
-            graph.resolve(attr.base, c.namespace)
-        except UnknownConcept:
-            raise UnknownConcept(
-                f"attribute {attr.name!r} of {c.name} references unknown concept {attr.base!r}"
-            )
+        if graph.find(attr.base, c.namespace) is None:
+            return attr
 
     return parent_q
 
@@ -346,18 +363,22 @@ def place_in_passes(items: list, place) -> list:
 
 def validate_graph(graph: OntologyGraph) -> None:
     """Re-check the forest and equivalence invariants of a whole graph."""
-    for q in graph.concepts:
+    root_of = {root: root for root in ROOTS}  # node -> the root it reaches
+    for q, concept in graph.concepts.items():
         seen = {q}
         node = q
-        while node not in ROOTS:
+        while node not in root_of:
             node = graph.parents.get(node)
             if node is None:
                 raise UnknownParent(f"{q} is detached from both roots")
             if node in seen:
                 raise CycleDetected(f"parent cycle through {node}")
             seen.add(node)
-        if ROOTS[node] != graph.concepts[q].kind:
-            raise KindMismatch(f"{q} reaches the wrong root {node}")
+        root = root_of[node]
+        for walked in seen:
+            root_of[walked] = root
+        if ROOTS[root] != concept.kind:
+            raise KindMismatch(f"{q} reaches the wrong root {root}")
     for a, others in graph.equivalences.items():
         for b in others:
             if graph.kind_of(a) != graph.kind_of(b):
@@ -528,6 +549,58 @@ def _check_field_types(entry: dict, what: str) -> None:
             raise SchemaViolation(f"{what}: {key!r} must be {want}, got {type(value).__name__}")
 
 
+def _place_concepts(graph: OntologyGraph, pending: list[Concept]) -> list[Concept]:
+    """Insert `pending` into `graph` in the order place_in_passes would,
+    trying each concept with check_concept's checks and putting it off while
+    they fail only for a name not in the graph yet; returns the concepts left
+    over, in order.
+
+    A concept put off is tried again only after a concept is inserted under
+    its own name, its parent's or an attribute type's (the only inserts that
+    can change what the checks say of it), at the place in the sweeps where
+    place_in_passes would next try it. So the order, the parent each name
+    resolves to and the first error are those of the sweeps, but a chain
+    listed leaves first takes two tries per concept instead of one per sweep.
+    """
+    waiting: dict[str, list[int]] = defaultdict(list)  # name -> positions that use it
+    put_off = [False] * len(pending)  # tried, and not due again yet
+    placed = [False] * len(pending)
+    due = list(range(len(pending)))  # heap of the positions this sweep still tries
+    first_sweep = True
+    while due:
+        next_sweep: list[int] = []
+        while due:
+            i = heapq.heappop(due)
+            c = pending[i]
+            if first_sweep:
+                _validate_concept_fields(c)
+            parent_q = _placement(graph, c)
+            if not isinstance(parent_q, str):
+                put_off[i] = True
+                if first_sweep:
+                    for name in (c.name, c.parent.rpartition(".")[2],
+                                 *(a.base for a in c.attributes)):
+                        waiting[name].append(i)
+                continue
+            _insert(graph, c, parent_q)
+            placed[i] = True
+            for j in waiting.get(c.name, ()):
+                if put_off[j]:
+                    put_off[j] = False
+                    if j > i:
+                        heapq.heappush(due, j)
+                    else:
+                        next_sweep.append(j)
+        due = sorted(next_sweep)
+        first_sweep = False
+    return [c for i, c in enumerate(pending) if not placed[i]]
+
+
+_CONCEPT_KEYS = frozenset(
+    ("name", "kind", "parent", "description", "examples", "attributes", "equivalents"))
+_ATTRIBUTE_KEYS = frozenset(("name", "type", "doc"))
+
+
 def graph_from_document(document: dict) -> OntologyGraph:
     """Build a graph from the ontology JSON document shape.
 
@@ -535,7 +608,7 @@ def graph_from_document(document: dict) -> OntologyGraph:
     in any order; parent links are settled iteratively and leftovers are
     reported as cycles or unknown parents.
     """
-    check_keys(document, "ontology document", allowed=("namespaces",))
+    check_keys(document, "ontology document", allowed={"namespaces"})
     namespaces = check_keys(document.get("namespaces", {}), "'namespaces'")
 
     pending: list[Concept] = []
@@ -545,13 +618,12 @@ def graph_from_document(document: dict) -> OntologyGraph:
             raise SchemaViolation(f"namespace {ns!r} must hold a list of concepts")
         for entry in entries:
             check_keys(entry, f"concept in {ns!r}", required=("name", "kind", "parent"),
-                       allowed=("name", "kind", "parent", "description", "examples",
-                                "attributes", "equivalents"))
+                       allowed=_CONCEPT_KEYS)
             _check_field_types(entry, f"concept {ns}.{entry['name']}")
             attrs = []
             for raw in entry.get("attributes", []):
                 check_keys(raw, f"attribute of {ns}.{entry['name']}", required=("name", "type"),
-                           allowed=("name", "type", "doc"))
+                           allowed=_ATTRIBUTE_KEYS)
                 _check_field_types(raw, f"attribute of {ns}.{entry['name']}")
                 attrs.append(AttributeSpec(raw["name"], raw["type"], raw.get("doc", "")))
             concept = Concept(
@@ -568,15 +640,7 @@ def graph_from_document(document: dict) -> OntologyGraph:
                 declared_equivalences.append((ns, entry["name"], other))
 
     graph = empty_graph()
-
-    def place(concept: Concept) -> bool:
-        try:
-            insert_concept(graph, concept)
-        except (UnknownParent, UnknownConcept):
-            return False
-        return True
-
-    stuck = place_in_passes(pending, place)
+    stuck = _place_concepts(graph, pending)
     if stuck:
         names = {c.name for c in stuck}
         internal = [c for c in stuck if c.parent in names]
@@ -592,16 +656,20 @@ def graph_from_document(document: dict) -> OntologyGraph:
 
 
 def graph_to_document(graph: OntologyGraph) -> dict:
+    """The document graph_from_document builds `graph` back from. A parent
+    whose name is in several namespaces is written qualified, as the name
+    alone could resolve to another of them on loading."""
     namespaces: dict[str, list[dict]] = {}
-    for concept in graph.concepts.values():
-        equivalents = sorted(
-            q for q in graph.equivalences.get(concept.qualified, ())
-        )
+    for q, concept in graph.concepts.items():
+        parent = graph.parents[q]
+        if len(graph._short.get(parent.rsplit(".", 1)[-1], ())) < 2:
+            parent = concept.parent
+        equivalents = sorted(graph.equivalences.get(q, ()))
         namespaces.setdefault(concept.namespace, []).append(
             {
                 "name": concept.name,
                 "kind": concept.kind,
-                "parent": concept.parent,
+                "parent": parent,
                 "description": concept.description,
                 "examples": list(concept.examples),
                 "attributes": [

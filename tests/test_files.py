@@ -5,11 +5,15 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import sys
 import threading
 from pathlib import Path
 
+import numpy
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kdr import files
 from kdr import knowledge_store as ks
@@ -135,6 +139,37 @@ def test_write_json_layout(tmp_path):
     files.write_json(tmp_path / "doc.json", {"name": "Ada Lovelace", "n": [1]})
     assert (tmp_path / "doc.json").read_text(encoding="utf-8") == (
         '{\n  "name": "Ada Lovelace",\n  "n": [\n    1\n  ]\n}\n')
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+json_keys = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(json_keys, inner)),
+    max_leaves=40)
+
+
+@given(json_values)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_write_json_writes_what_json_dumps_writes(tmp_path, document):
+    # the file is replaced whole on each example
+    files.write_json(tmp_path / "doc.json", document)
+    assert (tmp_path / "doc.json").read_bytes() == (
+        json.dumps(document, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("document", [
+    {"a": [1, object()]}, [{(1, 2): "tuple key"}], {"deep": {"deeper": {"set": {1}}}},
+    {"array": numpy.arange(3)},
+], ids=["value", "key", "deep-value", "no-truth-value"])
+def test_write_json_raises_what_json_dumps_raises(tmp_path, document):
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps(document, indent=2, ensure_ascii=False)
+    with pytest.raises(TypeError, match=re.escape(str(stdlib.value))):
+        files.write_json(tmp_path / "doc.json", document)
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- one writer ------------------------------------------------------------------

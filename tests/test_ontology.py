@@ -5,7 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdr import ontology
@@ -320,6 +320,130 @@ def test_loader_concept_order_is_pinned():
         ("A.Leaf", "A.Mid"), ("B.Gadget", "A.Leaf")]
     assert list(g.equivalences.items()) == [("A.Thing", {"B.Thing"}),
                                             ("B.Thing", {"A.Thing"})]
+
+
+def test_saved_parent_reloads_to_the_same_concept(tmp_path):
+    # B.Tool takes A.Thing, the only Thing when it is placed; the saved
+    # document lists B.Thing first, so a bare "Thing" would reload to it.
+    doc = {"namespaces": {
+        "B": [
+            {"name": "X", "kind": "entity", "parent": "Entity"},
+            {"name": "Tool", "kind": "entity", "parent": "Thing"},
+            {"name": "Thing", "kind": "entity", "parent": "Y"},
+            {"name": "Y", "kind": "entity", "parent": "Entity"},
+        ],
+        "A": [{"name": "Thing", "kind": "entity", "parent": "Entity"}],
+    }}
+    g = ontology.graph_from_document(doc)
+    assert g.parents["B.Tool"] == "A.Thing"
+    path = tmp_path / "onto.json"
+    ontology.save_ontology(g, str(path))
+    saved = {(ns, e["name"]): e["parent"]
+             for ns, entries in json.loads(path.read_text())["namespaces"].items()
+             for e in entries}
+    assert saved[("B", "Tool")] == "A.Thing"
+    assert saved[("B", "X")] == "Entity" and saved[("B", "Thing")] == "Y"
+    assert ontology.load_ontology(str(path)).parents == g.parents
+
+
+def chain_document(leaves_first: bool) -> dict:
+    entries = [{"name": f"C{i}", "kind": "entity", "parent": f"C{i + 1}" if i < 999 else "Entity"}
+               for i in range(1000)]
+    return {"namespaces": {"ns": entries if leaves_first else entries[::-1]}}
+
+
+def test_leaves_first_chain_checks_each_concept_in_full_once(monkeypatch):
+    calls = {"fields": 0, "tries": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(ontology, "_validate_concept_fields",
+                        counted("fields", ontology._validate_concept_fields))
+    monkeypatch.setattr(ontology, "_placement", counted("tries", ontology._placement))
+    g = ontology.graph_from_document(chain_document(leaves_first=True))
+    # each concept is tried once in the first sweep, and once more, in full,
+    # after its parent is placed: sweeps would try it up to 1000 times
+    assert calls == {"fields": 1000, "tries": 1999}
+    assert list(g.concepts) == [f"ns.C{i}" for i in reversed(range(1000))]
+    assert g.parents == ontology.graph_from_document(chain_document(leaves_first=False)).parents
+
+
+def swept(concepts):
+    """The reference placement: sweeps of insert_concept, each concept that
+    fails only for a name not in the graph yet put off to the next sweep."""
+    graph = empty_graph()
+
+    def place(concept):
+        try:
+            insert_concept(graph, concept)
+        except (UnknownParent, UnknownConcept):
+            return False
+        return True
+
+    return graph, ontology.place_in_passes(concepts, place)
+
+
+def placed(place, concepts):
+    try:
+        graph, left = place(concepts)
+    except KdrError as exc:
+        return type(exc), str(exc)
+    return list(graph.concepts), list(graph.parents.items()), [c.qualified for c in left]
+
+
+def placed_at_once(concepts):
+    graph = empty_graph()
+    return graph, ontology._place_concepts(graph, concepts)
+
+
+PLACED_NAMES = ["Alpha", "Beta", "Gamma", "Delta", "Omega"]
+placeable = st.builds(
+    Concept,
+    name=st.sampled_from(PLACED_NAMES * 4 + ["bad"]),
+    namespace=st.sampled_from(["A", "B"]),
+    kind=st.sampled_from(["entity"] * 9 + ["event"]),
+    parent=st.sampled_from(PLACED_NAMES * 2 + ["A.Alpha", "B.Beta", "Entity", "Event", "Ghost"]),
+    attributes=st.lists(st.builds(AttributeSpec, name=st.sampled_from(["a", "b", "c", "name"]),
+                                  type=st.sampled_from(PLACED_NAMES + ["text"])),
+                        max_size=2).map(lambda attrs: attrs[:1] if len(attrs) > 1 and
+                                        attrs[0].name == attrs[1].name else attrs),
+)
+
+
+def entity(name, parent, namespace="A"):
+    return Concept(name, namespace, "entity", parent)
+
+
+@given(st.lists(placeable, max_size=12))
+@example([entity("Alpha", "Ghost"), entity("Alpha", "Entity")])  # a duplicate of one put off
+@example([entity("Alpha", "Delta"), entity("Beta", "Alpha"), entity("Delta", "Entity"),
+          entity("Gamma", "Omega"), entity("Omega", "Entity")])  # B.Beta is due in sweep 2
+@settings(max_examples=500, deadline=None)
+def test_loader_places_as_sweeps_of_insert_concept_do(concepts):
+    assert placed(placed_at_once, concepts) == placed(swept, concepts)
+
+
+def test_validate_graph_reports_detached_cyclic_and_misrooted_concepts():
+    def graph(*edges):
+        concepts = {q: Concept(q.split(".")[1], "A", kind, "?") for q, _, kind in edges}
+        return ontology.OntologyGraph(concepts, {q: parent for q, parent, _ in edges})
+
+    ontology.validate_graph(graph(*[(f"A.C{i}", f"A.C{i + 1}" if i < 999 else "Entity", "entity")
+                                    for i in range(1000)]))
+    with pytest.raises(UnknownParent, match="A.Low is detached from both roots"):
+        ontology.validate_graph(graph(("A.Top", "Entity", "entity"),
+                                      ("A.Low", "A.Gone", "entity")))
+    with pytest.raises(CycleDetected, match="parent cycle through A.Low"):
+        ontology.validate_graph(graph(("A.Top", "Entity", "entity"),
+                                      ("A.Low", "A.Mid", "entity"), ("A.Mid", "A.Low", "entity")))
+    # A.Low's walk stops at A.Top, which an earlier walk found under Entity
+    with pytest.raises(KindMismatch, match="A.Low reaches the wrong root Entity"):
+        ontology.validate_graph(graph(("A.Top", "Entity", "entity"),
+                                      ("A.Low", "A.Top", "event")))
 
 
 def test_loader_rejects_unknown_keys():
