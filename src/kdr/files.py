@@ -44,10 +44,10 @@ def write_json(path: str | os.PathLike, document) -> None:
 
 
 def _json_pieces(value, indent: str, levels: int) -> Iterator[str]:
-    """_json_text(value, indent) in pieces, one per item of a container down
-    `levels` levels of containers."""
+    """_json_text of `value` at `indent` in pieces, one per item of a
+    container down `levels` levels of containers."""
     if not (levels and isinstance(value, (dict, list, tuple)) and value):
-        yield _json_text(value, indent)
+        yield _json_text(value, indent, set())
         return
     if isinstance(value, dict):
         items = ((_json_key(k) + ": ", v) for k, v in value.items())
@@ -64,36 +64,38 @@ def _json_pieces(value, indent: str, levels: int) -> Iterator[str]:
     yield "\n" + indent + closing
 
 
-def _json_text(value, indent: str) -> str:
+def _json_text(value, indent: str, path: set[int]) -> str:
     """json.dumps(value, indent=2, ensure_ascii=False) for a value nested at
     `indent`, joined from one flat list of pieces per container: the stdlib
-    yields a token at a time when it indents, at several times the cost."""
+    yields a token at a time when it indents, at several times the cost.
+    `path` holds the ids of the containers `value` is in, so a document that
+    contains itself raises the stdlib's ValueError."""
     if isinstance(value, str):
         return encode_basestring(value)
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)  # None, a bool or a number; TypeError for anything else
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    if id(value) in path:
+        raise ValueError("Circular reference detected")
+    path.add(id(value))
+    inner = indent + "  "
+    parts = []
     # str items, the most common, are encoded inline: a call costs more
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        parts = []
         for k, v in value.items():
             parts += (",\n", inner, encode_basestring(k) if isinstance(k, str) else _json_key(k),
-                      ": ", encode_basestring(v) if isinstance(v, str) else _json_text(v, inner))
-        parts[0] = "{\n"  # the first separator opens the container
-        parts += ("\n", indent, "}")
-        return "".join(parts)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        parts = []
+                      ": ", encode_basestring(v) if isinstance(v, str)
+                      else _json_text(v, inner, path))
+        parts[0], closing = "{\n", "}"  # the first separator opens the container
+    else:
         for v in value:
             parts += (",\n", inner,
-                      encode_basestring(v) if isinstance(v, str) else _json_text(v, inner))
-        parts[0] = "[\n"  # the first separator opens the container
-        parts += ("\n", indent, "]")
-        return "".join(parts)
-    return json.dumps(value)  # None, a bool or a number; TypeError for anything else
+                      encode_basestring(v) if isinstance(v, str) else _json_text(v, inner, path))
+        parts[0], closing = "[\n", "]"
+    path.remove(id(value))
+    parts += ("\n", indent, closing)
+    return "".join(parts)
 
 
 def _json_key(key) -> str:
@@ -157,15 +159,14 @@ def read_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, object]]:
 
 def check_keys(document, what: str, required=(), allowed=None) -> dict:
     """`document` if it is a JSON object with every `required` key and, when
-    `allowed` is given, no other key; SchemaViolation naming `what` if not.
-    An `allowed` that is not a set is made one on each call, so a caller that
-    checks many documents passes a set."""
+    `allowed` is given, no other key; SchemaViolation naming `what` if not."""
     if not isinstance(document, dict):
         raise SchemaViolation(f"{what} must be a JSON object, got {type(document).__name__}")
     missing = [key for key in required if key not in document]
     if missing:
         raise SchemaViolation(f"{what} lacks {missing}")
-    if allowed is not None and not document.keys() <= (
-            allowed if isinstance(allowed, (set, frozenset)) else set(allowed)):
-        raise SchemaViolation(f"unknown {what} keys: {sorted(document.keys() - set(allowed))}")
+    if allowed is not None:
+        unknown = document.keys() - allowed
+        if unknown:
+            raise SchemaViolation(f"unknown {what} keys: {sorted(unknown)}")
     return document

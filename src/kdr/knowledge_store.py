@@ -469,9 +469,6 @@ def _slot_to_json(values: list[SlotValue]) -> list[dict]:
     return out
 
 
-_REF_KEYS = frozenset({"ref"})
-
-
 def _slot_from_json(raw: list, attr: str) -> list[SlotValue]:
     values = []
     for item in raw:
@@ -479,7 +476,7 @@ def _slot_from_json(raw: list, attr: str) -> list[SlotValue]:
             raise ValueError(f"bad slot value under {attr!r}")
         value = item["value"]
         if isinstance(value, dict):
-            check_keys(value, f"reference under {attr!r}", required=("ref",), allowed=_REF_KEYS)
+            check_keys(value, f"reference under {attr!r}", required=("ref",), allowed=("ref",))
             value = Ref(value["ref"])
         values.append(SlotValue(value, int(item.get("provenance_index", 0))))
     return values
@@ -504,7 +501,6 @@ def save(store: KnowledgeStore, path: str) -> None:
 
 
 _ROW_KEYS = ("id", "concept", "display_name", "slots", "provenance", "updated_at", "history")
-_ROW_KEY_SET = frozenset(_ROW_KEYS)
 
 
 def load(path: str, graph: onto.OntologyGraph) -> KnowledgeStore:
@@ -515,7 +511,7 @@ def load(path: str, graph: onto.OntologyGraph) -> KnowledgeStore:
     line_of: dict[str, int] = {}
     for n, row in read_jsonl(path):
         try:
-            check_keys(row, "KB row", required=_ROW_KEYS, allowed=_ROW_KEY_SET)
+            check_keys(row, "KB row", required=_ROW_KEYS, allowed=_ROW_KEYS)
             obj = KnowledgeObject(
                 id=row["id"],
                 concept=row["concept"],

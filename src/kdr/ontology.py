@@ -18,10 +18,8 @@ by ``_insert``).
 
 from __future__ import annotations
 
-import heapq
 import re
 import threading
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -549,58 +547,6 @@ def _check_field_types(entry: dict, what: str) -> None:
             raise SchemaViolation(f"{what}: {key!r} must be {want}, got {type(value).__name__}")
 
 
-def _place_concepts(graph: OntologyGraph, pending: list[Concept]) -> list[Concept]:
-    """Insert `pending` into `graph` in the order place_in_passes would,
-    trying each concept with check_concept's checks and putting it off while
-    they fail only for a name not in the graph yet; returns the concepts left
-    over, in order.
-
-    A concept put off is tried again only after a concept is inserted under
-    its own name, its parent's or an attribute type's (the only inserts that
-    can change what the checks say of it), at the place in the sweeps where
-    place_in_passes would next try it. So the order, the parent each name
-    resolves to and the first error are those of the sweeps, but a chain
-    listed leaves first takes two tries per concept instead of one per sweep.
-    """
-    waiting: dict[str, list[int]] = defaultdict(list)  # name -> positions that use it
-    put_off = [False] * len(pending)  # tried, and not due again yet
-    placed = [False] * len(pending)
-    due = list(range(len(pending)))  # heap of the positions this sweep still tries
-    first_sweep = True
-    while due:
-        next_sweep: list[int] = []
-        while due:
-            i = heapq.heappop(due)
-            c = pending[i]
-            if first_sweep:
-                _validate_concept_fields(c)
-            parent_q = _placement(graph, c)
-            if not isinstance(parent_q, str):
-                put_off[i] = True
-                if first_sweep:
-                    for name in (c.name, c.parent.rpartition(".")[2],
-                                 *(a.base for a in c.attributes)):
-                        waiting[name].append(i)
-                continue
-            _insert(graph, c, parent_q)
-            placed[i] = True
-            for j in waiting.get(c.name, ()):
-                if put_off[j]:
-                    put_off[j] = False
-                    if j > i:
-                        heapq.heappush(due, j)
-                    else:
-                        next_sweep.append(j)
-        due = sorted(next_sweep)
-        first_sweep = False
-    return [c for i, c in enumerate(pending) if not placed[i]]
-
-
-_CONCEPT_KEYS = frozenset(
-    ("name", "kind", "parent", "description", "examples", "attributes", "equivalents"))
-_ATTRIBUTE_KEYS = frozenset(("name", "type", "doc"))
-
-
 def graph_from_document(document: dict) -> OntologyGraph:
     """Build a graph from the ontology JSON document shape.
 
@@ -608,7 +554,7 @@ def graph_from_document(document: dict) -> OntologyGraph:
     in any order; parent links are settled iteratively and leftovers are
     reported as cycles or unknown parents.
     """
-    check_keys(document, "ontology document", allowed={"namespaces"})
+    check_keys(document, "ontology document", allowed=("namespaces",))
     namespaces = check_keys(document.get("namespaces", {}), "'namespaces'")
 
     pending: list[Concept] = []
@@ -618,12 +564,13 @@ def graph_from_document(document: dict) -> OntologyGraph:
             raise SchemaViolation(f"namespace {ns!r} must hold a list of concepts")
         for entry in entries:
             check_keys(entry, f"concept in {ns!r}", required=("name", "kind", "parent"),
-                       allowed=_CONCEPT_KEYS)
+                       allowed=("name", "kind", "parent", "description", "examples",
+                                "attributes", "equivalents"))
             _check_field_types(entry, f"concept {ns}.{entry['name']}")
             attrs = []
             for raw in entry.get("attributes", []):
                 check_keys(raw, f"attribute of {ns}.{entry['name']}", required=("name", "type"),
-                           allowed=_ATTRIBUTE_KEYS)
+                           allowed=("name", "type", "doc"))
                 _check_field_types(raw, f"attribute of {ns}.{entry['name']}")
                 attrs.append(AttributeSpec(raw["name"], raw["type"], raw.get("doc", "")))
             concept = Concept(
@@ -640,7 +587,21 @@ def graph_from_document(document: dict) -> OntologyGraph:
                 declared_equivalences.append((ns, entry["name"], other))
 
     graph = empty_graph()
-    stuck = _place_concepts(graph, pending)
+    checked: set[int] = set()  # ids of the concepts whose fields were checked
+
+    def place(concept: Concept) -> bool:
+        # insert_concept, but a concept that uses a name not in the graph yet
+        # is put off without an exception, and its fields are checked once
+        if id(concept) not in checked:
+            _validate_concept_fields(concept)
+            checked.add(id(concept))
+        parent_q = _placement(graph, concept)
+        if not isinstance(parent_q, str):
+            return False
+        _insert(graph, concept, parent_q)
+        return True
+
+    stuck = place_in_passes(pending, place)
     if stuck:
         names = {c.name for c in stuck}
         internal = [c for c in stuck if c.parent in names]

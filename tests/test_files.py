@@ -172,6 +172,23 @@ def test_write_json_raises_what_json_dumps_raises(tmp_path, document):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_write_json_refuses_a_document_that_contains_itself(tmp_path):
+    looped = {"a": [1, {"b": ("c", [])}]}
+    looped["a"][1]["b"][1].append(looped)
+    shared = [{"x": 1}]  # in the document twice, but not inside itself
+    for document in (looped, [[[[looped]]]], [[[{"one": shared, "two": [shared]}]]]):
+        try:
+            expected = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+        except ValueError as stdlib:
+            assert str(stdlib) == "Circular reference detected"
+            with pytest.raises(ValueError, match="^Circular reference detected$"):
+                files.write_json(tmp_path / "doc.json", document)
+            assert list(tmp_path.iterdir()) == []
+        else:
+            files.write_json(tmp_path / "doc.json", document)
+            assert (tmp_path / "doc.json").read_text(encoding="utf-8") == expected
+
+
 # -- one writer ------------------------------------------------------------------
 
 _WRITE_MODE_CHARS = set("wxa+")
