@@ -16,7 +16,6 @@ import numpy as np
 
 from . import ontology as onto
 from . import templates
-from .errors import CycleDetected
 from .llm_gateway import EmbeddingBackend, LlmGateway
 from .ontology import DEFAULT_K
 
@@ -240,14 +239,7 @@ def place_concept(
         notes.append(f"{why}; attached under the kind root")
     note = "; ".join(notes)
 
-    try:
-        onto.check_concept(graph, replace(query, parent=parent))
-    except CycleDetected:
-        note = f"attaching under {parent} would close a cycle; fell back to {root}"
-        log.warning("%s: %s", query.name, note)
-        parent = root
-        equivalent_to = None
-        onto.check_concept(graph, replace(query, parent=parent))
+    onto.check_concept(graph, replace(query, parent=parent))
     # The equivalence edge needs no check of its own: the candidate is a stored
     # concept of its parent's kind, which the check above matched to the query.
     return parent, equivalent_to, note

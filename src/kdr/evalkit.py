@@ -73,7 +73,7 @@ def build_taxonomy_graph(dataset: dict) -> tuple[onto.OntologyGraph, dict[str, s
         raise SchemaViolation("taxonomy dataset has no test leaves")
     definitions = {row["name"]: row.get("definition", "") for row in dataset["concepts"]}
     parent_of = {child: parent for child, parent in dataset["edges"]}
-    concept_name = functools.cache(taxonomy_concept_name)  # place() may try a term in many sweeps
+    concept_name = functools.cache(taxonomy_concept_name)  # a parent term is named once per child
 
     gold: dict[str, str] = {}
     for leaf in dataset["test_leaves"]:
@@ -82,24 +82,15 @@ def build_taxonomy_graph(dataset: dict) -> tuple[onto.OntologyGraph, dict[str, s
             raise GoldParentMissing(f"held-out leaf {leaf!r} has no usable gold parent")
         gold[leaf] = f"{TAXONOMY_NAMESPACE}.{concept_name(parent)}"
 
+    def concept(term: str) -> onto.Concept:
+        parent = parent_of.get(term, onto.ENTITY_ROOT)
+        if parent not in onto.ROOTS:  # qualified, so a parent term "entity" is not the root
+            parent = f"{TAXONOMY_NAMESPACE}.{concept_name(parent)}"
+        return onto.Concept(concept_name(term), TAXONOMY_NAMESPACE, "entity", parent,
+                            definitions.get(term, ""))
+
     graph = onto.empty_graph()
-
-    def place(term: str) -> bool:
-        parent = parent_of.get(term, "Entity")
-        if parent in onto.ROOTS:
-            parent_name = parent
-        else:
-            parent_name = concept_name(parent)
-            if f"{TAXONOMY_NAMESPACE}.{parent_name}" not in graph.concepts:
-                return False
-        onto.insert_concept(graph, onto.Concept(
-            concept_name(term), TAXONOMY_NAMESPACE, "entity",
-            parent_name, definitions.get(term, "")))
-        return True
-
-    remaining = onto.place_in_passes([t for t in definitions if t not in held_out], place)
-    if remaining:
-        raise SchemaViolation(f"unplaceable taxonomy concepts: {sorted(remaining)}")
+    onto.place_concepts(graph, [concept(t) for t in definitions if t not in held_out])
     return graph, gold
 
 

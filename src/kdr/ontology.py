@@ -9,6 +9,11 @@ A graph grows in place, by whoever owns it, through two paths only:
 ``insert_concept`` (via ``_insert``) and ``OntologyGraph.add_equivalence``;
 ``attach`` applies an alignment placement through both. A caller that must
 leave its input unchanged takes ``graph.copy()`` once and grows the copy.
+Concepts listed in any order (an ontology document, a taxonomy's terms) are
+placed by ``place_concepts``, in sweeps of what ``insert_concept`` checks;
+when a sweep places none, the first leftover that waits on a name no other
+leftover declares raises its insert error, and otherwise the leftovers wait
+on each other and raise ``CycleDetected``.
 Equivalence exists only as a graph edge. Lookups are derived here once: an
 AttributeSpec parses its type token when built; a graph keeps a short-name
 map and memoised slot lists (shared with a copy: their values never change)
@@ -281,7 +286,7 @@ def check_concept(graph: OntologyGraph, c: Concept) -> str:
     _validate_concept_fields(c)
     found = _placement(graph, c)
     if found is None:
-        raise UnknownParent(f"unknown concept {c.parent!r}")
+        raise UnknownParent(f"{c.qualified} has unknown parent {c.parent!r}")
     if isinstance(found, AttributeSpec):
         raise UnknownConcept(
             f"attribute {found.name!r} of {c.name} references unknown concept {found.base!r}"
@@ -357,6 +362,38 @@ def place_in_passes(items: list, place) -> list:
             break
         remaining = left
     return remaining
+
+
+def place_concepts(graph: OntologyGraph, concepts: list[Concept]) -> None:
+    """insert_concept for concepts listed in any order, in sweeps over the list.
+
+    A concept whose parent or an attribute type is not in the graph yet is put
+    off to the next sweep with a few lookups and no exception; its fields are
+    checked on its first try only. When a sweep places none, the first
+    leftover whose parent, or else first unplaced attribute type, names no
+    other leftover raises its insert error; when each waits on another
+    leftover, CycleDetected names them.
+    """
+    def place(concept: Concept) -> bool:
+        parent_q = _placement(graph, concept)
+        if not isinstance(parent_q, str):
+            return False
+        _insert(graph, concept, parent_q)
+        return True
+
+    put_off = []
+    for concept in concepts:
+        _validate_concept_fields(concept)
+        if not place(concept):
+            put_off.append(concept)
+    left = place_in_passes(put_off, place)
+    declared = {c.name for c in left} | {c.qualified for c in left}
+    for concept in left:
+        missing = _placement(graph, concept)
+        if (concept.parent if missing is None else missing.base) not in declared:
+            check_concept(graph, concept)  # raises the error for the missing name
+    if left:
+        raise CycleDetected(f"concepts wait on each other: {[c.qualified for c in left]}")
 
 
 def validate_graph(graph: OntologyGraph) -> None:
@@ -551,8 +588,7 @@ def graph_from_document(document: dict) -> OntologyGraph:
     """Build a graph from the ontology JSON document shape.
 
     Unknown keys and fields of the wrong type are rejected. Concepts may appear
-    in any order; parent links are settled iteratively and leftovers are
-    reported as cycles or unknown parents.
+    in any order: place_concepts places them in document order.
     """
     check_keys(document, "ontology document", allowed=("namespaces",))
     namespaces = check_keys(document.get("namespaces", {}), "'namespaces'")
@@ -587,32 +623,9 @@ def graph_from_document(document: dict) -> OntologyGraph:
                 declared_equivalences.append((ns, entry["name"], other))
 
     graph = empty_graph()
-    checked: set[int] = set()  # ids of the concepts whose fields were checked
-
-    def place(concept: Concept) -> bool:
-        # insert_concept, but a concept that uses a name not in the graph yet
-        # is put off without an exception, and its fields are checked once
-        if id(concept) not in checked:
-            _validate_concept_fields(concept)
-            checked.add(id(concept))
-        parent_q = _placement(graph, concept)
-        if not isinstance(parent_q, str):
-            return False
-        _insert(graph, concept, parent_q)
-        return True
-
-    stuck = place_in_passes(pending, place)
-    if stuck:
-        names = {c.name for c in stuck}
-        internal = [c for c in stuck if c.parent in names]
-        if internal:
-            raise CycleDetected(f"parent cycle among: {sorted(c.qualified for c in internal)}")
-        first = stuck[0]
-        raise UnknownParent(f"{first.qualified} has unknown parent {first.parent!r}")
-
+    place_concepts(graph, pending)
     for ns, name, other in declared_equivalences:
         graph.add_equivalence(name, other, ns)
-    validate_graph(graph)
     return graph
 
 

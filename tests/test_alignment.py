@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kdr import alignment as al
 from kdr import ontology
-from kdr.errors import BackendUnavailable, DuplicateName
+from kdr.errors import BackendUnavailable, CycleDetected, DuplicateName
 from kdr.llm_gateway import (
     LlmGateway,
     MockChatBackend,
@@ -226,6 +226,13 @@ def test_align_concept_empty_graph_goes_to_root():
     assert parent == "Entity"
     ontology.attach(g, query, parent, equivalent_to)
     assert g.parents["tax.First"] == "Entity"
+
+
+def test_placer_refuses_a_query_named_like_its_kind_root():
+    gw = mock_gateway(default_response="unused")
+    query = Concept("Entity", "tax", "entity", "Entity", "Anything at all.")
+    with pytest.raises(CycleDetected, match="Entity cannot be its own parent"):
+        al.make_llm_placer(gw, k=2)(query, base_graph())
 
 
 def test_make_llm_aligner_returns_parent_name():

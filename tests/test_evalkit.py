@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kdr import evalkit as ek
 from kdr import ontology as onto
-from kdr.errors import GoldParentMissing, SchemaViolation, ShapeMismatch
+from kdr.errors import GoldParentMissing, SchemaViolation, ShapeMismatch, UnknownParent
 from kdr.llm_gateway import mock_gateway
 from kdr.reasoning import Limits
 
@@ -100,6 +100,27 @@ def test_taxonomy_training_graph_excludes_held_out_leaves():
     assert "tax.Dog" not in graph.concepts
     assert "tax.Mammal" in graph.concepts
     assert gold["dog"] == "tax.Mammal"
+
+
+def test_taxonomy_term_under_an_unknown_parent_term_is_named():
+    dataset = {
+        "concepts": [{"name": n} for n in ("animal", "dog", "sea bass")],
+        "edges": [["dog", "animal"], ["sea bass", "fish"]],
+        "test_leaves": ["dog"],
+    }
+    with pytest.raises(UnknownParent, match=r"tax\.SeaBass has unknown parent 'tax\.Fish'"):
+        ek.build_taxonomy_graph(dataset)
+
+
+def test_taxonomy_parent_term_named_like_a_root_stays_a_term():
+    dataset = {
+        "concepts": [{"name": n} for n in ("object", "entity", "thing", "held")],
+        "edges": [["entity", "object"], ["thing", "entity"], ["held", "thing"]],
+        "test_leaves": ["held"],
+    }
+    graph, _ = ek.build_taxonomy_graph(dataset)
+    assert graph.parents == {"tax.Object": "Entity", "tax.Entity": "tax.Object",
+                             "tax.Thing": "tax.Entity"}
 
 
 def per_leaf_mock(dataset):

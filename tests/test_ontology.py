@@ -393,6 +393,16 @@ def placement_of(load):
     return list(graph.concepts), list(graph.parents.items()), [c.qualified for c in left]
 
 
+def waits_on(graph, concept):
+    """The name a leftover of the reference sweeps waits for: its parent when
+    that is not in the graph, else its first attribute type that is not."""
+    if graph.find(concept.parent, concept.namespace) is None:
+        return concept.parent
+    return next(a.base for a in concept.attributes
+                if a.base not in ("text", "number", "date", concept.name)
+                and graph.find(a.base, concept.namespace) is None)
+
+
 PLACED_NAMES = ["Alpha", "Beta", "Gamma", "Delta", "Omega"]
 placeable = st.builds(
     Concept,
@@ -424,9 +434,24 @@ def test_loader_places_as_sweeps_of_insert_concept_do(concepts):
     expected = placement_of(lambda: swept(in_document_order))
     got = placement_of(lambda: (ontology.graph_from_document({"namespaces": namespaces}), []))
     if len(expected) == 3 and expected[2]:  # leftovers: the loader names them
-        assert got[0] in (UnknownParent, CycleDetected)
+        graph, left = swept(in_document_order)
+        blocked = [c for c in left if not any(waits_on(graph, c) in (other.name, other.qualified)
+                                              for other in left if other is not c)]
+        if blocked:  # the first that waits on an undeclared name raises its insert error
+            with pytest.raises(KdrError) as insert_error:
+                insert_concept(graph, blocked[0])
+            assert got == (type(insert_error.value), str(insert_error.value))
+        else:  # each waits on another leftover
+            assert got[0] is CycleDetected
+            assert all(c.qualified in got[1] for c in left)
     else:
         assert got == expected
+    if len(got) == 3:
+        graph = ontology.graph_from_document({"namespaces": namespaces})
+        ontology.validate_graph(graph)
+        reloaded = ontology.graph_from_document(ontology.graph_to_document(graph))
+        assert reloaded.parents == graph.parents
+        assert reloaded.equivalences == graph.equivalences
 
 
 def test_validate_graph_reports_detached_cyclic_and_misrooted_concepts():
@@ -477,6 +502,29 @@ def test_loader_reports_unknown_parent():
     ]}}
     with pytest.raises(UnknownParent):
         ontology.graph_from_document(doc)
+
+
+@pytest.mark.parametrize("entries, error, message", [
+    # A waits on B, which the document declares; B waits on Ghost, which it does not
+    ([{"name": "A", "kind": "entity", "parent": "B"},
+      {"name": "B", "kind": "entity", "parent": "Ghost"}],
+     UnknownParent, r"ns\.B has unknown parent 'Ghost'"),
+    ([{"name": "A", "kind": "entity", "parent": "ns.B"},
+      {"name": "B", "kind": "entity", "parent": "ns.A"}],
+     CycleDetected, r"\['ns\.A', 'ns\.B'\]"),
+    ([{"name": "A", "kind": "entity", "parent": "Entity",
+       "attributes": [{"name": "owner", "type": "Ghost"}]}],
+     UnknownConcept, "attribute 'owner' of A references unknown concept 'Ghost'"),
+    # A's parent is placed, but its attribute type waits on B, which waits on A
+    ([{"name": "A", "kind": "entity", "parent": "Entity",
+       "attributes": [{"name": "owner", "type": "B"}]},
+      {"name": "B", "kind": "entity", "parent": "A"}],
+     CycleDetected, r"\['ns\.A', 'ns\.B'\]"),
+], ids=["unknown-parent-behind-a-waiting-child", "qualified-parent-cycle",
+        "unknown-attribute-type", "attribute-type-and-parent-cycle"])
+def test_loader_names_what_blocks_its_leftovers(entries, error, message):
+    with pytest.raises(error, match=message):
+        ontology.graph_from_document({"namespaces": {"ns": entries}})
 
 
 # -- property tests -------------------------------------------------------------
