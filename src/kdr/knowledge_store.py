@@ -78,9 +78,11 @@ def object_key(graph: onto.OntologyGraph, concept: str, display_name: str,
 
 def object_id(graph: onto.OntologyGraph, concept: str, display_name: str,
               namespace: str | None = None) -> str:
-    canonical, normalized = object_key(graph, concept, display_name, namespace)
-    digest = hashlib.sha1(f"{canonical}\x00{normalized}".encode("utf-8")).hexdigest()
-    return digest[:16]
+    return _key_id(object_key(graph, concept, display_name, namespace))
+
+
+def _key_id(key: tuple[str, str]) -> str:
+    return hashlib.sha1("\x00".join(key).encode("utf-8")).hexdigest()[:16]
 
 
 def _attr_specs(graph: onto.OntologyGraph, concept: str) -> dict[str, onto.AttributeSpec]:
@@ -123,27 +125,20 @@ def make_object(
     namespace: str | None = None,
 ) -> KnowledgeObject:
     """Build a validated object; list attrs take lists, scalars take bare values."""
-    canonical, _ = object_key(graph, concept, display_name, namespace)
-    specs = _attr_specs(graph, canonical)
-    slot_values: dict[str, list[SlotValue]] = {}
-    for attr, raw in (slots or {}).items():
-        if attr not in specs:
-            raise TypeMismatch(f"{canonical} has no attribute {attr!r}")
-        values = list(raw) if isinstance(raw, (list, tuple)) else [raw]
-        if not specs[attr].is_list and len(values) > 1:
-            raise TypeMismatch(f"{canonical}.{attr} is scalar, got {len(values)} values")
-        if values:
-            slot_values[attr] = [SlotValue(v, 0) for v in values]
+    key = object_key(graph, concept, display_name, namespace)
+    slot_values = {attr: [SlotValue(v) for v in (raw if isinstance(raw, (list, tuple)) else [raw])]
+                   for attr, raw in (slots or {}).items()}
     prov = list(provenance or [])
     obj = KnowledgeObject(
-        id=object_id(graph, concept, display_name, namespace),
-        concept=canonical,
+        id=_key_id(key),
+        concept=key[0],
         display_name=" ".join(str(display_name).split()),
         slots=slot_values,
         provenance=prov,
         updated_at=max((ts for _, ts in prov), default=0.0),
     )
-    validate_object(graph, obj)
+    validate_object(graph, obj)  # an empty list names its slot too
+    obj.slots = {attr: values for attr, values in slot_values.items() if values}
     return obj
 
 
@@ -261,12 +256,8 @@ class KnowledgeStore:
         resolved = 0
         with self._lock:
             for obj in self.objects.values():
-                specs = _attr_specs(self.graph, obj.concept)
-                for attr, values in obj.slots.items():
-                    if specs[attr].base in onto.SCALAR_BASES:
-                        continue
-                    target = self.graph.resolve(specs[attr].base, obj.concept.rsplit(".", 1)[0])
-                    for sv in values:
+                for attr, target in self.graph.targets(obj.concept):
+                    for sv in obj.slots.get(attr, ()):
                         if not isinstance(sv.value, str):
                             continue
                         hit = self._find_by_name(sv.value, target)

@@ -15,10 +15,12 @@ when a sweep places none, the first leftover that waits on a name no other
 leftover declares raises its insert error, and otherwise the leftovers wait
 on each other and raise ``CycleDetected``.
 Equivalence exists only as a graph edge. Lookups are derived here once: an
-AttributeSpec parses its type token when built; a graph keeps a short-name
-map and memoised slot lists (shared with a copy: their values never change)
-and views such as the concept-search index (built once by ``view``, dropped
-by ``_insert``).
+AttributeSpec parses its type token when built; ``_insert`` records a
+concept's slot list and each reference slot's qualified target, inherited ones
+included, so a type means one concept to every reader however the graph grows;
+a graph keeps these and a short-name map (shared with a copy: their values
+never change) and views such as the concept-search index (built once by
+``view``, dropped by ``_insert``).
 """
 
 from __future__ import annotations
@@ -154,6 +156,8 @@ class OntologyGraph:
     ``parents`` maps qualified names to qualified parent names or a root.
     Equivalence is kept symmetric: both directions are stored. Readers that
     share a graph must not see it grow; its owner hands them a ``copy()``.
+    Slot lists and reference targets are recorded by ``_insert``: a graph whose
+    constructor is given concepts has them for the roots only.
     """
 
     concepts: dict[str, Concept] = field(default_factory=dict)
@@ -161,6 +165,7 @@ class OntologyGraph:
     equivalences: dict[str, set[str]] = field(default_factory=dict)
     _short: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _slots: dict[str, list[AttributeSpec]] = field(init=False, repr=False, compare=False)
+    _targets: dict[str, tuple[tuple[str, str], ...]] = field(init=False, repr=False, compare=False)
     _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _lock: object = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
@@ -170,6 +175,7 @@ class OntologyGraph:
             name = q.rsplit(".", 1)[1]
             self._short[name] = self._short.get(name, ()) + (q,)
         self._slots = {root: [mandatory_attribute(kind)] for root, kind in ROOTS.items()}
+        self._targets = dict.fromkeys(ROOTS, ())
 
     # -- lookup ---------------------------------------------------------------
 
@@ -200,6 +206,10 @@ class OntologyGraph:
         if not matches:
             return None
         raise AmbiguousName(f"{name!r} exists in several namespaces: {sorted(matches)}")
+
+    def targets(self, qualified: str) -> tuple[tuple[str, str], ...]:
+        """(slot name, qualified concept its type named at insert) per reference slot."""
+        return self._targets[qualified]
 
     def view(self, build):
         """What build(graph) derives from the concepts, built once until the next insert."""
@@ -263,7 +273,7 @@ class OntologyGraph:
         """A graph that grows apart from this one; views are rebuilt on demand."""
         g = OntologyGraph(equivalences={k: set(v) for k, v in self.equivalences.items()})
         g.concepts, g.parents = dict(self.concepts), dict(self.parents)
-        g._short, g._slots = dict(self._short), dict(self._slots)  # their values never change
+        g._short, g._slots, g._targets = dict(self._short), dict(self._slots), dict(self._targets)
         return g
 
     def add_equivalence(self, a: str, b: str, namespace: str | None = None) -> None:
@@ -281,8 +291,8 @@ def empty_graph() -> OntologyGraph:
     return OntologyGraph()
 
 
-def check_concept(graph: OntologyGraph, c: Concept) -> str:
-    """Every check insert_concept makes, without inserting; returns the qualified parent."""
+def check_concept(graph: OntologyGraph, c: Concept) -> tuple[str, list[tuple[str, str]]]:
+    """Every check insert_concept makes, without inserting; returns what _insert takes."""
     _validate_concept_fields(c)
     found = _placement(graph, c)
     if found is None:
@@ -294,11 +304,12 @@ def check_concept(graph: OntologyGraph, c: Concept) -> str:
     return found
 
 
-def _placement(graph: OntologyGraph, c: Concept) -> str | AttributeSpec | None:
+def _placement(graph: OntologyGraph, c: Concept) -> tuple[str, list] | AttributeSpec | None:
     """check_concept's checks that read the graph, for a concept whose fields
-    are valid. Returns the qualified parent or, for a name not in the graph
-    yet, None when it is the parent's and the attribute when it is an
-    attribute's type. Every other fault raises."""
+    are valid. Returns the qualified parent and each own reference slot's
+    qualified target (the concept itself for its own name) or, for a name not
+    in the graph yet, None when it is the parent's and the attribute when it
+    is an attribute's type. Every other fault raises."""
     q = c.qualified
     if q in graph.concepts:
         raise DuplicateName(f"{q} already defined")
@@ -320,26 +331,32 @@ def _placement(graph: OntologyGraph, c: Concept) -> str | AttributeSpec | None:
                 f"attribute {attr.name!r} of {c.name} shadows an inherited attribute"
             )
 
+    targets = []
     for attr in c.attributes:
-        if attr.base in SCALAR_BASES or attr.base == c.name:
-            continue
-        if graph.find(attr.base, c.namespace) is None:
-            return attr
+        if attr.base not in SCALAR_BASES:
+            target = q if attr.base == c.name else graph.find(attr.base, c.namespace)
+            if target is None:
+                return attr
+            targets.append((attr.name, target))
 
-    return parent_q
+    return parent_q, targets
 
 
-def _insert(graph: OntologyGraph, c: Concept, parent_q: str) -> None:
+def _insert(graph: OntologyGraph, c: Concept, parent_q: str, targets: list) -> None:
+    """Add a checked concept; its slots and targets are its parent's plus its own, if any."""
     q = c.qualified
     graph.concepts[q] = c
     graph.parents[q] = parent_q
     graph._short[c.name] = graph._short.get(c.name, ()) + (q,)
+    slots, inherited = graph._slots[parent_q], graph._targets[parent_q]
+    graph._slots[q] = slots + c.attributes if c.attributes else slots
+    graph._targets[q] = inherited + tuple(targets) if targets else inherited
     graph._views.clear()
 
 
 def insert_concept(graph: OntologyGraph, c: Concept) -> None:
     """Check a concept and insert it into the graph in place."""
-    _insert(graph, c, check_concept(graph, c))
+    _insert(graph, c, *check_concept(graph, c))
 
 
 def attach(graph: OntologyGraph, c: Concept, parent: str, equivalent_to: str | None) -> None:
@@ -375,10 +392,10 @@ def place_concepts(graph: OntologyGraph, concepts: list[Concept]) -> None:
     leftover, CycleDetected names them.
     """
     def place(concept: Concept) -> bool:
-        parent_q = _placement(graph, concept)
-        if not isinstance(parent_q, str):
+        found = _placement(graph, concept)
+        if not isinstance(found, tuple):
             return False
-        _insert(graph, concept, parent_q)
+        _insert(graph, concept, *found)
         return True
 
     put_off = []
@@ -461,15 +478,8 @@ def effective_attributes(
 ) -> list[AttributeSpec]:
     """Full constructor slot list: the mandatory slot, inherited, then own.
 
-    Memoised per graph as the parent's list plus the concept's own; read-only."""
-    q = node = graph.resolve(name, namespace)
-    chain = []
-    while node not in graph._slots:
-        chain.append(node)
-        node = graph.parents[node]
-    for node in reversed(chain):
-        graph._slots[node] = graph._slots[graph.parents[node]] + graph.concepts[node].attributes
-    return graph._slots[q]
+    Recorded by _insert as the parent's list plus the concept's own; read-only."""
+    return graph._slots[graph.resolve(name, namespace)]
 
 
 # -- canonical code rendering ---------------------------------------------------

@@ -228,9 +228,7 @@ def class_closure(graph: onto.OntologyGraph, names: list[str]) -> list[str]:
         for node in graph.root_path(q)[1:-1]:
             if node not in wanted:
                 frontier.append(node)
-        for attr in graph.concepts[q].attributes:
-            if attr.base not in onto.SCALAR_BASES:
-                frontier.append(graph.resolve(attr.base, q.rsplit(".", 1)[0]))
+        frontier.extend(target for _, target in graph.targets(q))
     return sorted(wanted, key=lambda q: (len(graph.root_path(q)), q))
 
 

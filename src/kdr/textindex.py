@@ -11,12 +11,12 @@ Scoring is pinned so rankings stay reproducible:
     score(d) = sum over distinct query tokens t present in d of
                tf(t, d) * (1 + ln(N / df(t)))
 
-The sum runs in sorted token order, so tied documents get the same float in
-every process, whatever its string-hash seed.
-
-Only documents containing at least one query token are returned, ordered by
-score descending with document id as the tiebreak. A limit keeps the first
-`limit` of that order, selected with a heap: the same as sorting, then slicing.
+The sum runs in sorted token order, whatever the string-hash seed. Scores
+equal in exact arithmetic may still differ in their last bits, so documents
+are ordered by score rounded to 9 places, descending, then by id; only those
+containing a query token are returned, with unrounded scores. A limit keeps
+the first `limit` of that order: only scores within 1e-8 of the limit-th best
+(found with a heap) can be among them, so only those are sorted.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def tokenize(text: str) -> list[str]:
 
 
 def _rank(item: tuple[str, float]) -> tuple[float, str]:
-    return -item[1], item[0]
+    return -round(item[1], 9), item[0]
 
 
 @dataclass
@@ -87,4 +87,5 @@ class InvertedIndex:
                 scores[doc_id] = scores.get(doc_id, 0.0) + tf * idf
         if limit is None:
             return sorted(scores.items(), key=_rank)
-        return heapq.nsmallest(limit, scores.items(), key=_rank)
+        floor = min(heapq.nlargest(limit, scores.values()), default=math.inf) - 1e-8
+        return sorted(((d, s) for d, s in scores.items() if s >= floor), key=_rank)[:limit]

@@ -61,6 +61,14 @@ def test_ids_are_stable_under_name_normalization(graph):
     assert a != ks.object_id(graph, "NER.Org", "Geoffrey Hinton")
 
 
+def test_make_object_checks_slots_as_validate_object_does(graph):
+    with pytest.raises(TypeMismatch, match=r"NER.Person.age is scalar but holds 2 values"):
+        person(graph, "Ada", age=[1, 2])
+    with pytest.raises(TypeMismatch, match="NER.Person has no attribute 'shoe_size'"):
+        person(graph, "Ada", shoe_size=[])
+    assert person(graph, "Ada", papers=[], age=36).slots.keys() == {"age"}
+
+
 def test_ingest_inserts_then_merges_disjoint_lists(graph, store):
     store.ingest(person(graph, "Geoffrey Hinton", ts=1.0, papers=["A"]))
     store.ingest(person(graph, "geoffrey hinton", ts=2.0, source="s2", papers=["B"]))
@@ -365,6 +373,21 @@ def test_index_ranking_does_not_depend_on_the_string_hash_seed():
         env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)).stdout
         for seed in range(8)}
     assert rankings == {"['a', 'b', 'c', 'd']\n"}
+
+
+def test_index_ranks_scores_equal_in_exact_arithmetic_by_id():
+    # d04, d08 and d09 each score (1 + ln 10/7) + 2 (1 + ln 10/6); d09's float
+    # sum (one loom counted twice) lands an ulp above the other two
+    docs = ["ada", "ada", "ada loom", "engine loom", "ada engine loom", "engine",
+            "ada engine", "engine loom", "ada engine loom", "ada loom loom"]
+    index = InvertedIndex()
+    for i, text in enumerate(docs):
+        index.add(f"d{i:02d}", text)
+    ranked = index.search("ada engine loom")
+    assert [doc for doc, _ in ranked[:3]] == ["d04", "d08", "d09"]
+    tied = 2 * (1 + math.log(10 / 6)) + 1 + math.log(10 / 7)
+    assert all(math.isclose(score, tied) for _, score in ranked[:3])
+    assert index.search("ada engine loom", limit=2) == ranked[:2]
 
 
 @given(docs=st.lists(st.lists(st.sampled_from(["ada", "engine", "notes", "loom", "x1"]),

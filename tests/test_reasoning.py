@@ -7,7 +7,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdr import knowledge_store as ks
@@ -15,6 +15,7 @@ from kdr import ontology as onto
 from kdr import reasoning as rs
 from kdr.errors import (
     EmptyQuery,
+    KdrError,
     NoConceptFound,
     NoInstancesFound,
     NoTopicEntity,
@@ -208,6 +209,94 @@ def test_class_closure_pulls_ancestors_and_ref_targets():
     assert closure == ["NER.Person", "NER.Work"]
     closure = rs.class_closure(graph, ["NER.Scientist"])
     assert closure == ["NER.Person", "NER.Scientist"]
+
+
+def insert_all(*concepts):
+    graph = onto.empty_graph()
+    for concept in concepts:
+        onto.insert_concept(graph, concept)
+    return graph
+
+
+def test_a_reference_type_keeps_the_concept_it_named_at_insert():
+    graph = insert_all(
+        onto.Concept("Alpha", "A", "entity", "Entity"),
+        onto.Concept("User", "C", "entity", "Entity",
+                     attributes=[onto.AttributeSpec("x", "Alpha")]),
+        onto.Concept("Alpha", "B", "entity", "Entity"))
+    assert rs.class_closure(graph, ["C.User"]) == ["A.Alpha", "C.User"]
+    store = ks.KnowledgeStore(graph)
+    a_alpha = ks.make_object(graph, "A.Alpha", "first")
+    user = ks.make_object(graph, "C.User", "someone", {"x": "first"})
+    store.ingest_all([ks.make_object(graph, "B.Alpha", "first"), a_alpha, user])
+    assert store.settle() == 1
+    assert store.get(user.id).scalar("x") == ks.Ref(a_alpha.id)
+
+
+def test_an_inherited_reference_slot_targets_the_declaring_namespace():
+    graph = insert_all(
+        onto.Concept("Org", "A", "entity", "Entity"),
+        onto.Concept("Person", "A", "entity", "Entity",
+                     attributes=[onto.AttributeSpec("employer", "Org")]),
+        onto.Concept("Org", "C", "entity", "Entity"),
+        onto.Concept("Author", "C", "entity", "A.Person"))
+    assert rs.class_closure(graph, ["C.Author"]) == ["A.Org", "A.Person", "C.Author"]
+    store = ks.KnowledgeStore(graph)
+    a_org = ks.make_object(graph, "A.Org", "acme")
+    author = ks.make_object(graph, "C.Author", "writer", {"employer": "acme"})
+    store.ingest_all([ks.make_object(graph, "C.Org", "acme"), a_org, author])
+    assert store.settle() == 1
+    assert store.get(author.id).scalar("employer") == ks.Ref(a_org.id)
+
+
+SHORT = ["Alpha", "Beta", "Gamma"]
+declarations = st.lists(st.tuples(st.sampled_from(["A", "B", "C"]), st.sampled_from(SHORT),
+                                  st.integers(0, 9), st.lists(st.sampled_from(SHORT), max_size=2)),
+                        max_size=8)
+
+
+@given(declarations)
+@example([("A", "Alpha", 0, []), ("C", "User", 0, ["Alpha"]), ("B", "Alpha", 0, [])])
+@settings(max_examples=60, deadline=None)
+def test_readers_use_the_reference_targets_found_at_insert(declared):
+    graph, found = onto.empty_graph(), {}
+    for ns, name, parent_pick, bases in declared:
+        parents = ["Entity", *graph.concepts]
+        concept = onto.Concept(name, ns, "entity", parents[parent_pick % len(parents)], attributes=[
+            onto.AttributeSpec(f"{ns}_{name}_{i}".lower(), f"List[{base}]")
+            for i, base in enumerate(bases)])
+        try:
+            targets = {a.name: concept.qualified if a.base == name else graph.find(a.base, ns)
+                       for a in concept.attributes}
+            onto.insert_concept(graph, concept)
+        except KdrError:
+            continue
+        found[concept.qualified] = targets
+
+    def closure(q):
+        seen, frontier = set(), [q]
+        while frontier:
+            node = frontier.pop()
+            if node not in seen and node not in onto.ROOTS:
+                seen.add(node)
+                frontier += graph.root_path(node)[1:-1] + list(found[node].values())
+        return sorted(seen, key=lambda n: (len(graph.root_path(n)), n))
+
+    for q in graph.concepts:
+        assert rs.class_closure(graph, [q]) == closure(q)
+        for node in graph.root_path(q)[1:]:
+            for slot, target in found[node].items():
+                # a string naming an object of each concept: settle links those
+                # of the target and its descendants
+                store = ks.KnowledgeStore(graph)
+                named = {other: ks.make_object(graph, other, f"of {other}")
+                         for other in graph.concepts}
+                referrer = ks.make_object(graph, q, "referrer", {slot: [f"of {o}" for o in named]})
+                store.ingest_all([referrer, *named.values()])
+                store.settle()
+                linked = {o.id for o in store.get(referrer.id).live(slot) if isinstance(o, ks.Ref)}
+                assert linked == {obj.id for other, obj in named.items()
+                                  if other == target or graph.is_descendant(other, target)}
 
 
 # -- script assembly and execution ------------------------------------------------
