@@ -16,6 +16,7 @@ import numpy as np
 
 from . import ontology as onto
 from . import templates
+from .errors import CycleDetected
 from .llm_gateway import EmbeddingBackend, LlmGateway
 from .ontology import DEFAULT_K
 
@@ -215,7 +216,8 @@ def place_concept(
     highest-cosine equivalent candidate donates its parent and an equivalence
     edge. Otherwise the highest-cosine parent_of_query candidate becomes the
     parent. Otherwise the kind root. Raises whatever inserting the query
-    under that parent would raise.
+    under that parent would raise, or CycleDetected for a query named like
+    its root parent (its short name would mean the root).
     """
     root = onto.ENTITY_ROOT if query.kind == "entity" else onto.EVENT_ROOT
     equivalent_to: str | None = None
@@ -239,6 +241,8 @@ def place_concept(
         notes.append(f"{why}; attached under the kind root")
     note = "; ".join(notes)
 
+    if parent == query.name:
+        raise CycleDetected(f"{query.name} cannot be its own parent")
     onto.check_concept(graph, replace(query, parent=parent))
     # The equivalence edge needs no check of its own: the candidate is a stored
     # concept of its parent's kind, which the check above matched to the query.

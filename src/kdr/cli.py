@@ -101,7 +101,7 @@ def cmd_organize(args) -> int:
         proposal = pl.propose_ontology(args.topic, sample, gateway,
                                        review_path=review_path)
         if args.auto_approve:
-            proposal = pl.review_gate(review_path, approve=True)
+            proposal.status = "approved"
         elif sys.stdin.isatty():
             answer = input(f"Apply the proposed schema in {review_path}? [y/N] ")
             if answer.strip().lower() not in {"y", "yes"}:
@@ -188,7 +188,7 @@ def cmd_extract(args) -> int:
     if args.types:
         allowed = [t.strip() for t in args.types.split(",") if t.strip()]
     else:
-        allowed = sorted(c.name for c in graph.namespaces().get(args.namespace, []))
+        allowed = graph.import_inventories().get(args.namespace, [])
     request = ExtractionRequest(text, args.namespace, mode=args.mode,
                                 allowed_types=allowed if args.mode == "closed" else [],
                                 source_id=args.source_id)

@@ -15,6 +15,7 @@ import re
 import time
 from dataclasses import dataclass, field
 
+from . import knowledge_store as ks
 from . import ontology as onto
 from . import templates
 from .errors import (
@@ -78,21 +79,22 @@ class ExtractionReport:
 
 
 def render_schema_recall_prompt(namespace: str, type_name: str) -> str:
-    return templates.schema_recall_prompt(type_name, namespace)
+    return templates.SCHEMA_RECALL_PROMPT.format(type=type_name, task=namespace)
 
 
 def render_importing_prompt(req: ExtractionRequest, graph: onto.OntologyGraph) -> str:
     if req.mode == "open":
-        return templates.open_importing_prompt(req.namespace, req.text)
+        return templates.OPEN_IMPORTING_PROMPT.format(task=req.namespace, text=req.text)
     clause = onto.render_import_clause(graph, req.namespace, req.allowed_types)
-    return templates.closed_importing_prompt(clause, req.namespace, req.text)
+    return templates.CLOSED_IMPORTING_PROMPT.format(clause=clause, task=req.namespace,
+                                                    text=req.text)
 
 
 def render_instantiation_prompt(
     graph: onto.OntologyGraph, namespace: str, imported: list[str], text: str
 ) -> str:
     clause = onto.render_import_clause(graph, namespace, imported)
-    return templates.instantiation_prompt(clause, namespace, text)
+    return templates.INSTANTIATION_PROMPT.format(clause=clause, task=namespace, text=text)
 
 
 # -- import-line parsing --------------------------------------------------------------
@@ -446,21 +448,20 @@ def extract(
 SAMPLE_TASKS = ("understanding", "importing_closed", "importing_open", "instantiation")
 
 
-def render_call(graph: onto.OntologyGraph, concept: str, slots: dict, namespace: str) -> str:
-    """Canonical single constructor call with args in declaration order."""
-    q = graph.resolve(concept, namespace)
-    parts = []
-    for spec in onto.effective_attributes(graph, q):
-        if spec.name not in slots:
-            continue
-        value = slots[spec.name]
-        if spec.is_list:
-            items = value if isinstance(value, list) else [value]
-            rendered = "[" + ", ".join(_render_sample_literal(v) for v in items) + "]"
-        else:
-            rendered = _render_sample_literal(value)
-        parts.append(f"{spec.name}={rendered}")
-    return f"{concept}({', '.join(parts)})"
+def _gold_call(graph: onto.OntologyGraph, annotation: dict, namespace: str, row_id) -> str:
+    """The annotation's constructor call, as the sandbox's declarations write it."""
+    type_name = annotation["type"]
+    try:
+        q = graph.resolve(type_name, namespace)
+    except UnknownConcept as exc:
+        raise UnknownGoldType(f"{type_name!r} in {row_id}: {exc}") from exc
+    specs = onto.effective_attributes(graph, q)
+    values = {attr: v if isinstance(v, list) else [v]
+              for attr, v in annotation.get("slots", {}).items()}
+    crowded = [s.name for s in specs if not s.is_list and len(values.get(s.name, ())) > 1]
+    if crowded:
+        raise SchemaViolation(f"{type_name}.{crowded[0]} in {row_id} is scalar but holds several values")
+    return ks.render_call(type_name, specs, values, _render_sample_literal)
 
 
 def _render_sample_literal(value) -> str:
@@ -478,24 +479,20 @@ def generate_training_samples(
     """Schema-recall, importing, and instantiation samples from a gold corpus.
 
     Output rows are {"task", "prompt", "target"}; byte-deterministic for a
-    fixed (dataset, graph, tasks) triple.
+    fixed (dataset, graph, tasks) triple. Prompts are the ones extract sends,
+    and each target is what it parses: a gold list in a scalar slot, like an
+    unknown gold type, rejects the dataset, and an empty gold list is left out.
     """
     unknown = set(tasks) - set(SAMPLE_TASKS)
     if unknown:
         raise SchemaViolation(f"unknown sample tasks: {sorted(unknown)}")
-    inventory = sorted(c.name for c in graph.namespaces().get(namespace, []))
+    inventory = graph.import_inventories().get(namespace, [])
     samples: list[dict] = []
     for row in dataset:
         text = row["text"]
-        gold_types: list[str] = []
-        for annotation in row.get("annotations", []):
-            type_name = annotation["type"]
-            try:
-                graph.resolve(type_name, namespace)
-            except UnknownConcept as exc:
-                raise UnknownGoldType(f"{type_name!r} in {row.get('id')}: {exc}") from exc
-            if type_name not in gold_types:
-                gold_types.append(type_name)
+        annotations = row.get("annotations", [])
+        calls = [_gold_call(graph, a, namespace, row.get("id")) for a in annotations]
+        gold_types = list(dict.fromkeys(a["type"] for a in annotations))
 
         if "understanding" in tasks:
             for type_name in gold_types:
@@ -506,23 +503,19 @@ def generate_training_samples(
                 })
         import_target = "\n".join(f"Import {t}" for t in gold_types)
         if "importing_closed" in tasks and gold_types and inventory:
-            clause = onto.render_import_clause(graph, namespace, inventory)
             samples.append({
                 "task": "importing_closed",
-                "prompt": templates.closed_importing_prompt(clause, namespace, text),
+                "prompt": render_importing_prompt(
+                    ExtractionRequest(text, namespace, "closed", inventory), graph),
                 "target": import_target,
             })
         if "importing_open" in tasks and gold_types:
             samples.append({
                 "task": "importing_open",
-                "prompt": templates.open_importing_prompt(namespace, text),
+                "prompt": render_importing_prompt(ExtractionRequest(text, namespace, "open"), graph),
                 "target": import_target,
             })
         if "instantiation" in tasks and gold_types:
-            calls = [
-                render_call(graph, a["type"], a.get("slots", {}), namespace)
-                for a in row.get("annotations", [])
-            ]
             samples.append({
                 "task": "instantiation",
                 "prompt": render_instantiation_prompt(graph, namespace, gold_types, text),

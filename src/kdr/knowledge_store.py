@@ -405,6 +405,22 @@ def _declaration_order(objects: list[KnowledgeObject]) -> list[KnowledgeObject]:
     return ordered
 
 
+def render_call(class_name: str, specs: list[onto.AttributeSpec], values: dict, literal) -> str:
+    """``class_name(slot=value, ...)``, slots in declaration order: a slot
+    without values is left out, a scalar slot writes its first. literal
+    writes one value, so declarations and training targets each pass theirs."""
+    parts = []
+    for spec in specs:
+        held = values.get(spec.name)
+        if not held:
+            continue
+        if spec.is_list:
+            parts.append(f"{spec.name}=[{', '.join(literal(v) for v in held)}]")
+        else:
+            parts.append(f"{spec.name}={literal(held[0])}")
+    return f"{class_name}({', '.join(parts)})"
+
+
 def render_declaration_code(
     objects: list[KnowledgeObject],
     graph: onto.OntologyGraph,
@@ -428,21 +444,13 @@ def render_declaration_code(
 
     lines = []
     for i, obj in enumerate(ordered):
-        var = f"o{i}"
         specs = onto.effective_attributes(graph, obj.concept)
-        mandatory = specs[0]
-        parts = [f"{mandatory.name}={json.dumps(obj.display_name, ensure_ascii=False)}"]
-        for spec in specs[1:]:
-            values = obj.live(spec.name)
-            if not values:
-                continue
-            rendered = [_render_literal(v, var_of, resolve) for v in values]
-            parts.append(
-                f"{spec.name}=[{', '.join(rendered)}]" if spec.is_list else f"{spec.name}={rendered[0]}"
-            )
-        class_name = obj.concept.rsplit(".", 1)[1]
-        lines.append(f"{var} = {class_name}({', '.join(parts)})")
-        var_of[obj.id] = var
+        values = {attr: obj.live(attr) for attr in obj.slots}
+        values[specs[0].name] = [obj.display_name]  # the mandatory slot
+        call = render_call(obj.concept.rsplit(".", 1)[1], specs, values,
+                           lambda v: _render_literal(v, var_of, resolve))
+        lines.append(f"o{i} = {call}")
+        var_of[obj.id] = f"o{i}"
 
     listed = ", ".join(var_of[o.id] for o in objects)
     lines.append(f"search_results = [{listed}]")

@@ -229,6 +229,10 @@ class OntologyGraph:
             out.setdefault(concept.namespace, []).append(concept)
         return out
 
+    def import_inventories(self) -> dict[str, list[str]]:
+        """What a closed import offers: each namespace's concept names, sorted."""
+        return {ns: sorted(c.name for c in cs) for ns, cs in self.namespaces().items()}
+
     def equivalence_class(self, qualified: str) -> set[str]:
         """Transitive closure of declared equivalences, including the node itself."""
         seen = {qualified}
@@ -314,7 +318,7 @@ def _placement(graph: OntologyGraph, c: Concept) -> tuple[str, list] | Attribute
     if q in graph.concepts:
         raise DuplicateName(f"{q} already defined")
 
-    if c.parent == c.name or c.parent == q:
+    if c.parent not in ROOTS and c.parent in (c.name, q):  # a root name means the root
         raise CycleDetected(f"{c.name} cannot be its own parent")
     parent_q = graph.find(c.parent, c.namespace)
     if parent_q is None:

@@ -291,8 +291,7 @@ def run_organization(
     ledger = [{"document": name, "error": "unsupported format, skipped"}
               for name in skipped]
     namespaces = sorted(proposal.document.get("namespaces", {}).keys())
-    by_namespace = graph.namespaces()
-    inventory = {ns: sorted(c.name for c in by_namespace.get(ns, [])) for ns in namespaces}
+    inventory = graph.import_inventories()
 
     passage_count = 0
     timestamp = 0.0
@@ -302,7 +301,7 @@ def run_organization(
             passage_count += 1
             timestamp += 1.0
             for ns in namespaces:
-                if inventory[ns]:
+                if ns in inventory:
                     jobs.append((doc_name, pi, ns, ExtractionRequest(
                         passage, ns, mode="closed", allowed_types=inventory[ns],
                         source_id=f"{doc_name}#p{pi}"), timestamp))
@@ -515,9 +514,6 @@ def run_research(
 # -- report assembly ---------------------------------------------------------------------
 
 
-_IMAGE_SUFFIXES = {".png", ".jpg", ".jpeg", ".svg", ".gif"}
-
-
 def assemble_report(doc: ReportDocument, out_dir: str) -> str:
     """Write report.md and copy every referenced artifact under artifacts/."""
     if not doc.sections:
@@ -546,7 +542,7 @@ def assemble_report(doc: ReportDocument, out_dir: str) -> str:
                 artifacts_dir.mkdir(parents=True, exist_ok=True)
                 shutil.copyfile(src, artifacts_dir / name)
                 rel = f"artifacts/{name}"
-                if src.suffix.lower() in _IMAGE_SUFFIXES:
+                if rs._guess_kind(src.name) == "chart":
                     lines.append(f"![{src.name}]({rel})")
                 else:
                     lines.append(f"[{src.name}]({rel})")

@@ -712,6 +712,16 @@ def instance_query(
     return store.subgraph(seed_ids, hops=hops)
 
 
+def read_verdict(reply: str) -> tuple[bool | None, str]:
+    """A reply that puts PASS or FAIL first, then a sentence: (True or False,
+    the sentence), or (None, the whole reply) when the first word is neither."""
+    m = re.match(r"\s*([A-Za-z]+)", reply)
+    word = m.group(1).upper() if m else ""
+    if word not in ("PASS", "FAIL"):
+        return None, reply.strip()
+    return word == "PASS", reply[m.end():].lstrip(" :.-").strip()
+
+
 def evaluate_result(
     query: str, result: ExecutionResult, gateway: LlmGateway
 ) -> tuple[str, str]:
@@ -723,15 +733,10 @@ def evaluate_result(
     prompt = templates.RESULT_EVALUATION_PROMPT.format(
         query=query, stdout=result.stdout, files=files
     )
-    response = gateway.chat(prompt, tag="evaluate")
-    m = re.match(r"\s*([A-Za-z]+)", response)
-    token = m.group(1).upper() if m else ""
-    remainder = response[m.end():].lstrip(" :.-") if m else response
-    if token == "PASS":
-        return "pass", remainder.strip()
-    if token == "FAIL":
-        return "fail", remainder.strip()
-    return "fail", f"unparseable verdict; raw response: {response.strip()}"
+    passed, sentence = read_verdict(gateway.chat(prompt, tag="evaluate"))
+    if passed is None:
+        return "fail", f"unparseable verdict; raw response: {sentence}"
+    return ("pass" if passed else "fail"), sentence
 
 
 # -- the computation cycle ---------------------------------------------------------------------
@@ -752,7 +757,7 @@ class ComputationTrace:
     query: str
     iterations: list[IterationRecord] = field(default_factory=list)
     final_status: str = "failed"  # "passed" | "exhausted" | "failed"
-    artifacts: list[str] = field(default_factory=list)
+    artifacts: list[str] = field(default_factory=list)  # the passing iteration's files
     reason: str = ""
 
     def to_json(self) -> dict:
@@ -831,8 +836,8 @@ def run_computation_cycle(
         trace.iterations.append(IterationRecord(
             hit_names, code, len(objects), result, verdict, verdict_feedback
         ))
-        trace.artifacts.extend(str(iter_dir / rel) for rel, _ in result.produced_files)
         if verdict == "pass":
+            trace.artifacts = [str(iter_dir / rel) for rel, _ in result.produced_files]
             return finish("passed")
         feedback = verdict_feedback
 
@@ -891,11 +896,10 @@ def run_text_cycle(
             templates.SUFFICIENCY_PROMPT.format(query=query, draft=result.text),
             tag="sufficiency",
         )
-        m = re.match(r"\s*([A-Za-z]+)", check)
-        if m and m.group(1).upper() == "PASS":
+        passed, missing = read_verdict(check)
+        if passed:
             result.sufficient = True
             return result
-        missing = check[m.end():].strip(" :.-") if m else check
         search_query = f"{query} {missing}".strip()
     result.note = result.note or "round budget spent without a sufficient draft"
     return result

@@ -9,46 +9,32 @@ from __future__ import annotations
 
 # -- extraction ----------------------------------------------------------------
 
-INSTANTIATION_INSTRUCTION = (
-    "Some {task} Types are imported above. Please instantiate all the possible "
-    "{task} Objects in the following sentence."
-)
+# {task} is the namespace; {clause} is an ontology.render_import_clause line.
 
-OPEN_IMPORTING_INSTRUCTION = (
-    "According to the {task} Types you have learned, please import all the "
-    "possible {task} Types in the sentence"
-)
-
-CLOSED_IMPORTING_INSTRUCTION = (
+CLOSED_IMPORTING_PROMPT = (
+    "{clause}\n\n"
     "Some {task} Types are imported above. Please import all the possible "
-    "{task} Types in the following sentence."
+    "{task} Types in the following sentence.\n\n"
+    "Sentence: {text}"
 )
 
-SCHEMA_RECALL_INSTRUCTION = (
+OPEN_IMPORTING_PROMPT = (
+    "According to the {task} Types you have learned, please import all the "
+    "possible {task} Types in the sentence\n\n"
+    "Sentence: {text}"
+)
+
+INSTANTIATION_PROMPT = (
+    "{clause}\n\n"
+    "Some {task} Types are imported above. Please instantiate all the possible "
+    "{task} Objects in the following sentence.\n\n"
+    "Sentence: {text}"
+)
+
+SCHEMA_RECALL_PROMPT = (
     "Please generate the detailed schema of the class {type} from {task} "
     "based on your memory."
 )
-
-SENTENCE_LINE = "Sentence: {text}"
-
-
-def closed_importing_prompt(import_clause: str, task: str, text: str) -> str:
-    instruction = CLOSED_IMPORTING_INSTRUCTION.format(task=task)
-    return f"{import_clause}\n\n{instruction}\n\n" + SENTENCE_LINE.format(text=text)
-
-
-def open_importing_prompt(task: str, text: str) -> str:
-    instruction = OPEN_IMPORTING_INSTRUCTION.format(task=task)
-    return f"{instruction}\n\n" + SENTENCE_LINE.format(text=text)
-
-
-def instantiation_prompt(import_clause: str, task: str, text: str) -> str:
-    instruction = INSTANTIATION_INSTRUCTION.format(task=task)
-    return f"{import_clause}\n\n{instruction}\n\n" + SENTENCE_LINE.format(text=text)
-
-
-def schema_recall_prompt(type_name: str, task: str) -> str:
-    return SCHEMA_RECALL_INSTRUCTION.format(type=type_name, task=task)
 
 
 # -- alignment -----------------------------------------------------------------

@@ -76,6 +76,15 @@ def test_organize_auto_approve_builds_kb(capsys, tmp_path):
     assert Path(f"{kb}.proposal.json").exists()
 
 
+def test_organize_auto_approve_parses_its_proposal_once(capsys, tmp_path, monkeypatch):
+    documents = []
+    parse = onto.graph_from_document
+    monkeypatch.setattr(onto, "graph_from_document",
+                        lambda document: documents.append(document) or parse(document))
+    kb, _ = organize(capsys, tmp_path)
+    assert documents == [json.loads(Path(f"{kb}.proposal.json").read_text())]
+
+
 def test_organize_during_an_outage_exits_two_and_keeps_the_kb(capsys, tmp_path, monkeypatch):
     kb, _ = organize(capsys, tmp_path)
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}

@@ -123,6 +123,17 @@ def test_taxonomy_parent_term_named_like_a_root_stays_a_term():
                              "tax.Thing": "tax.Entity"}
 
 
+def test_taxonomy_top_term_named_like_a_root_sits_under_the_root():
+    dataset = {
+        "concepts": [{"name": n} for n in ("entity", "thing", "held")],
+        "edges": [["thing", "entity"], ["held", "thing"]],
+        "test_leaves": ["held"],
+    }
+    graph, gold = ek.build_taxonomy_graph(dataset)
+    assert graph.parents == {"tax.Entity": "Entity", "tax.Thing": "tax.Entity"}
+    assert gold == {"held": "tax.Thing"}
+
+
 def per_leaf_mock(dataset):
     """One relation-classify rule per held-out leaf: its gold parent as parent,
     Animal as parent, or its gold parent as an equivalent, in turn."""

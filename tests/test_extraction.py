@@ -1,6 +1,8 @@
 """Extraction protocol: prompts, import parsing, code parsing, end-to-end flow."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdr import extraction as ex
 from kdr import knowledge_store as ks
@@ -281,6 +283,86 @@ def test_training_samples_deterministic_and_reject_unknown_gold(graph):
     bad = [{"id": "x", "text": "t", "annotations": [{"type": "Dragon", "slots": {}}]}]
     with pytest.raises(UnknownGoldType):
         ex.generate_training_samples(bad, graph, {"importing_open"}, "NER")
+
+
+def gold_graph():
+    g = empty_graph()
+    insert_concept(g, Concept("Person", "NER", "entity", "Entity", "A human.",
+                              attributes=[AttributeSpec("age", "number"),
+                                          AttributeSpec("tags", "List[text]"),
+                                          AttributeSpec("scores", "List[number]"),
+                                          AttributeSpec("advisor", "Person")]))
+    insert_concept(g, Concept("Work", "NER", "entity", "Entity", "A piece of work.",
+                              attributes=[AttributeSpec("authors", "List[Person]"),
+                                          AttributeSpec("note", "text")]))
+    return g
+
+
+gold_texts = st.text(min_size=1).filter(str.strip)
+gold_numbers = st.one_of(st.integers(-10**9, 10**9),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+def gold_scalar(values):
+    """A scalar slot's gold value, bare or as a one-item list."""
+    return st.one_of(values, values.map(lambda v: [v]))
+
+
+gold_annotations = st.one_of(
+    st.fixed_dictionaries({"name": gold_texts}, optional={
+        "age": gold_scalar(gold_numbers), "tags": st.lists(gold_texts, max_size=3),
+        "scores": st.lists(gold_numbers, max_size=3), "advisor": gold_scalar(gold_texts),
+    }).map(lambda slots: {"type": "Person", "slots": slots}),
+    st.fixed_dictionaries({"name": gold_texts}, optional={
+        "authors": st.lists(gold_texts, max_size=3), "note": gold_scalar(gold_texts),
+    }).map(lambda slots: {"type": "Work", "slots": slots}),
+)
+
+
+@given(annotations=st.lists(gold_annotations, min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_instantiation_targets_parse_back_to_the_gold_objects(annotations):
+    graph = gold_graph()
+    row = {"id": "r1", "text": "t", "annotations": annotations}
+    [sample] = ex.generate_training_samples([row], graph, {"instantiation"}, "NER")
+    parsed, issues = ex.parse_instantiation_code(sample["target"], graph, "NER")
+    back = ex.to_knowledge_objects(parsed, graph, "NER", "s", 1.0, issues)
+    assert issues == []
+    gold = {}
+    for annotation in annotations:
+        slots = dict(annotation["slots"])
+        obj = ks.make_object(graph, annotation["type"], slots.pop("name"), slots,
+                             [("s", 1.0)], "NER")
+        gold.setdefault(obj.id, obj)
+    assert [(o.concept, o.display_name, o.slots) for o in back] == [
+        (o.concept, o.display_name, o.slots) for o in gold.values()]
+
+
+def test_instantiation_target_leaves_out_an_empty_gold_list():
+    row = {"id": "r1", "text": "t", "annotations": [
+        {"type": "Person", "slots": {"name": "Ada", "tags": [], "age": [36]}}]}
+    [sample] = ex.generate_training_samples([row], gold_graph(), {"instantiation"}, "NER")
+    assert sample["target"] == 'results = [Person(name="Ada", age=36)]'
+
+
+def test_gold_list_in_a_scalar_slot_rejects_the_dataset():
+    rows = [{"id": "r1", "text": "t", "annotations": [{"type": "Person", "slots": {"name": "Ada"}}]},
+            {"id": "r2", "text": "t", "annotations": [
+                {"type": "Work", "slots": {"name": "Notes", "note": ["p", "q"]}}]}]
+    for tasks in ({"instantiation"}, {"importing_open"}):
+        with pytest.raises(SchemaViolation, match="Work.note in r2 is scalar but holds several values"):
+            ex.generate_training_samples(rows, gold_graph(), tasks, "NER")
+
+
+def test_training_importing_prompts_are_the_ones_extract_sends(graph):
+    text = "Ada works at MIT."
+    row = {"id": "s1", "text": text, "annotations": [{"type": "Person", "slots": {}}]}
+    samples = ex.generate_training_samples([row], graph, {"importing_closed", "importing_open"},
+                                           "NER")
+    closed = ex.ExtractionRequest(text, "NER", "closed", ["Organization", "Person", "Work"])
+    assert [s["prompt"] for s in samples] == [
+        ex.render_importing_prompt(closed, graph),
+        ex.render_importing_prompt(ex.ExtractionRequest(text, "NER", "open"), graph)]
 
 
 def test_round_trip_declaration_code_through_parser(graph):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdr import knowledge_store as ks
-from kdr import ontology, textindex
+from kdr import textindex
 from kdr.errors import CorruptRecord, KeyMismatch, TypeMismatch, UnknownId, UnrenderableValue
 from kdr.ontology import AttributeSpec, Concept, empty_graph, insert_concept
 from kdr.textindex import InvertedIndex, tokenize
@@ -524,12 +524,11 @@ def reference_settle(graph, objects):
         by_name.setdefault(ks.normalize_name(obj.display_name), []).append((obj.id, obj.concept))
     resolved = 0
     for obj in objects.values():
-        specs = ks._attr_specs(graph, obj.concept)
+        targets = dict(graph.targets(obj.concept))  # fixed when the concept was inserted
         for attr, values in obj.slots.items():
-            base, _ = ontology.parse_type_token(specs[attr].type)
-            if base in ontology.SCALAR_BASES:
+            if attr not in targets:  # a scalar slot
                 continue
-            target = graph.resolve(base, obj.concept.rsplit(".", 1)[0])
+            target = targets[attr]
             for sv in values:
                 if not isinstance(sv.value, str):
                     continue
@@ -540,6 +539,26 @@ def reference_settle(graph, objects):
                     sv.value = ks.Ref(min(hits))
                     resolved += 1
     return resolved
+
+
+def test_settle_matches_the_oracle_across_namespaces():
+    # C.Author inherits A.Person's employer slot, whose type Org named A.Org at insert
+    g = empty_graph()
+    insert_concept(g, Concept("Org", "A", "entity", "Entity", "An organization."))
+    insert_concept(g, Concept("Person", "A", "entity", "Entity", "A human.",
+                              attributes=[AttributeSpec("employer", "Org")]))
+    insert_concept(g, Concept("Org", "C", "entity", "Entity", "Another organization."))
+    insert_concept(g, Concept("Author", "C", "entity", "Person", "A writer."))
+    store = ks.KnowledgeStore(g)
+    a_org, c_org, author, person = (
+        ks.make_object(g, concept, name, slots, [("s", 1.0)]) for concept, name, slots in (
+            ("A.Org", "Acme", {}), ("C.Org", "Acme", {}),
+            ("C.Author", "Ann", {"employer": "Acme"}), ("A.Person", "Bo", {"employer": "acme"})))
+    store.ingest_all([a_org, c_org, author, person])
+    expected = {i: copy.deepcopy(o) for i, o in store.objects.items()}
+    assert store.settle() == reference_settle(g, expected) == 2
+    assert store.objects == expected
+    assert store.objects[author.id].live("employer") == [ks.Ref(a_org.id)]
 
 
 def views_graph():

@@ -692,6 +692,32 @@ def test_run_research_keeps_each_requests_artifacts_apart(tmp_path):
     assert (copied / "s1_1_counts.csv").read_text() == "second"
 
 
+def test_run_research_reports_only_the_passing_iterations_files(tmp_path):
+    # the first script's chart.csv is rejected, the second's passes
+    graph, store = organized(tmp_path)
+    gw = mock_gateway({"rules": [
+        {"match": "You are planning a research report", "responses": [
+            "# Numbers\n<begin_data_analysis>count every person<end_data_analysis>"]},
+        {"match": "List the topic entities", "responses": ["Ada Lovelace"]},
+        {"match": "Write a Python script", "responses": [
+            f"```python\nopen('chart.csv', 'w').write('{text}')\nprint(len(search_results))\n```"
+            for text in ("rejected", "passed")]},
+        {"match": "Decide whether the analysis results satisfy",
+         "responses": ["FAIL: the count is wrong", "PASS"]},
+    ]})
+    run_dir = tmp_path / "run"
+    doc = pl.run_research(research_task(tmp_path), graph, store, gw, run_dir=str(run_dir))
+    work = run_dir / "sections" / "1" / "work"
+    assert doc.sections[0].artifacts == [str(work / "iter2" / "chart.csv")]
+    copied = run_dir / "artifacts"
+    assert [p.name for p in copied.iterdir()] == ["s1_chart.csv"]
+    assert (copied / "s1_chart.csv").read_text() == "passed"
+    trace = json.loads((run_dir / "sections" / "1" / "trace.json").read_text())
+    assert trace["artifacts"] == [str(work / "iter2" / "chart.csv")]
+    assert [it["execution"]["produced_files"] for it in trace["iterations"]] == \
+        [[["chart.csv", "table"]]] * 2
+
+
 def test_run_research_without_search_backend_notes_the_gap(tmp_path):
     graph, store = organized(tmp_path)
     gw = mock_gateway({"rules": [

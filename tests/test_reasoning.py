@@ -798,6 +798,32 @@ def test_text_cycle_deduplicates_sources_across_rounds(tmp_path):
     assert len(urls) == len(set(urls))
 
 
+@pytest.mark.parametrize("reply, passed, sentence", [
+    ("PASS: the count is printed", True, "the count is printed"),
+    ("  fail - missing the engine details.", False, "missing the engine details."),
+    ("Pass.", True, ""),
+    ("FAIL", False, ""),
+    ("The draft lacks dates", None, "The draft lacks dates"),
+    ("PASSED it", None, "PASSED it"),
+])
+def test_both_cycles_read_a_verdict_reply_alike(tmp_path, reply, passed, sentence):
+    assert rs.read_verdict(reply) == (passed, sentence)
+    gw = mock_gateway(default_response=reply)
+    feedback = sentence if passed is not None else f"unparseable verdict; raw response: {sentence}"
+    assert rs.evaluate_result("q", rs.ExecutionResult("ok", "42", ""), gw) == (
+        "pass" if passed else "fail", feedback)
+    backend = RecordingBackend(corpus(tmp_path))
+    gw = mock_gateway({"rules": [
+        {"match": "Summarize the following source", "responses": ["s"]},
+        {"match": "Write the answer to the research question", "responses": ["d", "d"]},
+        {"match": "Decide whether the draft sufficiently answers", "responses": [reply, reply]},
+    ]})
+    result = rs.run_text_cycle("first program", backend, gw, max_rounds=2)
+    assert result.sufficient == bool(passed)
+    # a draft that did not pass folds the reply's sentence, or the whole reply, into the search
+    assert backend.queries[1:] == ([] if passed else [f"first program {sentence}".strip()])
+
+
 # -- merge and revise -------------------------------------------------------------------
 
 
