@@ -461,6 +461,10 @@ def _gold_call(graph: onto.OntologyGraph, annotation: dict, namespace: str, row_
     crowded = [s.name for s in specs if not s.is_list and len(values.get(s.name, ())) > 1]
     if crowded:
         raise SchemaViolation(f"{type_name}.{crowded[0]} in {row_id} is scalar but holds several values")
+    try:
+        ks.make_object(graph, q, "", {a: v for a, v in values.items() if a != specs[0].name})
+    except KdrError as exc:
+        raise SchemaViolation(f"{type_name} in {row_id}: {exc}") from exc
     return ks.render_call(type_name, specs, values, _render_sample_literal)
 
 
@@ -480,8 +484,9 @@ def generate_training_samples(
 
     Output rows are {"task", "prompt", "target"}; byte-deterministic for a
     fixed (dataset, graph, tasks) triple. Prompts are the ones extract sends,
-    and each target is what it parses: a gold list in a scalar slot, like an
-    unknown gold type, rejects the dataset, and an empty gold list is left out.
+    and each target is what it parses: a gold list in a scalar slot, a slot
+    the type does not take or a value the slot does not take, like an unknown
+    gold type, rejects the dataset, and an empty gold list is left out.
     """
     unknown = set(tasks) - set(SAMPLE_TASKS)
     if unknown:

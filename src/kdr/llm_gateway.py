@@ -9,6 +9,8 @@ and every test is reproducible.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import functools
 import hashlib
 import itertools
@@ -168,8 +170,10 @@ class MockChatBackend(ChatBackend):
     Rules are checked in order against the concatenated prompt text; the
     first hit answers from its response queue (the last entry repeats once
     the queue runs dry). With no hit the default response is returned.
-    Queues are consumed in call order; one lock keeps concurrent callers
-    from losing or repeating a queued reply.
+    A queue's replies go to overlapping calls in the order the calls reach
+    it; one lock keeps them from losing or repeating a reply. So at
+    `workers` > 1, a rule that overlapping calls share, such as the
+    `summarize` rule of a research run, should hold one reply.
     """
 
     def __init__(self, rules: list[MockRule] | None = None, default_response: str = ""):
@@ -302,6 +306,7 @@ class LlmGateway:
     `chat(prompt, tag)` is the one way kdr calls the chat model: one prompt
     out as a single user message with the default GenerationConfig, one
     reply back. The tag names the pipeline step in the transcript.
+    A gateway from `limited(n)` holds at most n chat calls in flight.
     """
 
     def __init__(
@@ -313,21 +318,30 @@ class LlmGateway:
         self.chat_backend = chat
         self.embedder = embedder
         self.transcript = transcript or Transcript(None)
+        self._slots = contextlib.nullcontext()
+
+    def limited(self, n: int) -> LlmGateway:
+        """A copy sharing this gateway's backends and transcript whose chat
+        calls wait for one of n slots; a call holds its slot while it is out."""
+        gateway = copy.copy(self)
+        gateway._slots = threading.BoundedSemaphore(n)
+        return gateway
 
     def chat(self, prompt: str, tag: str = "") -> str:
         config = GenerationConfig()
-        seq = self.transcript.next_seq()
-        self.transcript.record("request", {
-            "seq": seq,
-            "tag": tag,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": config.temperature,
-        })
-        try:
-            response = self.chat_backend.complete([ChatMessage("user", prompt)], config)
-        except Exception as exc:
-            self.transcript.record("error", {"seq": seq, "tag": tag, "error": str(exc)})
-            raise
+        with self._slots:  # the request row's ts is when the call went out
+            seq = self.transcript.next_seq()
+            self.transcript.record("request", {
+                "seq": seq,
+                "tag": tag,
+                "messages": [{"role": "user", "content": prompt}],
+                "temperature": config.temperature,
+            })
+            try:
+                response = self.chat_backend.complete([ChatMessage("user", prompt)], config)
+            except Exception as exc:
+                self.transcript.record("error", {"seq": seq, "tag": tag, "error": str(exc)})
+                raise
         self.transcript.record("response", {"seq": seq, "tag": tag, "content": response})
         return response
 

@@ -16,6 +16,7 @@ import logging
 import os
 import re
 import shutil
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -395,17 +396,23 @@ def run_research(
     computation cycle downgrades its section to the text-cycle content plus
     an inline caveat.
     Finished sections are cached in the run directory keyed by plan hash.
-    Three phases follow the plan, each overlapping up to `limits.workers`
-    jobs: the requests of every section the cache does not serve, one merge
-    per section and one revise per section. When an analysis request is left
-    to run, the sandbox server starts before the requests, so its interpreter
-    boots while their first model calls are out. Results are folded in plan and
-    request order, so the report does not depend on `limits.workers`. An
-    error that a request does not turn into a caveat propagates before any
-    merge, and the run then writes no section result.
+    At most `limits.workers` chat calls are in flight, and at most
+    `limits.workers` analysis cycles run, at any time. Three phases follow
+    the plan. The requests of every section the cache does not serve start
+    at once (at one worker, one after another in plan order), and a web
+    request summarizes one round's hits side by side. Then up to
+    `limits.workers` sections at a time are merged, and then revised. When an
+    analysis request is left to run, the sandbox server starts before the
+    requests, so its interpreter boots while their first model calls are out.
+    Results are folded in plan and request order, so the report does not
+    depend on `limits.workers`. An error that a request does not turn into a
+    caveat propagates before any merge, and the run then writes no section
+    result.
     """
     run = Path(run_dir) if run_dir else Path("runs") / time.strftime("%Y%m%d-%H%M%S")
     make_dir(run, "run directory")  # before the plan call, so a bad location costs none
+    gateway = gateway.limited(limits.workers)
+    analysis_slots = threading.BoundedSemaphore(limits.workers)
 
     plan_text = gateway.chat(
         templates.PLAN_PROMPT.format(title=task.topic, request=task.topic), tag="plan")
@@ -422,10 +429,11 @@ def run_research(
         if request.kind == "data_analysis":
             # analysis request i > 0 of a section gets its own suffix, so artifacts do not collide
             suffix = f"_{data_index}" if data_index else ""
-            trace = rs.run_computation_cycle(
-                request.query, graph, store, gateway, limits,
-                workdir=str(sections_dir / str(n) / f"work{suffix}"),
-                trace_path=str(sections_dir / str(n) / f"trace{suffix}.json"))
+            with analysis_slots:
+                trace = rs.run_computation_cycle(
+                    request.query, graph, store, gateway, limits,
+                    workdir=str(sections_dir / str(n) / f"work{suffix}"),
+                    trace_path=str(sections_dir / str(n) / f"trace{suffix}.json"))
             if trace.final_status == "passed":
                 stdout = trace.iterations[-1].execution.stdout.strip()
                 return {"computed": [f"Computed findings for '{request.query}':\n{stdout}"],
@@ -437,8 +445,8 @@ def run_research(
         if search_backend is None:
             return {"caveats": [f"*No search backend was configured for '{request.query}'.*"]}
         try:
-            text_result = rs.run_text_cycle(
-                request.query, search_backend, gateway, limits.max_rounds, limits.search_hits)
+            text_result = rs.run_text_cycle(request.query, search_backend, gateway,
+                                            limits.max_rounds, limits.search_hits, limits.workers)
         except SearchBackendUnavailable as exc:
             return {"caveats": [f"*Search failed for '{request.query}': {exc}.*"]}
         if text_result.text.strip():
@@ -452,7 +460,8 @@ def run_research(
             for i, request in enumerate(plan.requests)]
     if any(request.kind == "data_analysis" for _, _, request in jobs):
         rs.start_sandbox()
-    outcomes = list(zip(jobs, ordered_map(run_request, jobs, limits.workers)))
+    every_request = len(jobs) if limits.workers > 1 else 1
+    outcomes = list(zip(jobs, ordered_map(run_request, jobs, every_request)))
 
     def merge_section(n: int) -> tuple[Section, list]:
         plan, hit = plans[n - 1], cached[n - 1]

@@ -52,8 +52,10 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class Limits:
     """The config's `limits` section: the computation cycle's budgets, the
-    text cycle's rounds and hits, and `workers`, how many extraction jobs,
-    research requests, merges and revises, or taxonomy leaves overlap.
+    text cycle's rounds and hits, and `workers`. Organize and taxonomy
+    overlap `workers` jobs (extraction jobs or taxonomy leaves) of one call
+    at a time each; research starts every request at once and holds at most
+    `workers` chat calls and `workers` analysis cycles in flight.
 
     Each field's metadata holds the smallest integer it takes; a minimum of
     None takes any number above 0. Frozen, so one default instance can be
@@ -862,8 +864,13 @@ def run_text_cycle(
     gateway: LlmGateway,
     max_rounds: int = Limits.max_rounds,
     limit: int = Limits.search_hits,
+    workers: int = 1,
 ) -> TextCycleResult:
-    """Search, summarize, draft, and check sufficiency, up to max_rounds."""
+    """Search, summarize, draft, and check sufficiency, up to max_rounds.
+
+    A round summarizes each hit whose URL no earlier hit has brought, up to
+    `workers` calls overlapping, and folds the summaries in hit order.
+    """
     summaries: dict[str, tuple[str, str]] = {}
     result = TextCycleResult(text="")
     search_query = query
@@ -874,13 +881,14 @@ def run_text_cycle(
         except EmptyCorpus as exc:
             result.note = str(exc)
             return result
+        fresh = {}  # url -> its first hit this round
         for hit in hits:
-            if hit.url in summaries:
-                continue
-            summary = gateway.chat(
-                templates.SUMMARIZE_PROMPT.format(query=query, url=hit.url, body=hit.body),
-                tag="summarize",
-            )
+            if hit.url not in summaries:
+                fresh.setdefault(hit.url, hit)
+        replies = ordered_map(lambda hit: gateway.chat(
+            templates.SUMMARIZE_PROMPT.format(query=query, url=hit.url, body=hit.body),
+            tag="summarize"), list(fresh.values()), workers)
+        for hit, summary in zip(fresh.values(), replies):
             summaries[hit.url] = (hit.title, summary)
             result.sources.append((hit.title, hit.url))
 

@@ -354,6 +354,18 @@ def test_gold_list_in_a_scalar_slot_rejects_the_dataset():
             ex.generate_training_samples(rows, gold_graph(), tasks, "NER")
 
 
+@pytest.mark.parametrize("slot, value, reason", [
+    ("colour", "red", "has no attribute 'colour'"),
+    ("age", "old", "age expects a number, got 'old'"),
+])
+def test_gold_slot_its_type_does_not_take_rejects_the_dataset(slot, value, reason):
+    rows = [{"id": "r3", "text": "t", "annotations": [
+        {"type": "Person", "slots": {"name": "Ada", slot: value}}]}]
+    for tasks in ({"instantiation"}, {"importing_open"}):
+        with pytest.raises(SchemaViolation, match=f"Person in r3: .*{reason}"):
+            ex.generate_training_samples(rows, gold_graph(), tasks, "NER")
+
+
 def test_training_importing_prompts_are_the_ones_extract_sends(graph):
     text = "Ada works at MIT."
     row = {"id": "s1", "text": text, "annotations": [{"type": "Person", "slots": {}}]}

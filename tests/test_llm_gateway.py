@@ -1,6 +1,7 @@
 """Gateway behavior: scripted mocks, retries, reply shapes, transcripts."""
 
 import json
+import sys
 import threading
 import time
 
@@ -21,6 +22,9 @@ from kdr.llm_gateway import (
     Transcript,
     mock_gateway,
 )
+from kdr.reasoning import ordered_map
+
+from chat_probes import InFlight
 
 
 def test_mock_rules_match_in_order_and_queue_responses():
@@ -182,6 +186,26 @@ def test_transcript_pairs_rows_of_one_call_by_seq(tmp_path):
     assert [(r["kind"], r["seq"], r["tag"]) for r in rows] == [
         ("request", 1, "a"), ("response", 1, "a"),
         ("request", 2, "b"), ("response", 2, "b")]
+
+
+def test_limited_gateway_caps_chat_calls_in_flight_over_shared_backends(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    chat = InFlight(MockChatBackend(default_response="pong"), delay_s=0.01)
+    gateway = LlmGateway(chat, MockEmbeddingBackend(), Transcript(str(path)))
+    capped = gateway.limited(2)
+    assert (capped.chat_backend, capped.embedder, capped.transcript) == (
+        gateway.chat_backend, gateway.embedder, gateway.transcript)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        replies = ordered_map(lambda i: capped.chat(f"call {i}", tag="t"), list(range(6)), 6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert replies == ["pong"] * 6
+    assert max(n for *_, n in chat.spans) == 2
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert sorted((r["kind"], r["seq"]) for r in rows) == sorted(
+        (kind, seq) for kind in ("request", "response") for seq in range(1, 7))
 
 
 class _SlowQueue(list):

@@ -34,7 +34,9 @@ from kdr.llm_gateway import (
     mock_gateway,
 )
 from kdr.reasoning import Limits
-from kdr.websearch import FixtureSearchBackend
+from kdr.websearch import FixtureSearchBackend, SearchHit
+
+from chat_probes import HoldFirst, InFlight, prompt_of
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TOPIC = "Ada Lovelace and the Analytical Engine"
@@ -729,46 +731,11 @@ def test_run_research_without_search_backend_notes_the_gap(tmp_path):
     assert "No search backend" in doc.sections[0].body
 
 
-def prompt_of(messages) -> str:
-    return "\n".join(m.content for m in messages)
-
-
-class _HoldFirst(ChatBackend):
-    """Holds the first call of each group until a later call of the same group
-    has returned, so overlapped calls reach the scripted mock out of issue order.
-    A group is a tuple of prompt markers; `reordered` names the groups whose
-    held call was overtaken (the hold gives up after `wait_s`)."""
-
-    def __init__(self, inner, groups: dict, wait_s: float = 5.0):
-        self.inner, self.groups, self.wait_s = inner, groups, wait_s
-        self.reordered: set[str] = set()
-        self._released: dict[str, threading.Event] = {}
-        self._lock = threading.Lock()
-
-    def complete(self, messages, config):
-        prompt = prompt_of(messages)
-        group = next((g for g, marks in self.groups.items()
-                      if any(m in prompt for m in marks)), None)
-        if group is None:
-            return self.inner.complete(messages, config)
-        with self._lock:
-            first = group not in self._released
-            released = self._released.setdefault(group, threading.Event())
-        if first:
-            if released.wait(self.wait_s):
-                self.reordered.add(group)
-            return self.inner.complete(messages, config)
-        try:
-            return self.inner.complete(messages, config)
-        finally:
-            released.set()
-
-
 def test_run_research_output_does_not_depend_on_call_order(tmp_path):
     # the first request job and the first revise are overtaken by later ones
     graph, store = organized(tmp_path)
     backend = FixtureSearchBackend(str(FIXTURES / "webcorpus"))
-    held = _HoldFirst(e2e_gateway().chat_backend, {
+    held = HoldFirst(e2e_gateway().chat_backend, {
         "requests": ("Summarize the following source", "Write a Python script"),
         "revises": ("Polish the section",)})
     outputs = []
@@ -786,35 +753,12 @@ def test_run_research_output_does_not_depend_on_call_order(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-class _InFlight(ChatBackend):
-    """Sleeps in every call and records (prompt, start, end, calls in flight at
-    its start), so overlapped calls show up in the spans."""
-
-    def __init__(self, inner, delay_s: float = 0.03):
-        self.inner, self.delay_s = inner, delay_s
-        self.spans: list[tuple[str, float, float, int]] = []
-        self._now = 0
-        self._lock = threading.Lock()
-
-    def complete(self, messages, config):
-        with self._lock:
-            self._now += 1
-            start, in_flight = time.monotonic(), self._now
-        try:
-            time.sleep(self.delay_s)
-            return self.inner.complete(messages, config)
-        finally:
-            with self._lock:
-                self._now -= 1
-                self.spans.append((prompt_of(messages), start, time.monotonic(), in_flight))
-
-
 def test_run_research_overlaps_requests_and_revises_within_workers(tmp_path):
     graph, store = organized(tmp_path)
     plan = "".join(f"# S{n}\n<begin_web_search>Ada Lovelace {n}<end_web_search>\n"
                    f"<begin_web_search>analytical engine {n}<end_web_search>\n"
                    for n in range(1, 5))
-    chat = _InFlight(MockChatBackend.from_script({"rules": [
+    chat = InFlight(MockChatBackend.from_script({"rules": [
         {"match": "You are planning a research report", "responses": [plan]},
         {"match": "Decide whether the draft sufficiently", "responses": ["PASS"]},
         {"match": "Polish the section", "responses": ["polished"]},
@@ -835,7 +779,7 @@ def test_run_research_overlaps_requests_and_revises_within_workers(tmp_path):
 
 def test_run_research_overlaps_a_sections_analysis_and_web_requests(tmp_path):
     graph, store = organized(tmp_path)
-    chat = _InFlight(MockChatBackend.from_script({"rules": [
+    chat = InFlight(MockChatBackend.from_script({"rules": [
         {"match": "You are planning a research report", "responses": [
             "# Both\n<begin_data_analysis>mean birth year of every person<end_data_analysis>\n"
             "<begin_web_search>Who collaborated on the Analytical Engine?<end_web_search>"]},
@@ -859,6 +803,92 @@ def test_run_research_overlaps_a_sections_analysis_and_web_requests(tmp_path):
 
     (a_start, a_end), (w_start, w_end) = extent(analysis_marks), extent(web_marks)
     assert a_start < w_end and w_start < a_end
+
+
+class _NumberedHits:
+    """`limit` hits per query, each with its own URL under the query."""
+
+    def search(self, query, limit=5):
+        slug = query.replace(" ", "-")
+        return [SearchHit(f"{query} {i}", f"https://w/{slug}/{i}", f"page {i} on {query}")
+                for i in range(limit)]
+
+
+def test_run_research_caps_calls_in_flight_and_overlaps_a_rounds_summaries(tmp_path):
+    graph, store = organized(tmp_path)
+    plan = "".join(f"# S{n}\n<begin_web_search>topic {n}<end_web_search>\n" for n in range(1, 5))
+    chat = InFlight(MockChatBackend.from_script({"rules": [
+        {"match": "You are planning a research report", "responses": [plan]},
+        {"match": "Decide whether the draft sufficiently", "responses": ["PASS"]},
+    ], "default_response": "text"}))
+    gateway = LlmGateway(chat, MockEmbeddingBackend(), Transcript(None))
+    pl.run_research(research_task(tmp_path), graph, store, gateway, search_backend=_NumberedHits(),
+                    run_dir=str(tmp_path / "run"), limits=Limits(workers=3))
+    summaries: dict[str, list[tuple[float, float]]] = {}
+    for prompt, start, end, _ in chat.spans:
+        if "Summarize the following source" in prompt:
+            request = re.search(r"https://w/([^/]+)/", prompt).group(1)
+            summaries.setdefault(request, []).append((start, end))
+    assert sorted(len(spans) for spans in summaries.values()) == [3] * 4
+    assert max(n for *_, n in chat.spans) <= 3
+
+    def most_at_once(spans):
+        return max(sum(s < end and start < e for s, e in spans) for start, end in spans)
+
+    assert max(most_at_once(spans) for spans in summaries.values()) >= 2
+
+
+def test_run_research_caps_analysis_cycles_in_flight(tmp_path, monkeypatch):
+    graph, store = organized(tmp_path)
+    plan = "".join(f"# S{n}\n<begin_data_analysis>birth year of person {n}<end_data_analysis>\n"
+                   for n in range(1, 6))
+    chat = InFlight(MockChatBackend.from_script({"rules": [
+        {"match": "You are planning a research report", "responses": [plan]},
+        {"match": "List the topic entities", "responses": ["Ada Lovelace"]},
+        {"match": "Write a Python script", "responses": [
+            "```python\nprint(len(search_results))\n```"]},
+        {"match": "Decide whether the analysis results satisfy", "responses": ["PASS"]},
+    ], "default_response": "text"}))
+    cycle, lock = rs.run_computation_cycle, threading.Lock()
+    running, peak = [0], [0]
+
+    def counted(*args, **kwargs):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        try:
+            return cycle(*args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(rs, "run_computation_cycle", counted)
+    gateway = LlmGateway(chat, MockEmbeddingBackend(), Transcript(None))
+    run_dir = tmp_path / "run"
+    pl.run_research(research_task(tmp_path), graph, store, gateway,
+                    run_dir=str(run_dir), limits=Limits(workers=2))
+    traces = [json.loads(p.read_text()) for p in run_dir.glob("sections/*/trace.json")]
+    assert [t["final_status"] for t in traces] == ["passed"] * 5
+    assert peak[0] == 2
+
+
+def test_run_research_at_one_worker_starts_no_thread(tmp_path, monkeypatch):
+    graph, store = organized(tmp_path)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: (started.append(thread.name), start(thread))[1])
+    transcript = tmp_path / "transcript.jsonl"
+    gateway = LlmGateway(e2e_gateway().chat_backend, MockEmbeddingBackend(),
+                         Transcript(str(transcript)))
+    pl.run_research(research_task(tmp_path), graph, store, gateway,
+                    search_backend=FixtureSearchBackend(str(FIXTURES / "webcorpus")),
+                    run_dir=str(tmp_path / "run"), limits=Limits(workers=1))
+    assert started == []
+    rows = [json.loads(line) for line in transcript.read_text().splitlines()]
+    assert [row["tag"] for row in rows if row["kind"] == "request"] == [
+        "plan", "summarize", "summarize", "draft", "sufficiency",
+        "topic-ner", "codegen", "codegen", "evaluate", "merge", "revise", "revise"]
 
 
 def test_run_research_reruns_only_uncached_sections(tmp_path):

@@ -22,8 +22,10 @@ from kdr.errors import (
     RejectedCode,
     UnbalancedTags,
 )
-from kdr.llm_gateway import mock_gateway
-from kdr.websearch import FixtureSearchBackend
+from kdr.llm_gateway import LlmGateway, MockChatBackend, MockEmbeddingBackend, mock_gateway
+from kdr.websearch import FixtureSearchBackend, SearchHit
+
+from chat_probes import HoldFirst
 
 
 def science_graph():
@@ -796,6 +798,34 @@ def test_text_cycle_deduplicates_sources_across_rounds(tmp_path):
     result = rs.run_text_cycle("Ada Lovelace program engine", backend, gw)
     urls = [u for _, u in result.sources]
     assert len(urls) == len(set(urls))
+
+
+class _RepeatedUrl:
+    """One round's hits, the first and the last with one URL."""
+
+    def search(self, query, limit=5):
+        return [SearchHit("First", "https://w/a", "body one"),
+                SearchHit("Other", "https://w/b", "body two"),
+                SearchHit("Second", "https://w/a", "body three")]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_text_cycle_summarizes_a_repeated_url_once_from_its_first_hit(workers):
+    mock = MockChatBackend.from_script({"rules": [
+        {"match": f"body {n}", "responses": [f"summary {n}"]} for n in ("one", "two", "three")
+    ] + [{"match": "Decide whether the draft sufficiently answers", "responses": ["PASS"]}],
+        "default_response": "draft"})
+    held = HoldFirst(mock, {"summaries": ("Summarize the following source",)})
+    gw = LlmGateway(held if workers > 1 else mock, MockEmbeddingBackend())
+    result = rs.run_text_cycle("q", _RepeatedUrl(), gw, max_rounds=1, workers=workers)
+    summarized = [c for c in mock.calls if "Summarize the following source" in c]
+    assert len(summarized) == 2
+    assert [n for n in ("one", "two", "three") if any(f"body {n}" in c for c in summarized)] == [
+        "one", "two"]
+    assert result.sources == [("First", "https://w/a"), ("Other", "https://w/b")]
+    [draft] = [c for c in mock.calls if "Write the answer to the research question" in c]
+    assert "[1] First: summary one\n[2] Other: summary two\n" in draft
+    assert held.reordered == ({"summaries"} if workers > 1 else set())
 
 
 @pytest.mark.parametrize("reply, passed, sentence", [
