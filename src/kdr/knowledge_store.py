@@ -323,9 +323,6 @@ class KnowledgeStore:
         return sorted((self.objects[i] for i in overlap),
                       key=lambda o: (-overlap[o.id], o.display_name, o.id))
 
-    def fulltext_search(self, query: str, limit: int = 10) -> list[tuple[str, float]]:
-        return self._view(self._tokens).search(query, limit=limit)
-
     def subgraph(self, seed_ids: list[str], hops: int = 1) -> list[KnowledgeObject]:
         """Closure over references, both directions, breadth-first, deterministic."""
         for seed in seed_ids:

@@ -239,7 +239,7 @@ def class_closure(graph: onto.OntologyGraph, names: list[str]) -> list[str]:
 PRELUDE = '''\
 from __future__ import annotations
 
-import inspect as _inspect
+from types import FunctionType as _FunctionType
 from typing import List
 
 text = str
@@ -253,7 +253,18 @@ class _Base:
         declared = cls.__dict__.get("__init__")
         if declared is None:
             return
-        names = [p for p in _inspect.signature(declared).parameters if p != "self"]
+        if (type(declared) is _FunctionType and not hasattr(declared, "__wrapped__")
+                and not hasattr(declared, "__signature__")):
+            # co_varnames holds positional, keyword-only, *args, **kwargs (flags 0x04, 0x08);
+            # inspect orders them positional, *args, keyword-only, **kwargs
+            code = declared.__code__
+            n, k, v = code.co_argcount, code.co_kwonlyargcount, code.co_varnames
+            star = n + k + bool(code.co_flags & 0x04)
+            names = v[:n] + v[n + k:star] + v[n:n + k] + v[star:star + bool(code.co_flags & 0x08)]
+        else:
+            from inspect import signature
+            names = signature(declared).parameters
+        names = [p for p in names if p != "self"]
 
         def __init__(self, **slots):
             for _name in names:
@@ -364,7 +375,7 @@ def _with_guard(script: str) -> str:
 # thread.
 _SERVER_SOURCE = r'''
 import atexit, builtins, gc, json, operator, os, select, signal, socket, sys, time, types
-import __future__, inspect, typing  # what PRELUDE and the network guard import, loaded once
+import __future__, typing  # what PRELUDE and the network guard import, loaded once
 
 MISSING = object()
 
@@ -712,6 +723,18 @@ def instance_query(
     if not seed_ids:
         raise NoInstancesFound(f"no stored instances match topic entities {names!r}")
     return store.subgraph(seed_ids, hops=hops)
+
+
+def build_lookups(graph: onto.OntologyGraph, store: KnowledgeStore) -> None:
+    """Build the lookups every computation cycle reads, each through its
+    owner's locked builder: the concept index `ontology_search` ranks, and
+    the store's name and inbound-reference indexes `instance_query` reads.
+    Otherwise the first cycle builds each one while the others wait on its
+    lock. The token index stays lazy: only a name with no exact match reads it.
+    """
+    graph.view(_concept_index)
+    store._view(store._names)
+    store._view(store._inbound)
 
 
 def read_verdict(reply: str) -> tuple[bool | None, str]:

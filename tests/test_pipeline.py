@@ -891,6 +891,75 @@ def test_run_research_at_one_worker_starts_no_thread(tmp_path, monkeypatch):
         "topic-ner", "codegen", "codegen", "evaluate", "merge", "revise", "revise"]
 
 
+def _lookups_built(graph, store) -> bool:
+    """The graph's concept-search index and the store's name and
+    inbound-reference indexes exist."""
+    return rs._concept_index in graph._views and {"_names", "_inbound"} <= store._views.keys()
+
+
+class _PlanWaitsFor(ChatBackend):
+    """Holds the plan reply until ready() holds or wait_s has passed, and
+    records whether ready() held when the reply returned."""
+
+    def __init__(self, inner, ready, wait_s: float = 5.0):
+        self.inner, self.ready, self.wait_s = inner, ready, wait_s
+        self.ready_at_reply: bool | None = None
+
+    def complete(self, messages, config):
+        if "You are planning a research report" in prompt_of(messages):
+            deadline = time.monotonic() + self.wait_s
+            while not self.ready() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            self.ready_at_reply = self.ready()
+        return self.inner.complete(messages, config)
+
+
+def test_run_research_builds_the_analysis_lookups_while_the_plan_call_is_out(tmp_path):
+    graph, store = organized(tmp_path)
+    assert not _lookups_built(graph, store)
+    chat = _PlanWaitsFor(e2e_gateway().chat_backend, lambda: _lookups_built(graph, store))
+    run_dir = tmp_path / "run"
+    pl.run_research(research_task(tmp_path), graph, store,
+                    LlmGateway(chat, MockEmbeddingBackend(), Transcript(None)),
+                    search_backend=FixtureSearchBackend(str(FIXTURES / "webcorpus")),
+                    run_dir=str(run_dir), limits=Limits(workers=8))
+    assert chat.ready_at_reply is True
+    assert (run_dir / "report.md").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_run_research_sends_the_plan_call_first(tmp_path, workers):
+    graph, store = organized(tmp_path)
+    script = json.loads((FIXTURES / "e2e_mock.json").read_text())
+    plan_reply, = [rule["responses"][0] for rule in script["rules"]
+                   if rule["match"] == "You are planning a research report"]
+    gateway = e2e_gateway()
+    run_dir = tmp_path / "run"
+    pl.run_research(research_task(tmp_path), graph, store, gateway,
+                    search_backend=FixtureSearchBackend(str(FIXTURES / "webcorpus")),
+                    run_dir=str(run_dir), limits=Limits(workers=workers))
+    assert "You are planning a research report" in gateway.chat_backend.calls[0]
+    assert (run_dir / "plan.txt").read_text() == plan_reply
+
+
+def test_run_research_plan_outage_leaves_no_thread_and_writes_no_file(tmp_path, monkeypatch):
+    graph, store = organized(tmp_path)
+    add = rs.InvertedIndex.add
+
+    def slow_add(self, doc_id, text):  # a build still running when the plan call fails
+        time.sleep(0.01)
+        add(self, doc_id, text)
+
+    monkeypatch.setattr(rs.InvertedIndex, "add", slow_add)
+    run_dir = tmp_path / "run"
+    before = threading.enumerate()
+    with pytest.raises(BackendUnavailable):
+        pl.run_research(research_task(tmp_path), graph, store, outage_gateway(),
+                        run_dir=str(run_dir), limits=Limits(workers=8))
+    assert threading.enumerate() == before
+    assert list(run_dir.rglob("*")) == []
+
+
 def test_run_research_reruns_only_uncached_sections(tmp_path):
     graph, store = organized(tmp_path)
     backend = FixtureSearchBackend(str(FIXTURES / "webcorpus"))

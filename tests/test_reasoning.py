@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import threading
 import time
@@ -312,6 +314,40 @@ def assembled_script(graph, store, analysis):
     return rs.assemble_script(codes, objects, analysis, graph)
 
 
+def _plain(self, name, age): ...
+def _positional_only(self, a, /, b): ...
+def _star_args(self, a, *rest, b): ...
+def _keyword_only(self, *, k, m=2): ...
+def _star_kwargs(self, a, **extra): ...
+def _not_self(this, a): ...
+def _everything(self, a, /, b=1, *args, c, d=2, **kw): ...
+
+
+@functools.wraps(_plain)
+def _wrapped(*args, **kwargs): ...
+
+
+def _with_signature(self, *args): ...
+
+
+_with_signature.__signature__ = inspect.Signature([
+    inspect.Parameter("self", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+    inspect.Parameter("q", inspect.Parameter.KEYWORD_ONLY)])
+
+
+@pytest.mark.parametrize("init", [
+    _plain, _positional_only, _star_args, _keyword_only, _star_kwargs, _not_self, _everything,
+    _wrapped, _with_signature], ids=[
+    "plain", "positional-only", "star-args", "keyword-only", "star-kwargs", "not-self",
+    "everything", "wraps", "signature"])
+def test_prelude_classes_take_the_parameters_inspect_names(init):
+    namespace: dict = {}
+    exec(rs.PRELUDE, namespace)
+    cls = type("C", (namespace["_Base"],), {"__init__": init})
+    expected = [p for p in inspect.signature(init).parameters if p != "self"]
+    assert list(vars(cls())) == expected
+
+
 def test_assemble_rejects_code_without_result_variable():
     graph = science_graph()
     with pytest.raises(RejectedCode):
@@ -448,6 +484,23 @@ def test_instance_query_finds_neighborhood():
     names = {o.display_name for o in objects}
     assert "Ada Lovelace" in names
     assert "Notes on the Analytical Engine" in names  # in-reference, 1 hop
+
+
+def test_build_lookups_builds_what_a_cycle_reads_and_leaves_the_token_index_lazy(monkeypatch):
+    graph = science_graph()
+    store = science_store(graph)
+    rs.build_lookups(graph, store)
+    assert rs._concept_index in graph._views
+    assert set(store._views) == {"_names", "_inbound"}
+    adds = []
+    monkeypatch.setattr(rs.InvertedIndex, "add", lambda self, doc_id, text: adds.append(doc_id))
+    gw = mock_gateway({"rules": [
+        {"match": "List the topic entities", "responses": ["- Ada Lovelace\n"]},
+    ]})
+    assert rs.ontology_search("scientist research field", graph)
+    assert len(rs.instance_query("q", store, graph, gw)) == 2
+    assert adds == []
+    assert set(store._views) == {"_names", "_inbound"}
 
 
 def test_instance_query_strips_one_list_marker_and_keeps_leading_digits():
