@@ -113,14 +113,6 @@ def embed_ontology(
     return EmbeddingIndex(names, np.stack([memo[t] for t in texts]))
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Reference cosine of two vectors; retrieval tests rank against it."""
-    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / denom)
-
-
 def retrieve_candidates(
     query: onto.Concept,
     index: Mapping[str, np.ndarray],

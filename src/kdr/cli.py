@@ -98,20 +98,18 @@ def cmd_organize(args) -> int:
         docs, _ = pl.read_corpus(args.corpus)
         sample = "\n\n".join(text for _, text in docs)[:2000]
         review_path = f"{args.kb}.proposal.json"
-        proposal = pl.propose_ontology(args.topic, sample, gateway,
-                                       review_path=review_path)
-        if args.auto_approve:
-            proposal.status = "approved"
-        elif sys.stdin.isatty():
+        pl.propose_ontology(args.topic, sample, gateway, review_path=review_path)
+        if not args.auto_approve:
+            if not sys.stdin.isatty():
+                print(f"proposal written to {review_path}; rerun with --auto-approve "
+                      "or pass a reviewed file via --ontology", file=sys.stderr)
+                return 1
             answer = input(f"Apply the proposed schema in {review_path}? [y/N] ")
             if answer.strip().lower() not in {"y", "yes"}:
                 print(f"left for review: {review_path}", file=sys.stderr)
                 return 1
-            proposal = pl.review_gate(review_path, approve=True)
-        else:
-            print(f"proposal written to {review_path}; rerun with --auto-approve "
-                  "or pass a reviewed file via --ontology", file=sys.stderr)
-            return 1
+        # reads back any edit; a file left as written is not parsed again
+        proposal = pl.review_gate(review_path, approve=True)
 
     _, _, manifest = pl.run_organization(task, proposal, gateway,
                                          run_dir=args.run_dir, limits=config["limits"])

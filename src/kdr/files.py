@@ -36,11 +36,15 @@ def write_file(path: str | os.PathLike, text: str | Iterable[str]) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def write_json(path: str | os.PathLike, document) -> None:
+def write_json(path: str | os.PathLike, document, digest=None) -> None:
     """write_file of json.dumps(document, indent=2, ensure_ascii=False) plus a
     trailing newline. The items of the containers in the top three levels are
-    written one at a time, so a large document is never held whole as text."""
-    write_file(path, itertools.chain(_json_pieces(document, "", 3), ["\n"]))
+    written one at a time, so a large document is never held whole as text.
+    A hashlib `digest`, when given, is fed the UTF-8 of that text as it goes."""
+    pieces = itertools.chain(_json_pieces(document, "", 3), ["\n"])
+    if digest is not None:
+        pieces = (digest.update(piece.encode()) or piece for piece in pieces)
+    write_file(path, pieces)
 
 
 def _json_pieces(value, indent: str, levels: int) -> Iterator[str]:
@@ -138,7 +142,9 @@ def read_text(path: str | os.PathLike) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _parse(text: str, path, line_number: int | None = None):
+def parse_json(text: str, path, line_number: int | None = None):
+    """The JSON document in `text`, read from `path`; CorruptRecord naming the
+    path and line if it is malformed."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -147,14 +153,14 @@ def _parse(text: str, path, line_number: int | None = None):
 
 def read_json(path: str | os.PathLike):
     """The JSON document in `path`."""
-    return _parse(read_text(path), path)
+    return parse_json(read_text(path), path)
 
 
 def read_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, object]]:
     """(1-based line number, row) for each non-blank line, parsed as it is reached."""
     for n, line in enumerate(read_text(path).split("\n"), start=1):
         if line.strip():
-            yield n, _parse(line, path, n)
+            yield n, parse_json(line, path, n)
 
 
 def check_keys(document, what: str, required=(), allowed=None) -> dict:

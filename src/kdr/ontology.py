@@ -417,32 +417,6 @@ def place_concepts(graph: OntologyGraph, concepts: list[Concept]) -> None:
         raise CycleDetected(f"concepts wait on each other: {[c.qualified for c in left]}")
 
 
-def validate_graph(graph: OntologyGraph) -> None:
-    """Re-check the forest and equivalence invariants of a whole graph."""
-    root_of = {root: root for root in ROOTS}  # node -> the root it reaches
-    for q, concept in graph.concepts.items():
-        seen = {q}
-        node = q
-        while node not in root_of:
-            node = graph.parents.get(node)
-            if node is None:
-                raise UnknownParent(f"{q} is detached from both roots")
-            if node in seen:
-                raise CycleDetected(f"parent cycle through {node}")
-            seen.add(node)
-        root = root_of[node]
-        for walked in seen:
-            root_of[walked] = root
-        if ROOTS[root] != concept.kind:
-            raise KindMismatch(f"{q} reaches the wrong root {root}")
-    for a, others in graph.equivalences.items():
-        for b in others:
-            if graph.kind_of(a) != graph.kind_of(b):
-                raise KindMismatch(f"equivalence {a} ~ {b} crosses kinds")
-            if a not in graph.equivalences.get(b, ()):
-                raise SchemaViolation(f"equivalence {a} ~ {b} is not symmetric")
-
-
 # -- hierarchy queries --------------------------------------------------------
 
 
@@ -584,25 +558,42 @@ def render_import_clause(graph: OntologyGraph, namespace: str, names: list[str])
 
 # -- persistence ----------------------------------------------------------------
 
-def _check_field_types(entry: dict, what: str) -> None:
-    """Every field holds a string, except the lists: attributes, examples, equivalents."""
+# the fields a concept and an attribute entry may hold, the required ones first
+_CONCEPT_FIELDS = ("name", "kind", "parent",
+                   "description", "examples", "attributes", "equivalents")
+_ATTRIBUTE_FIELDS = ("name", "type", "doc")
+_CONCEPT_REQUIRED, _CONCEPT_ALLOWED = frozenset(_CONCEPT_FIELDS[:3]), frozenset(_CONCEPT_FIELDS)
+_ATTRIBUTE_REQUIRED, _ATTRIBUTE_ALLOWED = (frozenset(_ATTRIBUTE_FIELDS[:2]),
+                                           frozenset(_ATTRIBUTE_FIELDS))
+
+
+def _check_field_types(entry: dict, what: str, ns: str, name) -> None:
+    """Every field holds a string, except the lists: attributes, examples,
+    equivalents. The error names the entry `{what} {ns}.{name}`."""
     for key, value in entry.items():
         if key == "attributes":
-            ok, want = isinstance(value, list), "a list"
+            if isinstance(value, list):
+                continue
+            want = "a list"
         elif key in ("examples", "equivalents"):
-            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+            if isinstance(value, list) and (not value or all(isinstance(v, str) for v in value)):
+                continue
             want = "a list of strings"
+        elif isinstance(value, str):
+            continue
         else:
-            ok, want = isinstance(value, str), "a string"
-        if not ok:
-            raise SchemaViolation(f"{what}: {key!r} must be {want}, got {type(value).__name__}")
+            want = "a string"
+        raise SchemaViolation(
+            f"{what} {ns}.{name}: {key!r} must be {want}, got {type(value).__name__}")
 
 
 def graph_from_document(document: dict) -> OntologyGraph:
     """Build a graph from the ontology JSON document shape.
 
     Unknown keys and fields of the wrong type are rejected. Concepts may appear
-    in any order: place_concepts places them in document order.
+    in any order: place_concepts places them in document order. An entry's
+    keys are checked by set comparison first, and check_keys runs only on an
+    entry that fails, to raise its error.
     """
     check_keys(document, "ontology document", allowed=("namespaces",))
     namespaces = check_keys(document.get("namespaces", {}), "'namespaces'")
@@ -613,18 +604,22 @@ def graph_from_document(document: dict) -> OntologyGraph:
         if not isinstance(entries, list):
             raise SchemaViolation(f"namespace {ns!r} must hold a list of concepts")
         for entry in entries:
-            check_keys(entry, f"concept in {ns!r}", required=("name", "kind", "parent"),
-                       allowed=("name", "kind", "parent", "description", "examples",
-                                "attributes", "equivalents"))
-            _check_field_types(entry, f"concept {ns}.{entry['name']}")
+            if not (isinstance(entry, dict)
+                    and _CONCEPT_REQUIRED <= entry.keys() <= _CONCEPT_ALLOWED):
+                check_keys(entry, f"concept in {ns!r}", required=_CONCEPT_FIELDS[:3],
+                           allowed=_CONCEPT_FIELDS)
+            name = entry["name"]
+            _check_field_types(entry, "concept", ns, name)
             attrs = []
             for raw in entry.get("attributes", []):
-                check_keys(raw, f"attribute of {ns}.{entry['name']}", required=("name", "type"),
-                           allowed=("name", "type", "doc"))
-                _check_field_types(raw, f"attribute of {ns}.{entry['name']}")
+                if not (isinstance(raw, dict)
+                        and _ATTRIBUTE_REQUIRED <= raw.keys() <= _ATTRIBUTE_ALLOWED):
+                    check_keys(raw, f"attribute of {ns}.{name}", required=_ATTRIBUTE_FIELDS[:2],
+                               allowed=_ATTRIBUTE_FIELDS)
+                _check_field_types(raw, "attribute of", ns, name)
                 attrs.append(AttributeSpec(raw["name"], raw["type"], raw.get("doc", "")))
             concept = Concept(
-                name=entry["name"],
+                name=name,
                 namespace=ns,
                 kind=entry["kind"],
                 parent=entry["parent"],
@@ -634,7 +629,7 @@ def graph_from_document(document: dict) -> OntologyGraph:
             )
             pending.append(concept)
             for other in entry.get("equivalents", []):
-                declared_equivalences.append((ns, entry["name"], other))
+                declared_equivalences.append((ns, name, other))
 
     graph = empty_graph()
     place_concepts(graph, pending)

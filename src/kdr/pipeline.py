@@ -36,7 +36,7 @@ from .errors import (
     UnparseableProposal,
 )
 from .extraction import ExtractionReport, ExtractionRequest, extract, strip_code_fence
-from .files import check_keys, make_dir, read_json, read_text, write_file, write_json
+from .files import check_keys, make_dir, parse_json, read_json, read_text, write_file, write_json
 from .knowledge_store import KnowledgeStore
 from .llm_gateway import LlmGateway
 from .reasoning import ordered_map
@@ -70,6 +70,11 @@ class ResearchTask:
 
 @dataclass
 class ProposedOntology:
+    """A concept schema and its review status. An approved proposal that
+    review_gate took from the file propose_ontology wrote shares `document`
+    with the proposal propose_ontology returned, so neither may be changed;
+    its `graph` is its own."""
+
     document: dict
     status: str = "proposed"  # "proposed" | "approved" | "edited"
 
@@ -79,13 +84,33 @@ class ProposedOntology:
         return onto.graph_from_document(self.document)
 
 
+# The last review file propose_ontology wrote, until review_gate reads a file:
+# the sha256 of its text, its document, and a copy of its checked graph. It is
+# used only for a file with exactly that text, which would parse to that graph.
+_written: tuple[str, dict, onto.OntologyGraph] | None = None
+_written_lock = threading.Lock()
+
+
+def _swap_written(entry: tuple | None) -> tuple | None:
+    global _written
+    with _written_lock:
+        previous, _written = _written, entry
+    return previous
+
+
 def propose_ontology(
     topic: str,
     sample: str,
     gateway: LlmGateway,
     review_path: str | None = None,
 ) -> ProposedOntology:
-    """Ask the model for a concept schema; validate; write the review file."""
+    """Ask the model for a concept schema; validate; write the review file.
+
+    The sha256 of the review file's text, the document and a copy of the
+    checked graph are kept for the next review_gate, which takes them instead
+    of building the graph again if the file still holds exactly that text.
+    A call that fails leaves nothing kept."""
+    _swap_written(None)
     if not topic.strip():
         raise SchemaViolation("topic is empty")
     response = gateway.chat(
@@ -101,7 +126,9 @@ def propose_ontology(
             write_file(f"{review_path}.raw", response)
         raise UnparseableProposal(f"proposal rejected: {exc}") from exc
     if review_path:
-        write_json(review_path, proposal.document)
+        digest = hashlib.sha256()
+        write_json(review_path, proposal.document, digest)
+        _swap_written((digest.hexdigest(), proposal.document, proposal.graph.copy()))
     return proposal
 
 
@@ -110,12 +137,26 @@ def review_gate(
     approve: bool = False,
     edited_path: str | None = None,
 ) -> ProposedOntology:
-    """Approval or a revalidated edited file; anything else stays gated."""
-    document = read_json(edited_path or proposal_path)
+    """Approval or a revalidated edited file; anything else stays gated.
+
+    A file that holds exactly the text the last propose_ontology wrote (its
+    sha256 matches) is not parsed: the proposal takes that call's document
+    and its own copy of the graph. Any other text is parsed and checked.
+    Each call uses up what propose_ontology kept, so the next one parses."""
+    path = edited_path or proposal_path
+    text = read_text(path)
+    written = _swap_written(None)
+    if written is not None and hashlib.sha256(text.encode()).hexdigest() == written[0]:
+        _, document, graph = written
+    else:
+        document, graph = parse_json(text, path), None
     if not (edited_path or approve):
         raise ValueError("proposal not approved; pass approve=True or an edited file")
     proposal = ProposedOntology(document, status="edited" if edited_path else "approved")
-    proposal.graph  # raises SchemaViolation on a bad document
+    if graph is None:
+        proposal.graph  # raises SchemaViolation on a bad document
+    else:
+        vars(proposal)["graph"] = graph  # where cached_property keeps its value
     return proposal
 
 

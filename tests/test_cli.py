@@ -145,6 +145,46 @@ def test_organize_without_approval_stops_for_review(capsys, tmp_path):
     assert not Path(kb).exists()
 
 
+class Tty:
+    def isatty(self) -> bool:
+        return True
+
+
+def organize_at_the_prompt(capsys, tmp_path, monkeypatch, edit) -> dict:
+    """`kdr organize` in a terminal, where `edit` changes the review file
+    before the user answers yes; the KB's saved ontology, as a document."""
+    kb = tmp_path / "kb.jsonl"
+
+    def answer(prompt: str) -> str:
+        edit(Path(f"{kb}.proposal.json"))
+        return "y"
+
+    monkeypatch.setattr(sys, "stdin", Tty())
+    monkeypatch.setattr("builtins.input", answer)
+    rc, _, err = run(capsys, "organize", "--topic", "Early computing",
+                     "--corpus", str(FIXTURES / "corpus"), "--kb", str(kb), "--mock", E2E_MOCK)
+    assert rc == 0, err
+    return json.loads(Path(f"{kb}.ontology.json").read_text())
+
+
+def test_organize_at_the_prompt_applies_the_edited_review_file(capsys, tmp_path, monkeypatch):
+    def edit(review: Path) -> None:
+        review.write_text(review.read_text().replace("A person in", "A scholar in"))
+
+    saved = organize_at_the_prompt(capsys, tmp_path, monkeypatch, edit)
+    assert saved["namespaces"]["STUDY"][0]["description"] == "A scholar in the study corpus."
+
+
+def test_organize_at_the_prompt_builds_an_unedited_schema_once(capsys, tmp_path, monkeypatch):
+    documents = []
+    build = onto.graph_from_document
+    monkeypatch.setattr(onto, "graph_from_document",
+                        lambda document: documents.append(document) or build(document))
+    saved = organize_at_the_prompt(capsys, tmp_path, monkeypatch, lambda review: None)
+    assert len(documents) == 1
+    assert saved["namespaces"]["STUDY"][0]["description"] == "A person in the study corpus."
+
+
 # -- research ------------------------------------------------------------------------
 
 

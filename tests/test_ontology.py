@@ -24,6 +24,8 @@ from kdr.errors import (
 )
 from kdr.ontology import AttributeSpec, Concept, empty_graph, insert_concept
 
+from graph_checks import validate_graph
+
 
 def build(*concepts):
     g = empty_graph()
@@ -448,7 +450,7 @@ def test_loader_places_as_sweeps_of_insert_concept_do(concepts):
         assert got == expected
     if len(got) == 3:
         graph = ontology.graph_from_document({"namespaces": namespaces})
-        ontology.validate_graph(graph)
+        validate_graph(graph)
         reloaded = ontology.graph_from_document(ontology.graph_to_document(graph))
         assert reloaded.parents == graph.parents
         assert reloaded.equivalences == graph.equivalences
@@ -459,18 +461,18 @@ def test_validate_graph_reports_detached_cyclic_and_misrooted_concepts():
         concepts = {q: Concept(q.split(".")[1], "A", kind, "?") for q, _, kind in edges}
         return ontology.OntologyGraph(concepts, {q: parent for q, parent, _ in edges})
 
-    ontology.validate_graph(graph(*[(f"A.C{i}", f"A.C{i + 1}" if i < 999 else "Entity", "entity")
-                                    for i in range(1000)]))
+    validate_graph(graph(*[(f"A.C{i}", f"A.C{i + 1}" if i < 999 else "Entity", "entity")
+                           for i in range(1000)]))
     with pytest.raises(UnknownParent, match="A.Low is detached from both roots"):
-        ontology.validate_graph(graph(("A.Top", "Entity", "entity"),
-                                      ("A.Low", "A.Gone", "entity")))
+        validate_graph(graph(("A.Top", "Entity", "entity"),
+                             ("A.Low", "A.Gone", "entity")))
     with pytest.raises(CycleDetected, match="parent cycle through A.Low"):
-        ontology.validate_graph(graph(("A.Top", "Entity", "entity"),
-                                      ("A.Low", "A.Mid", "entity"), ("A.Mid", "A.Low", "entity")))
+        validate_graph(graph(("A.Top", "Entity", "entity"),
+                             ("A.Low", "A.Mid", "entity"), ("A.Mid", "A.Low", "entity")))
     # A.Low's walk stops at A.Top, which an earlier walk found under Entity
     with pytest.raises(KindMismatch, match="A.Low reaches the wrong root Entity"):
-        ontology.validate_graph(graph(("A.Top", "Entity", "entity"),
-                                      ("A.Low", "A.Top", "event")))
+        validate_graph(graph(("A.Top", "Entity", "entity"),
+                             ("A.Low", "A.Top", "event")))
 
 
 def test_loader_rejects_unknown_keys():
@@ -548,7 +550,7 @@ def test_wu_palmer_properties(tree):
     for i in range(n):
         parent = "Entity" if parents[i] < 0 else names[parents[i]]
         insert_concept(g, Concept(names[i], "ns", "entity", parent))
-    ontology.validate_graph(g)
+    validate_graph(g)
     for i in range(n):
         for j in range(i, n):
             s = ontology.wu_palmer(g, names[i], names[j])

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import json
 import re
+import sys
 import threading
 import time
 from pathlib import Path
@@ -137,6 +138,128 @@ def test_review_gate_paths(tmp_path):
         {"name": "person", "kind": "entity", "parent": "Entity"}]}}))
     with pytest.raises(SchemaViolation):
         pl.review_gate(str(path), edited_path=str(broken))
+
+
+TWO_NAMESPACES = {"namespaces": {
+    "A": [{"name": "Person", "kind": "entity", "parent": "Entity",
+           "description": "A person."}],
+    "B": [{"name": "Machine", "kind": "entity", "parent": "Entity",
+           "description": "A machine."}],
+}}
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The documents graph_from_document builds a graph from, in call order."""
+    documents: list[dict] = []
+    build = onto.graph_from_document
+    monkeypatch.setattr(onto, "graph_from_document",
+                        lambda document: documents.append(document) or build(document))
+    return documents
+
+
+def propose_two_namespaces(path):
+    return pl.propose_ontology(TOPIC, "s", mock_gateway(default_response=json.dumps(
+        TWO_NAMESPACES)), review_path=str(path))
+
+
+def test_organize_builds_its_proposed_graph_once(tmp_path, builds):
+    proposal = approved_proposal(e2e_gateway(), tmp_path)
+    graph, _, _ = pl.run_organization(organize_task(tmp_path), proposal, e2e_gateway())
+    assert builds == [json.loads((tmp_path / "proposal.json").read_text())]
+    assert list(graph.concepts) == ["STUDY.Person", "STUDY.Machine"]
+
+
+def test_review_gate_reuses_a_proposal_once(tmp_path, builds):
+    path = tmp_path / "p.json"
+    propose_two_namespaces(path)
+    first = pl.review_gate(str(path), approve=True)
+    second = pl.review_gate(str(path), approve=True)
+    assert len(builds) == 2  # propose's check, then the second gate's parse
+    assert first.document == second.document == TWO_NAMESPACES
+    assert list(first.graph.concepts) == list(second.graph.concepts) == ["A.Person", "B.Machine"]
+
+
+def test_review_gate_applies_an_edit_that_keeps_the_length(tmp_path):
+    path = tmp_path / "p.json"
+    propose_two_namespaces(path)
+    text = path.read_text()
+    path.write_text(text.replace("A person.", "A porson."))
+    assert len(path.read_text()) == len(text)
+    approved = pl.review_gate(str(path), approve=True)
+    assert approved.graph.concepts["A.Person"].description == "A porson."
+    assert approved.document["namespaces"]["A"][0]["description"] == "A porson."
+
+
+def test_review_gate_reads_swapped_namespaces_as_an_edit(tmp_path):
+    path = tmp_path / "p.json"
+    proposed = propose_two_namespaces(path)
+    swapped = {"namespaces": {"B": TWO_NAMESPACES["namespaces"]["B"],
+                              "A": TWO_NAMESPACES["namespaces"]["A"]}}
+    path.write_text(json.dumps(swapped, indent=2) + "\n")
+    approved = pl.review_gate(str(path), approve=True)
+    assert approved.document == proposed.document  # dict equality ignores the order
+    assert list(approved.document["namespaces"]) == ["B", "A"]
+    assert list(approved.graph.concepts) == ["B.Machine", "A.Person"]
+
+
+def test_review_gate_rejects_an_edit_that_breaks_the_schema(tmp_path):
+    path = tmp_path / "p.json"
+    propose_two_namespaces(path)
+    path.write_text(path.read_text().replace('"Machine"', '"machine"'))
+    with pytest.raises(SchemaViolation, match="UpperCamelCase"):
+        pl.review_gate(str(path), approve=True)
+
+
+def test_review_gate_parses_an_older_file_after_a_rejected_proposal(tmp_path, builds):
+    path = tmp_path / "p.json"
+    propose_two_namespaces(path)
+    with pytest.raises(UnparseableProposal):
+        pl.propose_ontology(TOPIC, "s", mock_gateway(default_response="not json"),
+                            review_path=str(path))
+    del builds[:]
+    approved = pl.review_gate(str(path), approve=True)
+    assert builds == [TWO_NAMESPACES]
+    assert list(approved.graph.concepts) == ["A.Person", "B.Machine"]
+
+
+def test_the_approved_graph_is_not_the_proposed_one(tmp_path):
+    path = tmp_path / "p.json"
+    proposed = propose_two_namespaces(path)
+    approved = pl.review_gate(str(path), approve=True)
+    onto.insert_concept(approved.graph, onto.Concept("Robot", "B", "entity", "Machine"))
+    approved.graph.add_equivalence("A.Person", "B.Machine")
+    assert list(proposed.graph.concepts) == ["A.Person", "B.Machine"]
+    assert proposed.graph.equivalences == {}
+    assert onto.graph_to_document(proposed.graph) == onto.graph_to_document(
+        onto.graph_from_document(TWO_NAMESPACES))
+
+
+def test_concurrent_gates_never_share_a_graph(tmp_path):
+    """Threads propose the same text to their own files, then gate them: a
+    kept graph goes to one gate at most, so no two proposals share one."""
+    threads, proposed, approved = 16, [], []
+    barrier = threading.Barrier(threads)
+
+    def organize(n: int) -> None:
+        barrier.wait(timeout=10)
+        proposed.append(propose_two_namespaces(tmp_path / f"p{n}.json"))
+        approved.append(pl.review_gate(str(tmp_path / f"p{n}.json"), approve=True))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=organize, args=(n,)) for n in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    graphs = [id(p.graph) for p in proposed + approved]
+    assert len(approved) == threads and len(set(graphs)) == 2 * threads
+    assert all(list(a.graph.concepts) == ["A.Person", "B.Machine"] for a in approved)
 
 
 # -- corpus utilities ----------------------------------------------------------------
