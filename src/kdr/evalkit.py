@@ -281,8 +281,6 @@ def eval_kbqa(
     """
     if not records:
         raise SchemaViolation("QA dataset is empty")
-    graph = kbqa_graph()
-    base = workdir or tempfile.mkdtemp(prefix="kdr-kbqa-")
     for i, record in enumerate(records):  # every record, before any question runs
         check_keys(record, f"QA record {i}",
                    required=("id", "question", "topic_entity", "triples", "answers"))
@@ -290,6 +288,11 @@ def eval_kbqa(
                                 ("topic_entity", str, "a string"), ("answers", list, "a list")):
             if not isinstance(record[key], kind):
                 raise SchemaViolation(f"QA record {i}: {key!r} must be {name}")
+        if {"/", "\0"} & set(str(record["id"])):  # the id names the question's work directory
+            raise SchemaViolation(f"QA record {i}: 'id' must not contain '/' or NUL, "
+                                  f"got {record['id']!r}")
+    graph = kbqa_graph()
+    base = workdir or tempfile.mkdtemp(prefix="kdr-kbqa-")
     per_question = []
     for record in records:
         qid = str(record["id"])

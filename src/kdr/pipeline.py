@@ -438,17 +438,17 @@ def run_research(
     an inline caveat.
     Finished sections are cached in the run directory keyed by plan hash.
     At most `limits.workers` chat calls are in flight, and at most
-    `limits.workers` analysis cycles run, at any time. At more than one
-    worker the plan call goes out first, on a helper thread, and this thread
-    builds the lookups every analysis request reads (`rs.build_lookups`)
-    while it is out; at one worker the call is made here and each lookup is
-    built when first read. Three phases follow the plan. The requests of
-    every section the cache does not serve start at once (at one worker, one
-    after another in plan order), and a web request summarizes one round's
-    hits side by side. Then up to `limits.workers` sections at a time are
-    merged, and then revised. When an analysis request is left to run, the
-    sandbox server starts before the requests, so its interpreter boots while
-    their first model calls are out.
+    `limits.workers` analysis cycles run, at any time. The plan call and the
+    build of the lookups every analysis request reads (`rs.build_lookups`)
+    go through `ordered_map`: at more than one worker they run side by side,
+    and at one worker the lookups are built right after the plan call.
+    Three phases follow the plan. The requests of every section the cache
+    does not serve start at once (at one worker, one after another in plan
+    order), and a web request summarizes one round's hits side by side.
+    Then up to `limits.workers` sections at a time are merged, and then
+    revised. When an analysis request is left to run, the sandbox server
+    starts before the requests, so its interpreter boots while their first
+    model calls are out.
     Results are folded in plan and request order, so the report does not
     depend on `limits.workers`. An error that a request does not turn into a
     caveat propagates before any merge, and the run then writes no section
@@ -460,27 +460,9 @@ def run_research(
     analysis_slots = threading.BoundedSemaphore(limits.workers)
 
     plan_prompt = templates.PLAN_PROMPT.format(title=task.topic, request=task.topic)
-    if limits.workers > 1:
-        # the plan call goes out on a helper thread first; this thread builds the lookups meanwhile
-        reply: dict = {}
-
-        def ask() -> None:
-            try:
-                reply["text"] = gateway.chat(plan_prompt, tag="plan")
-            except BaseException as exc:
-                reply["error"] = exc
-
-        helper = threading.Thread(target=ask, name="kdr-plan")
-        helper.start()
-        try:
-            rs.build_lookups(graph, store)
-        finally:
-            helper.join()
-        if "error" in reply:
-            raise reply["error"]
-        plan_text = reply["text"]
-    else:
-        plan_text = gateway.chat(plan_prompt, tag="plan")
+    plan_text, _ = ordered_map(lambda step: step(), [
+        lambda: gateway.chat(plan_prompt, tag="plan"),
+        lambda: rs.build_lookups(graph, store)], limits.workers)
     write_file(run / "plan.txt", plan_text)
     plans = rs.parse_decomposition(plan_text)
     sections_dir = run / "sections"

@@ -93,7 +93,9 @@ def ordered_map(fn, items: list, workers: int) -> list:
     Results come back in item order whatever order the calls finish in. With
     workers <= 1 or at most one item it is a plain loop. If a call raises,
     calls not yet started are cancelled and the first error in item order
-    propagates once the running ones finish.
+    propagates once the running ones finish. This is the one place kdr starts
+    threads, so a `contextvars` value every thread must see, such as a span
+    recorder's parent span, needs copying here alone.
     """
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -730,7 +732,9 @@ def build_lookups(graph: onto.OntologyGraph, store: KnowledgeStore) -> None:
     owner's locked builder: the concept index `ontology_search` ranks, and
     the store's name and inbound-reference indexes `instance_query` reads.
     Otherwise the first cycle builds each one while the others wait on its
-    lock. The token index stays lazy: only a name with no exact match reads it.
+    lock. Research runs this and its plan call through `ordered_map`: side
+    by side at more than one worker, right after the plan call at one. The
+    token index stays lazy: only a name with no exact match reads it.
     """
     graph.view(_concept_index)
     store._view(store._names)

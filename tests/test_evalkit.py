@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -456,3 +457,21 @@ def test_kbqa_question_and_topic_entity_must_be_strings(tmp_path, key, value):
     with pytest.raises(SchemaViolation, match=f"QA record 1: '{key}'"):
         ek.eval_kbqa(records, gw, workdir=str(tmp_path))
     assert not gw.chat_backend.calls  # checked before any question runs
+
+
+@pytest.mark.parametrize("qid", ["/../../../escaped", "a/b", "q\0"])
+def test_kbqa_id_must_not_name_a_path(tmp_path, qid):
+    records = kbqa_records()
+    records[1]["id"] = qid
+    gw = kbqa_gateway()
+    with pytest.raises(SchemaViolation, match="QA record 1: 'id'"):
+        ek.eval_kbqa(records, gw, workdir=str(tmp_path / "a" / "b"))
+    assert not gw.chat_backend.calls  # checked before any question runs
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_kbqa_rejected_dataset_makes_no_temporary_workdir(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(SchemaViolation, match="QA record 0"):
+        ek.eval_kbqa([{"id": "q", "question": "?"}], mock_gateway())
+    assert list(tmp_path.iterdir()) == []

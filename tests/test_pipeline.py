@@ -532,6 +532,22 @@ def test_ordered_map_raises_the_first_error_in_item_order():
     with pytest.raises(ValueError, match="item 1"):
         pl.ordered_map(fail_on_odd, list(range(5)), workers=4)
 
+    started, finished = threading.Event(), []
+
+    def fail_first(n):  # item 1 is still running when item 0 fails
+        if n == 0:
+            started.wait(5)
+            raise ValueError("item 0")
+        started.set()
+        time.sleep(0.05)
+        finished.append(n)
+
+    before = threading.enumerate()
+    with pytest.raises(ValueError, match="item 0"):
+        pl.ordered_map(fail_first, [0, 1], workers=2)
+    assert threading.enumerate() == before
+    assert finished == [1]
+
 
 def test_merge_proposal_aligns_root_parented_concepts(tmp_path):
     base_doc = {"namespaces": {"A": [
@@ -1083,6 +1099,44 @@ def test_run_research_plan_outage_leaves_no_thread_and_writes_no_file(tmp_path, 
     assert list(run_dir.rglob("*")) == []
 
 
+def test_run_research_at_one_worker_builds_the_lookups_right_after_the_plan_call(
+        tmp_path, monkeypatch):
+    graph, store = organized(tmp_path)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: (started.append(thread.name), start(thread))[1])
+    web_only = mock_gateway({"rules": [
+        {"match": "You are planning a research report", "responses": [
+            "# Only web\n<begin_web_search>analytical engine<end_web_search>"]}]})
+    chat = _PlanWaitsFor(web_only.chat_backend, lambda: _lookups_built(graph, store), wait_s=0)
+    pl.run_research(research_task(tmp_path), graph, store,
+                    LlmGateway(chat, MockEmbeddingBackend(), Transcript(None)),
+                    search_backend=FixtureSearchBackend(str(FIXTURES / "webcorpus")),
+                    run_dir=str(tmp_path / "run"), limits=Limits(workers=1))
+    assert chat.ready_at_reply is False
+    assert _lookups_built(graph, store)
+    assert started == []
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_run_research_lookup_build_error_propagates_and_writes_no_file(
+        tmp_path, monkeypatch, workers):
+    graph, store = organized(tmp_path)
+
+    def broken_build(graph, store):
+        raise RuntimeError("lookup build failed")
+
+    monkeypatch.setattr(rs, "build_lookups", broken_build)
+    gateway = e2e_gateway()
+    run_dir = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="lookup build failed"):
+        pl.run_research(research_task(tmp_path), graph, store, gateway,
+                        run_dir=str(run_dir), limits=Limits(workers=workers))
+    assert len(gateway.chat_backend.calls) == 1  # the plan call, which succeeded
+    assert list(run_dir.rglob("*")) == []
+
+
 def test_run_research_reruns_only_uncached_sections(tmp_path):
     graph, store = organized(tmp_path)
     backend = FixtureSearchBackend(str(FIXTURES / "webcorpus"))
@@ -1335,8 +1389,8 @@ def test_readme_limits_table_lists_every_limit_with_its_default_and_minimum():
     assert table == expected
 
 
-class _RawLimitsFinder(ast.NodeVisitor):
-    """Flags each `.get("limits", ...)` call with its enclosing class and function."""
+class _ScopedFinder(ast.NodeVisitor):
+    """Flags each node `hit` accepts with its enclosing class and function."""
 
     def __init__(self):
         self.scope: list[str] = []
@@ -1349,22 +1403,38 @@ class _RawLimitsFinder(ast.NodeVisitor):
 
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
 
-    def visit_Call(self, node: ast.Call):
-        if (isinstance(node.func, ast.Attribute) and node.func.attr == "get" and node.args
-                and isinstance(node.args[0], ast.Constant) and node.args[0].value == "limits"):
+    def hit(self, node: ast.AST) -> bool:
+        raise NotImplementedError
+
+    def generic_visit(self, node: ast.AST):
+        if self.hit(node):
             self.found.append((".".join(self.scope), node.lineno))
-        self.generic_visit(node)
+        super().generic_visit(node)
+
+
+class _RawLimitsFinder(_ScopedFinder):
+    """Flags each `.get("limits", ...)` call."""
+
+    def hit(self, node: ast.AST) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and bool(node.args)
+                and isinstance(node.args[0], ast.Constant) and node.args[0].value == "limits")
+
+
+def _flagged_in_src(finder_class, allowed: tuple[str, str]) -> list[str]:
+    """Each `module:line in scope` of kdr's sources that a `finder_class`
+    flags, except in the one (module, scope) allowed."""
+    flagged = []
+    for path in sorted(Path(pl.__file__).parent.glob("*.py")):
+        finder = finder_class()
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        flagged += [f"{path.name}:{line} in {scope or '<module>'}"
+                    for scope, line in finder.found if (path.name, scope) != allowed]
+    return flagged
 
 
 def test_no_module_but_the_limits_record_reads_the_raw_limits_section():
-    offenders = []
-    for path in sorted(Path(pl.__file__).parent.glob("*.py")):
-        finder = _RawLimitsFinder()
-        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
-        offenders += [f"{path.name}:{line} in {scope or '<module>'}"
-                      for scope, line in finder.found
-                      if (path.name, scope) != ("reasoning.py", "Limits.from_config")]
-    assert offenders == []
+    assert _flagged_in_src(_RawLimitsFinder, ("reasoning.py", "Limits.from_config")) == []
 
 
 def test_raw_limits_finder_flags_each_get_of_the_section():
@@ -1379,6 +1449,45 @@ def f(config, limits):
     finder = _RawLimitsFinder()
     finder.visit(ast.parse(source))
     assert finder.found == [("f", 3), ("f", 4)]
+
+
+class _ThreadStartFinder(_ScopedFinder):
+    """Flags each `threading.Thread`, each import of `Thread` from threading,
+    and each `ThreadPoolExecutor`."""
+
+    def hit(self, node: ast.AST) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr == "ThreadPoolExecutor" or (
+                node.attr == "Thread" and isinstance(node.value, ast.Name)
+                and node.value.id == "threading")
+        if isinstance(node, ast.Name):
+            return node.id == "ThreadPoolExecutor"
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            return "ThreadPoolExecutor" in names or (node.module == "threading" and "Thread" in names)
+        return False
+
+
+def test_no_module_but_ordered_map_starts_threads():
+    assert _flagged_in_src(_ThreadStartFinder, ("reasoning.py", "ordered_map")) == []
+
+
+def test_thread_start_finder_flags_each_way_to_name_a_thread():
+    source = '''
+import threading
+from threading import Thread, Lock
+from concurrent.futures import ThreadPoolExecutor
+import concurrent.futures
+def f():
+    threading.Thread(target=f).start()
+    ThreadPoolExecutor(2)
+    concurrent.futures.ThreadPoolExecutor(2)
+    threading.Lock()
+    threading.BoundedSemaphore(2)
+'''
+    finder = _ThreadStartFinder()
+    finder.visit(ast.parse(source))
+    assert finder.found == [("", 3), ("", 4), ("f", 7), ("f", 8), ("f", 9)]
 
 
 def test_run_research_unwritable_run_dir_fails_before_model_calls(tmp_path):
