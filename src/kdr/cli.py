@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import evalkit as ek
 from . import knowledge_store as ks
 from . import ontology as onto
 from . import pipeline as pl
 from .errors import IoFailure, KdrError, UserError
-from .extraction import ExtractionRequest, extract
+from .extraction import IE_TASKS, ExtractionRequest, extract
 from .files import read_json, read_jsonl, read_text
 from .llm_gateway import (
     HttpChatBackend,
@@ -29,7 +29,23 @@ from .llm_gateway import (
     MockEmbeddingBackend,
     Transcript,
 )
-from .websearch import FixtureSearchBackend, HttpSearchBackend
+
+# A module only some commands run (alignment, evalkit, websearch) is imported
+# by their handlers, so `import kdr.cli` and the parser load none of them.
+
+
+def _terminal_columns() -> int:
+    """shutil.get_terminal_size().columns, without importing shutil."""
+    try:
+        columns = int(os.environ.get("COLUMNS", ""))
+    except ValueError:
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return columns or 80
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,6 +54,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def _get_formatter(self):
+        # argparse's own, but sized here: it would import shutil to size the
+        # formatter each add_argument builds to check its metavar
+        return self.formatter_class(prog=self.prog, width=_terminal_columns() - 2)
 
 
 def _emit(payload, pretty: bool) -> None:
@@ -121,6 +142,8 @@ def cmd_organize(args) -> int:
 
 
 def cmd_research(args) -> int:
+    from .websearch import FixtureSearchBackend, HttpSearchBackend
+
     config = pl.load_config(args.config)
     gateway = _gateway(args, config)
     graph, store = _load_kb(args.kb, args.ontology)
@@ -150,7 +173,7 @@ def cmd_research(args) -> int:
 
 
 def cmd_align(args) -> int:
-    from . import alignment as al  # imports numpy, which `import kdr.cli` leaves out
+    from . import alignment as al  # imports numpy
 
     config = pl.load_config(args.config)
     gateway = _gateway(args, config)
@@ -200,6 +223,7 @@ def cmd_extract(args) -> int:
 
 def cmd_eval_taxonomy(args) -> int:
     from . import alignment as al
+    from . import evalkit as ek
 
     config = pl.load_config(args.config)
     gateway = _gateway(args, config)
@@ -215,6 +239,8 @@ def cmd_eval_taxonomy(args) -> int:
 
 
 def cmd_eval_ie(args) -> int:
+    from . import evalkit as ek
+
     pred, gold = ([row for _, row in read_jsonl(path)] for path in (args.pred, args.gold))
     result = ek.eval_ie_files(pred, gold, args.task)
     _emit(asdict(result), args.pretty)
@@ -222,6 +248,8 @@ def cmd_eval_ie(args) -> int:
 
 
 def cmd_eval_kbqa(args) -> int:
+    from . import evalkit as ek
+
     config = pl.load_config(args.config)
     gateway = _gateway(args, config)
     records = [row for _, row in read_jsonl(args.dataset)]
@@ -234,6 +262,8 @@ def cmd_eval_kbqa(args) -> int:
 
 
 def cmd_eval_report(args) -> int:
+    from . import evalkit as ek
+
     config = pl.load_config(args.config)
     if args.mock:
         transcript = Transcript(args.transcript)  # one seq count across judges
@@ -363,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = esub.add_parser("ie", help="micro F1 over extraction annotations")
     e.add_argument("--pred", required=True, help="predictions JSONL")
     e.add_argument("--gold", required=True, help="gold annotations JSONL")
-    e.add_argument("--task", required=True, choices=list(ek.IE_TASKS))
+    e.add_argument("--task", required=True, choices=list(IE_TASKS))
     e.add_argument("--pretty", action="store_true")
     e.set_defaults(func=cmd_eval_ie)
 

@@ -22,6 +22,7 @@ from .errors import (
     ShapeMismatch,
     SubgraphLoadFailure,
 )
+from .extraction import IE_TASK_ARITY
 from .files import check_keys
 from .knowledge_store import KnowledgeStore
 from .reasoning import Limits, ordered_map, run_computation_cycle
@@ -132,9 +133,6 @@ def eval_taxonomy(
 
 # -- information extraction F1 ----------------------------------------------------
 
-_TASK_ARITY = {"ner": 2, "re": 3, "ed": 2, "eae": 3}
-IE_TASKS = tuple(sorted(_TASK_ARITY))
-
 
 @dataclass
 class F1Result:
@@ -151,9 +149,9 @@ def _normalize_text(value: object) -> str:
 
 
 def _normalized_tuples(rows: list, task: str, side: str) -> Counter:
-    arity = _TASK_ARITY.get(task)
+    arity = IE_TASK_ARITY.get(task)
     if arity is None:
-        raise ShapeMismatch(f"unknown task {task!r}; expected one of {sorted(_TASK_ARITY)}")
+        raise ShapeMismatch(f"unknown task {task!r}; expected one of {sorted(IE_TASK_ARITY)}")
     counts: Counter = Counter()
     for row in rows:
         items = tuple(row)

@@ -285,7 +285,8 @@ def parse_instantiation_code(
 
     Accepts bare calls, `o1 = Call(...)` bindings, and result-list
     assignments. A bad call or statement is skipped and reported as a
-    ParseIssue; code that is not Python or holds no call raises EmptyOutput.
+    ParseIssue; code that is not Python, is nested too deeply for the ast
+    module, or holds no call raises EmptyOutput.
     """
     code = strip_code_fence(response)
     parser = _Parser(graph, namespace)
@@ -293,6 +294,8 @@ def parse_instantiation_code(
         parser.run(code)
     except SyntaxError as exc:
         raise EmptyOutput(f"response is not parseable code: {exc.msg}") from exc
+    except RecursionError as exc:  # from building the AST of a deeply nested expression
+        raise EmptyOutput("response is nested too deeply to parse") from exc
     if not parser.saw_call:
         raise EmptyOutput("no constructor calls in response")
 
@@ -441,6 +444,15 @@ def extract(
     return to_knowledge_objects(
         parsed, graph, req.namespace, req.source_id, timestamp, report.issues
     )
+
+
+# -- IE tasks ------------------------------------------------------------------------------------
+
+# The tasks `kdr eval ie` scores, by the number of fields in each gold or
+# predicted tuple. Kept here, not in evalkit, so the CLI's parser can list
+# them without loading the evaluation harnesses.
+IE_TASK_ARITY = {"ner": 2, "re": 3, "ed": 2, "eae": 3}
+IE_TASKS = tuple(sorted(IE_TASK_ARITY))
 
 
 # -- training-sample generation -----------------------------------------------------------------

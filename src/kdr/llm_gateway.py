@@ -38,6 +38,7 @@ ENV_EMBED_ENDPOINT = "KDR_EMBED_ENDPOINT"
 ENV_EMBED_MODEL = "KDR_EMBED_MODEL"
 
 MAX_ATTEMPTS = 3  # per chat or embedding request
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")  # str code points; UTF-8 cannot encode them
 
 
 @dataclass
@@ -305,7 +306,9 @@ class LlmGateway:
 
     `chat(prompt, tag)` is the one way kdr calls the chat model: one prompt
     out as a single user message with the default GenerationConfig, one
-    reply back. The tag names the pipeline step in the transcript.
+    reply back. The tag names the pipeline step in the transcript. Each lone
+    surrogate in a reply becomes U+FFFD before the transcript or any caller
+    reads it, so a reply can always be written as UTF-8.
     A gateway from `limited(n)` holds at most n chat calls in flight.
     """
 
@@ -342,6 +345,7 @@ class LlmGateway:
             except Exception as exc:
                 self.transcript.record("error", {"seq": seq, "tag": tag, "error": str(exc)})
                 raise
+        response = _LONE_SURROGATE.sub("\ufffd", response)
         self.transcript.record("response", {"seq": seq, "tag": tag, "content": response})
         return response
 

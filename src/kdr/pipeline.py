@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import functools
-import html.parser
 import json
 import logging
 import os
 import re
-import shutil
 import threading
 import time
 from dataclasses import dataclass, field
@@ -121,7 +119,7 @@ def propose_ontology(
     try:
         proposal = ProposedOntology(json.loads(raw))
         proposal.graph  # schema check
-    except (json.JSONDecodeError, KdrError) as exc:
+    except (json.JSONDecodeError, RecursionError, KdrError) as exc:  # RecursionError: deep nesting
         if review_path:
             write_file(f"{review_path}.raw", response)
         raise UnparseableProposal(f"proposal rejected: {exc}") from exc
@@ -163,32 +161,40 @@ def review_gate(
 # -- corpus ingestion ------------------------------------------------------------
 
 
-class _HtmlText(html.parser.HTMLParser):
-    _SKIP = {"script", "style"}
-    _BREAK = {"p", "br", "div", "li", "tr", "h1", "h2", "h3", "h4", "h5", "h6"}
+@functools.cache
+def _html_text_parser() -> type:
+    """The parser class html_to_text uses, made on first use: html.parser
+    loads only when a corpus holds an HTML file."""
+    import html.parser
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.chunks: list[str] = []
-        self._skip_depth = 0
+    class HtmlText(html.parser.HTMLParser):
+        _SKIP = {"script", "style"}
+        _BREAK = {"p", "br", "div", "li", "tr", "h1", "h2", "h3", "h4", "h5", "h6"}
 
-    def handle_starttag(self, tag, attrs):
-        if tag in self._SKIP:
-            self._skip_depth += 1
-        elif tag in self._BREAK:
-            self.chunks.append("\n\n")
+        def __init__(self) -> None:
+            super().__init__()
+            self.chunks: list[str] = []
+            self._skip_depth = 0
 
-    def handle_endtag(self, tag):
-        if tag in self._SKIP:
-            self._skip_depth = max(0, self._skip_depth - 1)
+        def handle_starttag(self, tag, attrs):
+            if tag in self._SKIP:
+                self._skip_depth += 1
+            elif tag in self._BREAK:
+                self.chunks.append("\n\n")
 
-    def handle_data(self, data):
-        if not self._skip_depth:
-            self.chunks.append(data)
+        def handle_endtag(self, tag):
+            if tag in self._SKIP:
+                self._skip_depth = max(0, self._skip_depth - 1)
+
+        def handle_data(self, data):
+            if not self._skip_depth:
+                self.chunks.append(data)
+
+    return HtmlText
 
 
 def html_to_text(raw: str) -> str:
-    parser = _HtmlText()
+    parser = _html_text_parser()()
     parser.feed(raw)
     text = "".join(parser.chunks)
     return re.sub(r"\n\s*\n", "\n\n", text).strip()
@@ -443,8 +449,9 @@ def run_research(
     go through `ordered_map`: at more than one worker they run side by side,
     and at one worker the lookups are built right after the plan call.
     Three phases follow the plan. The requests of every section the cache
-    does not serve start at once (at one worker, one after another in plan
-    order), and a web request summarizes one round's hits side by side.
+    does not serve run side by side, up to twice `limits.workers` at a time
+    (at one worker, one after another in plan order), and a web request
+    summarizes one round's hits side by side.
     Then up to `limits.workers` sections at a time are merged, and then
     revised. When an analysis request is left to run, the sandbox server
     starts before the requests, so its interpreter boots while their first
@@ -454,6 +461,10 @@ def run_research(
     caveat propagates before any merge, and the run then writes no section
     result.
     """
+    # the sandbox launcher's import, paid before the plan call: paid where the
+    # sandbox starts, it would sit between the plan reply and the first request
+    import subprocess  # noqa: F401
+
     run = Path(run_dir) if run_dir else Path("runs") / time.strftime("%Y%m%d-%H%M%S")
     make_dir(run, "run directory")  # before the plan call, so a bad location costs none
     gateway = gateway.limited(limits.workers)
@@ -507,8 +518,9 @@ def run_research(
             for i, request in enumerate(plan.requests)]
     if any(request.kind == "data_analysis" for _, _, request in jobs):
         rs.start_sandbox()
-    every_request = len(jobs) if limits.workers > 1 else 1
-    outcomes = list(zip(jobs, ordered_map(run_request, jobs, every_request)))
+    # twice the call slots, so a request's next call is ready when a slot frees
+    request_threads = 2 * limits.workers if limits.workers > 1 else 1
+    outcomes = list(zip(jobs, ordered_map(run_request, jobs, request_threads)))
 
     def merge_section(n: int) -> tuple[Section, list]:
         plan, hit = plans[n - 1], cached[n - 1]
@@ -572,6 +584,8 @@ def run_research(
 
 def assemble_report(doc: ReportDocument, out_dir: str) -> str:
     """Write report.md and copy every referenced artifact under artifacts/."""
+    import shutil  # loaded by the one step that copies files, not by `import kdr.cli`
+
     if not doc.sections:
         raise ValueError("report has no sections")
     out = Path(out_dir)

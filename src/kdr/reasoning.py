@@ -16,13 +16,11 @@ import logging
 import math
 import os
 import re
-import signal
-import subprocess
 import sys
-import tempfile
 import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import knowledge_store as ks
 from . import ontology as onto
@@ -44,6 +42,9 @@ from .knowledge_store import KnowledgeObject, KnowledgeStore
 from .llm_gateway import LlmGateway
 from .textindex import InvertedIndex, tokenize
 
+if TYPE_CHECKING:  # loaded where the sandbox server starts, so `import kdr.cli` skips it
+    import subprocess
+
 log = logging.getLogger(__name__)
 
 # -- run limits -------------------------------------------------------------------
@@ -54,8 +55,8 @@ class Limits:
     """The config's `limits` section: the computation cycle's budgets, the
     text cycle's rounds and hits, and `workers`. Organize and taxonomy
     overlap `workers` jobs (extraction jobs or taxonomy leaves) of one call
-    at a time each; research starts every request at once and holds at most
-    `workers` chat calls and `workers` analysis cycles in flight.
+    at a time each; research runs up to twice `workers` requests at once and
+    holds at most `workers` chat calls and `workers` analysis cycles in flight.
 
     Each field's metadata holds the smallest integer it takes; a minimum of
     None takes any number above 0. Frozen, so one default instance can be
@@ -538,6 +539,7 @@ class _SandboxServer:
         """Launch the server unless one is running that is not `failed`; the
         caller holds the lock."""
         import socket
+        import subprocess  # the sandbox's modules load with it, not with `import kdr.cli`
 
         # waitid leaves a dead server unreaped, so its pid still names its group for close
         if self._proc not in (None, failed) and self._proc.returncode is None and os.waitid(
@@ -563,6 +565,8 @@ class _SandboxServer:
             self._control = None
         if self._proc is not None:
             if self._proc.returncode is None:  # not reaped, so its pid still names its group
+                import signal
+
                 os.killpg(self._proc.pid, signal.SIGKILL)
             self._proc.wait()
             self._proc = None
@@ -812,7 +816,11 @@ def run_computation_cycle(
     the relevant concepts with concepts_override (skipping ontology search),
     which is how question-answering over a prepared subgraph drives the cycle.
     """
-    base = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="kdr-cycle-"))
+    if not workdir:
+        import tempfile
+
+        workdir = tempfile.mkdtemp(prefix="kdr-cycle-")
+    base = Path(workdir)
     trace = ComputationTrace(query=query)
     feedback: str | None = None
 

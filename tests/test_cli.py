@@ -55,11 +55,20 @@ def test_unknown_flag_is_user_error(capsys):
 
 
 
+# modules that only some commands run, or only once a command has started
+COMMAND_MODULES = ("numpy", "kdr.alignment", "kdr.evalkit", "kdr.websearch", "html.parser",
+                   "subprocess", "tempfile", "shutil", "concurrent.futures")
+
+
 def test_importing_the_cli_leaves_numpy_unloaded():
+    """Nor do `import kdr.cli` and `build_parser()` load any other of
+    COMMAND_MODULES. `-S` skips site-packages, so no `.pth` hook can load
+    one first and hide a regression."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, kdr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    probe = ("import sys, kdr.cli; kdr.cli.build_parser(); "
+             f"print(sorted(m for m in {COMMAND_MODULES!r} if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

@@ -156,6 +156,12 @@ def test_parse_instantiation_empty_output(graph):
         ex.parse_instantiation_code("x = 1", graph, "NER")
 
 
+def test_parse_instantiation_too_deeply_nested_is_empty_output(graph):
+    code = "Person(name=" + "+".join(["1"] * 100000) + ")"
+    with pytest.raises(EmptyOutput, match="nested too deeply"):
+        ex.parse_instantiation_code(code, graph, "NER")
+
+
 def test_parse_instantiation_fenced_block(graph):
     text = 'Sure!\n```python\nresults = [Person(name="Ada")]\n```\nDone.'
     parsed, _ = ex.parse_instantiation_code(text, graph, "NER")

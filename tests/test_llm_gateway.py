@@ -255,3 +255,18 @@ def test_mock_gateway_temperature_defaults_to_zero():
 def test_mock_script_shape_is_checked_at_load(script):
     with pytest.raises(SchemaViolation):
         MockChatBackend.from_script(script)
+
+
+def test_chat_turns_lone_surrogates_into_replacement_characters(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    reply = "a\ud800b\udfff"
+    gateway = LlmGateway(MockChatBackend(default_response=reply), MockEmbeddingBackend(),
+                         Transcript(str(path)))
+    assert gateway.chat("ping", tag="unit") == "a\ufffdb\ufffd"
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert rows[1]["content"] == "a\ufffdb\ufffd"
+
+
+@pytest.mark.parametrize("reply", ["", "plain", "caf\u00e9 \U0001f600 \ufffd"])
+def test_chat_returns_a_reply_without_surrogates_unchanged(reply):
+    assert mock_gateway(default_response=reply).chat("ping") == reply

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import json
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -102,6 +103,15 @@ def test_unparseable_proposal_saves_raw(tmp_path):
     with pytest.raises(UnparseableProposal):
         pl.propose_ontology(TOPIC, "s", gw, review_path=str(tmp_path / "p.json"))
     assert (tmp_path / "p.json.raw").read_text() == "not json at all"
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_deeply_nested_proposal_is_unparseable_and_saves_raw(tmp_path):
+    reply = "[" * 100000
+    with pytest.raises(UnparseableProposal):
+        pl.propose_ontology(TOPIC, "s", mock_gateway(default_response=reply),
+                            review_path=str(tmp_path / "p.json"))
+    assert (tmp_path / "p.json.raw").read_text() == reply
     assert not (tmp_path / "p.json").exists()
 
 
@@ -380,6 +390,19 @@ def test_run_organization_document_failure_hits_ledger(tmp_path):
     assert len(store.objects) == 0
     assert len(manifest["errors"]) == 1
     assert "Import" in manifest["errors"][0]["error"]
+
+
+def test_run_organization_records_an_instantiation_reply_with_a_lone_surrogate(tmp_path):
+    script = json.loads((FIXTURES / "e2e_mock.json").read_text())
+    rule = next(r for r in script["rules"] if "instantiate.*born in London" in r["match"])
+    rule["responses"] = ['Person(name="Ada Lovelace")\ud800']
+    gateway = LlmGateway(MockChatBackend.from_script(script), MockEmbeddingBackend(),
+                         Transcript(None))
+    proposal = approved_proposal(gateway, tmp_path)
+    _, store, manifest = pl.run_organization(organize_task(tmp_path), proposal, gateway)
+    assert [(row["document"], row["error"].split(":")[0]) for row in manifest["errors"]] == [
+        ("doc1.txt", "response is not parseable code")]
+    assert store.objects  # the other passage's objects are kept
 
 
 def test_run_organization_empty_corpus(tmp_path):
@@ -691,6 +714,22 @@ def test_run_research_full_scripted_run(tmp_path):
     assert manifest["source_count"] == 2
 
 
+def test_run_research_writes_a_report_from_a_draft_reply_with_a_lone_surrogate(tmp_path):
+    graph, store = organized(tmp_path)
+    script = json.loads((FIXTURES / "e2e_mock.json").read_text())
+    rule = next(r for r in script["rules"] if r["match"] == "Write the answer to the research question")
+    rule["responses"] = [rule["responses"][0] + "\ud800"]
+    gateway = LlmGateway(MockChatBackend.from_script(script), MockEmbeddingBackend(),
+                         Transcript(None))
+    run_dir = tmp_path / "run"
+    pl.run_research(research_task(tmp_path), graph, store, gateway,
+                    search_backend=FixtureSearchBackend(str(FIXTURES / "webcorpus")),
+                    run_dir=str(run_dir))
+    assert "## Background" in (run_dir / "report.md").read_text(encoding="utf-8")
+    result = json.loads((run_dir / "sections" / "1" / "result.json").read_text(encoding="utf-8"))
+    assert result["body"].endswith("\ufffd")
+
+
 def test_run_research_is_byte_stable_across_runs(tmp_path):
     graph, store = organized(tmp_path)
     backend = FixtureSearchBackend(str(FIXTURES / "webcorpus"))
@@ -914,6 +953,31 @@ def test_run_research_overlaps_requests_and_revises_within_workers(tmp_path):
     assert len(revises) == 4 and len(requests) == 4 * (3 + 4)
     assert max(n for *_, n in chat.spans) <= 3
     assert max(requests) >= 2 and max(revises) >= 2
+
+
+def test_run_research_runs_at_most_twice_workers_requests_at_once(tmp_path, monkeypatch):
+    graph, store = organized(tmp_path)
+    plan = "# S\n" + "".join(f"<begin_web_search>topic {n}<end_web_search>\n" for n in range(6))
+    running = threading.Condition()
+    counts = {"now": 0, "most": 0}
+
+    def text_cycle(query, *args):
+        with running:
+            counts["now"] += 1
+            counts["most"] = max(counts["most"], counts["now"])
+            running.notify_all()
+            running.wait_for(lambda: counts["now"] > 4, timeout=0.5)  # a fifth would show
+            counts["now"] -= 1
+        return rs.TextCycleResult(f"drafted {query}")
+
+    monkeypatch.setattr(rs, "run_text_cycle", text_cycle)
+    gateway = mock_gateway({"rules": [
+        {"match": "You are planning a research report", "responses": [plan]}]},
+        default_response="merged")
+    pl.run_research(research_task(tmp_path), graph, store, gateway,
+                    search_backend=FixtureSearchBackend(str(FIXTURES / "webcorpus")),
+                    run_dir=str(tmp_path / "run"), limits=Limits(workers=2))
+    assert counts["most"] == 4
 
 
 def test_run_research_overlaps_a_sections_analysis_and_web_requests(tmp_path):
@@ -1180,7 +1244,7 @@ def sandbox_events(monkeypatch):
     events: list[str] = []
     server = rs._SandboxServer()
     monkeypatch.setattr(rs, "_SANDBOX", server)
-    popen, execute = rs.subprocess.Popen, rs.execute_script
+    popen, execute = subprocess.Popen, rs.execute_script
 
     def launch(*args, **kwargs):
         events.append("launch")
@@ -1190,7 +1254,7 @@ def sandbox_events(monkeypatch):
         events.append("script")
         return execute(*args, **kwargs)
 
-    monkeypatch.setattr(rs.subprocess, "Popen", launch)
+    monkeypatch.setattr(subprocess, "Popen", launch)
     monkeypatch.setattr(rs, "execute_script", script)
     yield events
     server.close()

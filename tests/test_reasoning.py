@@ -588,6 +588,20 @@ def test_computation_cycle_retries_then_passes(tmp_path):
     assert len(saved["iterations"]) == 2
 
 
+def test_computation_cycle_runs_a_codegen_reply_with_a_lone_surrogate(tmp_path):
+    gateway = mock_gateway({"rules": [
+        {"match": "Write a Python script", "responses": [
+            "```python\n# \ud800\nprint('count:', len(search_results))\n```"]},
+        {"match": "List the topic entities", "responses": ["Ada Lovelace"]},
+        {"match": "Decide whether the analysis results satisfy", "responses": ["PASS"]},
+    ]})
+    graph = science_graph()
+    trace = rs.run_computation_cycle("birth year of each person", graph, science_store(graph),
+                                     gateway, workdir=str(tmp_path / "run"))
+    assert trace.final_status == "passed"
+    assert "# \ufffd" in (tmp_path / "run" / "iter1" / "script.py").read_text(encoding="utf-8")
+
+
 def test_computation_cycle_searches_the_ontology_once(tmp_path, monkeypatch):
     searches = []
 
