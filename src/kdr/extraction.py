@@ -292,8 +292,8 @@ def parse_instantiation_code(
     parser = _Parser(graph, namespace)
     try:
         parser.run(code)
-    except SyntaxError as exc:
-        raise EmptyOutput(f"response is not parseable code: {exc.msg}") from exc
+    except (SyntaxError, ValueError) as exc:  # Python 3.10's ast.parse: ValueError for a NUL
+        raise EmptyOutput(f"response is not parseable code: {exc.args[0]}") from exc
     except RecursionError as exc:  # from building the AST of a deeply nested expression
         raise EmptyOutput("response is nested too deeply to parse") from exc
     if not parser.saw_call:

@@ -37,8 +37,12 @@ ENV_LLM_MODEL = "KDR_LLM_MODEL"
 ENV_EMBED_ENDPOINT = "KDR_EMBED_ENDPOINT"
 ENV_EMBED_MODEL = "KDR_EMBED_MODEL"
 
-MAX_ATTEMPTS = 3  # per chat or embedding request
-_LONE_SURROGATE = re.compile("[\ud800-\udfff]")  # str code points; UTF-8 cannot encode them
+MAX_ATTEMPTS = 3  # per HTTP request
+
+
+def encodable(text: str) -> str:
+    """`text` with each lone surrogate, a code point UTF-8 cannot encode, as U+FFFD."""
+    return text if text.isascii() else re.sub("[\ud800-\udfff]", "\ufffd", text)
 
 
 @dataclass
@@ -86,14 +90,14 @@ class Transcript:
 
 def post_json(url: str, payload: dict, api_key: str = "", timeout: float = 120) -> dict:
     """POST a JSON payload and decode the JSON reply; HTTP errors raise."""
-    import requests
+    import urllib.request
 
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    response = requests.post(url, json=payload, headers=headers, timeout=timeout)
-    response.raise_for_status()
-    return response.json()
+    request = urllib.request.Request(url, json.dumps(payload).encode(), headers)
+    with urllib.request.urlopen(request, timeout=timeout) as response:
+        return json.loads(response.read())
 
 
 class _HttpBackend:
@@ -101,10 +105,12 @@ class _HttpBackend:
 
     Every failure retries, transport and reply shape alike: MAX_ATTEMPTS
     tries with 1 s, 2 s, ... sleeps between them; the last failure is
-    reported as BackendUnavailable.
+    reported as `error`. Each attempt may take `timeout` seconds. The key
+    comes from `env_api_key`; with none named, no key is sent.
     """
 
     kind = env_endpoint = env_model = ""
+    env_api_key, error, timeout = ENV_LLM_API_KEY, BackendUnavailable, 120
 
     def __init__(
         self,
@@ -115,13 +121,14 @@ class _HttpBackend:
         sleep=time.sleep,
     ):
         self.endpoint = endpoint or os.environ.get(self.env_endpoint, "")
-        self.api_key = api_key if api_key is not None else os.environ.get(ENV_LLM_API_KEY, "")
+        self.api_key = api_key if api_key is not None else os.environ.get(self.env_api_key, "")
         self.model = model or os.environ.get(self.env_model, "")
-        self._post = post or functools.partial(post_json, api_key=self.api_key)
+        self._post = post or functools.partial(post_json, api_key=self.api_key,
+                                               timeout=self.timeout)
         self._sleep = sleep
         if not self.endpoint:
-            raise BackendUnavailable(f"no {self.kind} endpoint configured; "
-                                     f"set {self.env_endpoint} or use a mock backend")
+            hint = f"; set {self.env_endpoint} or use a mock backend" if self.env_endpoint else ""
+            raise self.error(f"no {self.kind} endpoint configured{hint}")
 
     def _request(self, payload: dict, parse):
         delay = 1.0
@@ -131,8 +138,8 @@ class _HttpBackend:
             except Exception as exc:  # noqa: BLE001 - every failure retries
                 log.warning("%s backend attempt %d failed: %s", self.kind, n, exc)
                 if n == MAX_ATTEMPTS:
-                    raise BackendUnavailable(f"{self.kind} endpoint failed after "
-                                             f"{MAX_ATTEMPTS} attempts: {exc}") from exc
+                    raise self.error(f"{self.kind} endpoint failed after "
+                                     f"{MAX_ATTEMPTS} attempts: {exc}") from exc
                 self._sleep(delay)
                 delay *= 2
 
@@ -345,7 +352,7 @@ class LlmGateway:
             except Exception as exc:
                 self.transcript.record("error", {"seq": seq, "tag": tag, "error": str(exc)})
                 raise
-        response = _LONE_SURROGATE.sub("\ufffd", response)
+        response = encodable(response)
         self.transcript.record("response", {"seq": seq, "tag": tag, "content": response})
         return response
 

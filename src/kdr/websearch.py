@@ -7,14 +7,13 @@ sits behind the same contract.
 
 from __future__ import annotations
 
-import functools
 import logging
 import os
 from dataclasses import dataclass
 
 from .errors import EmptyCorpus, SchemaViolation, SearchBackendUnavailable
 from .files import check_keys, read_json
-from .llm_gateway import post_json
+from .llm_gateway import _HttpBackend, encodable
 from .textindex import InvertedIndex
 
 log = logging.getLogger(__name__)
@@ -32,12 +31,13 @@ _FIELDS = ("title", "url", "body")
 
 
 def _hit(what: str, title, url, body, score: float = 0.0) -> SearchHit:
-    """The hit, if title, url and body are strings; SchemaViolation naming `what` if not."""
+    """The hit, with each lone surrogate made U+FFFD, if title, url and body are strings;
+    SchemaViolation naming `what` if not."""
     for key, value in zip(_FIELDS, (title, url, body)):
         if not isinstance(value, str):
             raise SchemaViolation(f"{what} field {key!r} must be a string, "
                                   f"got {type(value).__name__}")
-    return SearchHit(title, url, body, score)
+    return SearchHit(encodable(title), encodable(url), encodable(body), score)
 
 
 class SearchBackend:
@@ -67,8 +67,9 @@ class FixtureSearchBackend(SearchBackend):
             what = f"web record {path}"
             record = check_keys(read_json(path), what, required=_FIELDS)
             doc_id = name.removesuffix(".json")
-            self.documents[doc_id] = _hit(what, record["title"], record["url"], record["body"])
-            self._index.add(doc_id, f"{record['title']} {record['body']}")
+            hit = _hit(what, record["title"], record["url"], record["body"])
+            self.documents[doc_id] = hit
+            self._index.add(doc_id, f"{hit.title} {hit.body}")
 
     def search(self, query: str, limit: int = 5) -> list[SearchHit]:
         if not self.documents:
@@ -80,22 +81,13 @@ class FixtureSearchBackend(SearchBackend):
         return hits
 
 
-class HttpSearchBackend(SearchBackend):
-    """POSTs {"query", "limit"}, expects {"results": [{title, url, body, score?}]}."""
+class HttpSearchBackend(_HttpBackend, SearchBackend):
+    """POSTs {"query", "limit"}, expects {"results": [{title, url, body, score?}]}; sends
+    no key, and its last failure is SearchBackendUnavailable, so the section gets a caveat."""
 
-    def __init__(self, endpoint: str, post=None):
-        if not endpoint:
-            raise SearchBackendUnavailable("no search endpoint configured")
-        self.endpoint = endpoint
-        self._post = post or functools.partial(post_json, timeout=60)
+    kind, env_api_key, error, timeout = "search", "", SearchBackendUnavailable, 60
 
     def search(self, query: str, limit: int = 5) -> list[SearchHit]:
-        try:
-            body = self._post(self.endpoint, {"query": query, "limit": limit})
-            return [
-                _hit("search result", r["title"], r["url"], r.get("body", ""),
-                     float(r.get("score", 0.0)))
-                for r in body["results"]
-            ]
-        except Exception as exc:  # noqa: BLE001 - transport and shape errors alike
-            raise SearchBackendUnavailable(f"search endpoint failed: {exc}") from exc
+        return self._request({"query": query, "limit": limit}, lambda body: [
+            _hit("search result", r["title"], r["url"], r.get("body", ""), float(r.get("score", 0)))
+            for r in body["results"]])

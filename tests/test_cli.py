@@ -57,21 +57,31 @@ def test_unknown_flag_is_user_error(capsys):
 
 # modules that only some commands run, or only once a command has started
 COMMAND_MODULES = ("numpy", "kdr.alignment", "kdr.evalkit", "kdr.websearch", "html.parser",
-                   "subprocess", "tempfile", "shutil", "concurrent.futures")
+                   "subprocess", "tempfile", "shutil", "concurrent.futures", "urllib.request",
+                   "http.client")
 
 
-def test_importing_the_cli_leaves_numpy_unloaded():
-    """Nor do `import kdr.cli` and `build_parser()` load any other of
-    COMMAND_MODULES. `-S` skips site-packages, so no `.pth` hook can load
-    one first and hide a regression."""
+def loaded_after(statements: str, modules: tuple[str, ...]) -> str:
+    """Which of `modules` a fresh `python -S` has loaded after `statements`.
+    `-S` skips site-packages, so no `.pth` hook can load one first and hide
+    a regression."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = ("import sys, kdr.cli; kdr.cli.build_parser(); "
-             f"print(sorted(m for m in {COMMAND_MODULES!r} if m in sys.modules))")
+    probe = f"import sys; {statements}; print(sorted(m for m in {modules!r} if m in sys.modules))"
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    """Nor do `import kdr.cli` and `build_parser()` load any other of COMMAND_MODULES."""
+    assert loaded_after("import kdr.cli; kdr.cli.build_parser()", COMMAND_MODULES) == "[]"
+
+
+def test_importing_websearch_leaves_the_http_client_unloaded():
+    """Research over a fixture corpus never loads what only an HTTP request needs."""
+    assert loaded_after("import kdr.websearch", ("urllib.request", "http.client")) == "[]"
 
 # -- organize ------------------------------------------------------------------------
 
@@ -210,6 +220,23 @@ def test_research_produces_report(capsys, tmp_path):
     report = Path(result["report"]).read_text()
     assert "## Background" in report
     assert "mean birth year of 1803.0" in report
+
+
+def test_research_cites_a_web_record_with_a_lone_surrogate(capsys, tmp_path):
+    kb, _ = organize(capsys, tmp_path)
+    web = tmp_path / "web"
+    web.mkdir()
+    for record in (FIXTURES / "webcorpus").iterdir():
+        (web / record.name).write_bytes(record.read_bytes())
+    ada = json.loads((web / "ada.json").read_text())
+    ada["title"] = "Lovelace \ud800 and Babbage"
+    (web / "ada.json").write_text(json.dumps(ada))  # ASCII, so the surrogate is a JSON escape
+    rc, out, err = run(capsys, "research", "--task", "Early computing",
+                       "--kb", kb, "--out", str(tmp_path / "run"),
+                       "--web-corpus", str(web), "--mock", E2E_MOCK)
+    assert rc == 0, err
+    report = Path(json.loads(out)["report"]).read_text(encoding="utf-8")
+    assert "Lovelace \ufffd and Babbage" in report.split("## Sources")[1]
 
 
 def test_research_bad_kb_file(capsys, tmp_path):

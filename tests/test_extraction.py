@@ -162,6 +162,20 @@ def test_parse_instantiation_too_deeply_nested_is_empty_output(graph):
         ex.parse_instantiation_code(code, graph, "NER")
 
 
+def test_parse_instantiation_nul_is_empty_output(graph, monkeypatch):
+    """Python 3.10's ast.parse raises ValueError for a NUL; 3.11 and later a SyntaxError."""
+    real_parse = ex.ast.parse
+
+    def parse(source, *args, **kwargs):
+        if "\x00" in source:
+            raise ValueError("source code string cannot contain null bytes")
+        return real_parse(source, *args, **kwargs)
+
+    monkeypatch.setattr(ex.ast, "parse", parse)
+    with pytest.raises(EmptyOutput, match="not parseable code: source code string cannot"):
+        ex.parse_instantiation_code('Person(name="a\x00")', graph, "NER")
+
+
 def test_parse_instantiation_fenced_block(graph):
     text = 'Sure!\n```python\nresults = [Person(name="Ada")]\n```\nDone.'
     parsed, _ = ex.parse_instantiation_code(text, graph, "NER")

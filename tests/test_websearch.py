@@ -88,6 +88,14 @@ def test_fixture_corpus_rankings_are_pinned():
     }
 
 
+def test_fixture_backend_turns_lone_surrogates_into_replacement_characters(tmp_path):
+    (tmp_path / "a.json").write_text('{"title": "Loom \\ud800", "url": "https://x/\\udfff", '
+                                     '"body": "punched \\ud800 cards"}', encoding="utf-8")
+    backend = FixtureSearchBackend(str(tmp_path))
+    assert backend.search("punched") == [
+        SearchHit("Loom \ufffd", "https://x/\ufffd", "punched \ufffd cards", 1.0)]
+
+
 def test_fixture_backend_missing_dir_unavailable(tmp_path):
     with pytest.raises(SearchBackendUnavailable):
         FixtureSearchBackend(str(tmp_path / "nope"))
@@ -109,7 +117,7 @@ def test_http_backend_wraps_transport_failure():
     def post(url, payload):
         raise ConnectionError("down")
 
-    backend = HttpSearchBackend("https://search.example", post=post)
+    backend = HttpSearchBackend("https://search.example", post=post, sleep=lambda _: None)
     with pytest.raises(SearchBackendUnavailable):
         backend.search("q")
 
@@ -120,7 +128,7 @@ def test_http_backend_wraps_transport_failure():
     {"title": "t", "url": "https://x", "body": {"text": "b"}},
 ])
 def test_http_backend_result_field_that_is_not_a_string_is_unavailable(result):
-    backend = HttpSearchBackend("https://search.example",
+    backend = HttpSearchBackend("https://search.example", sleep=lambda _: None,
                                 post=lambda url, payload: {"results": [result]})
     with pytest.raises(SearchBackendUnavailable, match="must be a string"):
         backend.search("q")
